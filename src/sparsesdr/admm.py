@@ -11,12 +11,16 @@ solve, a closed-form row-wise group shrinkage and a scaled dual update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
+
+# Residual balancing on residuals relative to their tolerances (Wohlberg
+# 2017): for a solve's first _ADAPT_ITERS iterations, rho *= _TAU and u /= _TAU
+# (or the inverse) when one exceeds the other _MU-fold; then rho is held.
+_MU, _TAU, _ADAPT_ITERS = 10.0, 2.0, 100
 
 
 @dataclass
@@ -44,6 +48,8 @@ class StepAResult:
     converged: bool
     primal_residual: float
     dual_residual: float
+    u: np.ndarray    # final scaled dual; with rho and B, a warm start
+    rho: float       # final step parameter
 
 
 def shrink_rows(V: np.ndarray, params: PenaltyParams) -> np.ndarray:
@@ -72,42 +78,32 @@ def group_shrink(v: np.ndarray, params: PenaltyParams) -> np.ndarray:
 
 
 class GramSolver:
-    """Factorization of (X^T X + (rho/2) I), prepared once and reused.
+    """Eigenpairs of X's smaller Gram matrix (X X^T when p > n, else X^T X)
+    less the zero eigenvalues centering creates: V holds X's p x k right
+    singular vectors and s2 their squared singular values, so for any c > 0
 
-    For p <= n a p x p Cholesky is used directly; for p > n the Woodbury
-    identity reduces the work to an n x n solve:
+        (X^T X + c I)^{-1} r = V((V^T r)/(s2 + c) - (V^T r)/c) + r/c
 
-        (X^T X + c I)^{-1} r = (r - X^T (c I + X X^T)^{-1} X r) / c
+    and a change of the ADMM step parameter needs no new factorization.
     """
 
-    def __init__(self, X: np.ndarray, rho: float, mode: str | None = None):
-        self.X = X
-        self.c = rho / 2.0
+    def __init__(self, X: np.ndarray):
         n, p = X.shape
-        if mode is None:
-            mode = "direct" if p <= n else "woodbury"
-        self.mode = mode
-        if mode == "direct":
-            self._fac = scipy.linalg.cho_factor(
-                X.T @ X + self.c * np.eye(p), lower=True)
-        elif mode == "woodbury":
-            self._fac = scipy.linalg.cho_factor(
-                self.c * np.eye(n) + X @ X.T, lower=True)
-        else:
-            raise ValidationError(f"unknown gram mode {mode!r}")
+        s2, W = np.linalg.eigh(X @ X.T if p > n else X.T @ X)
+        keep = s2 > s2[-1] * max(n, p) * np.finfo(float).eps
+        self.s2 = s2[keep]
+        self.V = X.T @ (W[:, keep] / np.sqrt(self.s2)) if p > n else W[:, keep]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (X^T X + (rho/2) I) B = rhs for one or more columns."""
-        if self.mode == "direct":
-            return scipy.linalg.cho_solve(self._fac, rhs)
-        inner = scipy.linalg.cho_solve(self._fac, self.X @ rhs)
-        return (rhs - self.X.T @ inner) / self.c
+    def solve(self, rhs: np.ndarray, c: float) -> np.ndarray:
+        """Solve (X^T X + c I) B = rhs for a p x m right-hand side."""
+        t = self.V.T @ rhs
+        return (rhs - self.V @ (t * (self.s2 / (self.s2 + c))[:, None])) / c
 
 
 def beta_update(gram: GramSolver, xtz_theta: np.ndarray, alpha: np.ndarray,
-                u: np.ndarray) -> np.ndarray:
+                u: np.ndarray, rho: float) -> np.ndarray:
     """Smooth step: B = (X^T X + (rho/2) I)^{-1} [X^T Z Theta + (rho/2)(alpha - u)]."""
-    return gram.solve(xtz_theta + gram.c * (alpha - u))
+    return gram.solve(xtz_theta + rho / 2.0 * (alpha - u), rho / 2.0)
 
 
 def step_a_objective(X: np.ndarray, Ztheta: np.ndarray, B: np.ndarray,
@@ -122,46 +118,50 @@ def step_a_objective(X: np.ndarray, Ztheta: np.ndarray, B: np.ndarray,
 
 def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
                  tol: float = 1e-6, max_iter: int = 1000,
-                 gram: GramSolver | None = None) -> StepAResult:
+                 gram: GramSolver | None = None,
+                 warm: StepAResult | None = None) -> StepAResult:
     """Run ADMM to convergence on the row-sparse subproblem.
 
     X is the n x p centered predictor matrix, Ztheta the n x d matrix of
-    current response scores. Stops when the beta, alpha and dual iterates
-    all move less than tol between sweeps. Returns the shrinkage iterate
-    alpha as B: its zero rows are exact.
+    current response scores. Stops on the primal (B - alpha) and dual
+    (rho times the change of alpha) residual tests of Boyd et al. (2011,
+    sec. 3.3.1) with eps_abs = eps_rel = tol. params.rho is the starting
+    step, balanced against the residuals at r = 0 (sec. 3.4.1) without
+    moving the optimum; at r > 0 the shrinkage is approximate, its fixed
+    point depends on rho, and rho is held. `warm`, an earlier result on the
+    same X, is resumed: its B (alpha), u and rho. Returns alpha as B.
     """
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1")
+    if max_iter < 1 or tol <= 0:
+        raise ValidationError("max_iter must be >= 1 and tol > 0")
     if gram is None:
-        gram = GramSolver(X, params.rho)
+        gram = GramSolver(X)
     xtz_theta = X.T @ Ztheta
+    if warm is None:  # cold start: the ridge solution with a zero dual
+        alpha = gram.solve(xtz_theta, params.rho / 2.0)
+        warm = StepAResult(alpha, 0, False, 0.0, 0.0, 0 * alpha, params.rho)
+    alpha, u, rho = warm.B, warm.u, warm.rho
+    shrink = replace(params, rho=rho)
+    eps_abs = np.sqrt(alpha.size) * tol
 
-    B = gram.solve(xtz_theta)
-    alpha = B.copy()
-    u = np.zeros_like(B)
-
-    converged = False
-    n_iter = 0
-    alpha_step = np.inf
     for n_iter in range(1, max_iter + 1):
-        B_new = beta_update(gram, xtz_theta, alpha, u)
-        alpha_new = shrink_rows(B_new + u, params)
-        u_new = u + B_new - alpha_new
-        alpha_step = float(np.linalg.norm(alpha_new - alpha))
-        moved = max(
-            float(np.linalg.norm(B_new - B)),
-            alpha_step,
-            float(np.linalg.norm(u_new - u)),
-        )
-        B, alpha, u = B_new, alpha_new, u_new
-        if moved <= tol:
-            converged = True
+        B = beta_update(gram, xtz_theta, alpha, u, rho)
+        alpha_new = shrink_rows(B + u, shrink)
+        r = B - alpha_new
+        u = u + r
+        r_norm = float(np.linalg.norm(r))
+        s_norm = rho * float(np.linalg.norm(alpha_new - alpha))
+        alpha = alpha_new
+        eps_pri = eps_abs + tol * max(np.linalg.norm(B), np.linalg.norm(alpha))
+        eps_dual = eps_abs + tol * rho * np.linalg.norm(u)
+        pri, dual = r_norm / eps_pri, s_norm / eps_dual
+        converged = bool(pri <= 1 and dual <= 1)
+        if converged:
             break
+        if (params.r == 0 and n_iter <= _ADAPT_ITERS
+                and max(pri, dual) > _MU * min(pri, dual)):
+            scale = _TAU if pri > dual else 1.0 / _TAU
+            rho, u = rho * scale, u / scale
+            shrink = replace(shrink, rho=rho)
 
-    return StepAResult(
-        B=alpha,
-        n_iter=n_iter,
-        converged=converged,
-        primal_residual=float(np.linalg.norm(B - alpha)),
-        dual_residual=float(params.rho * alpha_step),
-    )
+    return StepAResult(B=alpha, n_iter=n_iter, converged=converged, u=u,
+                       rho=rho, primal_residual=r_norm, dual_residual=s_norm)

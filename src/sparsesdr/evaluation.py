@@ -64,10 +64,10 @@ def fit_classifier(x_train: PredictorMatrix, y: Phenotype,
 def predict(clf: ProjectionClassifier, x_test_raw: PredictorMatrix):
     """Nearest-centroid labels on test rows centered with the *training*
     column means. Binary score = dist(control centroid) - dist(case centroid)."""
-    missing = [f for f in clf.feature_ids if f not in set(x_test_raw.feature_ids)]
+    pos = {f: j for j, f in enumerate(x_test_raw.feature_ids)}
+    missing = [f for f in clf.feature_ids if f not in pos]
     if missing:
         raise ValidationError(f"test data is missing features: {missing[:10]}")
-    pos = {f: j for j, f in enumerate(x_test_raw.feature_ids)}
     cols = [pos[f] for f in clf.feature_ids]
     xt = x_test_raw.values[:, cols] - clf.column_means
     proj = xt @ clf.B_kept

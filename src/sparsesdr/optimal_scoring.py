@@ -177,7 +177,7 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     d = cfg.d
     Theta, Q = init_theta(design, d, cfg.seed)
     xtz = X.T @ Z
-    gram = GramSolver(X, cfg.penalty.rho)
+    gram = GramSolver(X)
     rng = np.random.default_rng(cfg.seed + 1)
 
     B = np.zeros((x.n_features, d))
@@ -185,10 +185,11 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     converged = False
     inner_ok = True
     outer = 0
+    res = None
     for outer in range(1, cfg.outer_max_iter + 1):
         res = solve_step_a(X, Z @ Theta, cfg.penalty,
                            tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
-                           gram=gram)
+                           gram=gram, warm=res)
         inner_ok = inner_ok and res.converged
         B_new = res.B
 

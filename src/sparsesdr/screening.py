@@ -49,6 +49,8 @@ class StageRecord:
     kept_indices: np.ndarray   # original feature indices
     kept_norms: np.ndarray
     no_signal: bool
+    converged: bool         # outer loop and every inner solve converged
+    inner_converged: bool   # every inner solve converged
 
 
 @dataclass
@@ -139,7 +141,8 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
             kept_pos, norms, no_signal = rank_and_keep(
                 ds, stage.keep_per_partition)
             return StageRecord(stage_no, part_no, cols[kept_pos], norms,
-                               no_signal)
+                               no_signal, ds.converged and ds.inner_converged,
+                               ds.inner_converged)
 
         items = list(enumerate(ranges))
         if n_workers > 1:
@@ -191,12 +194,19 @@ def report_to_tsv(report: SelectionReport) -> str:
 
 
 def report_summary(report: SelectionReport) -> dict:
-    """JSON-ready summary of the screening run."""
+    """JSON-ready summary of the screening run. `converged` holds only when
+    every partition fit and the final fit converged, inner solves included;
+    `inner_converged` covers the inner solves alone."""
+    final = report.final_directions
+    inner = (final.inner_converged
+             and all(r.inner_converged for r in report.stage_records))
     return {
         "n_stages": len({r.stage for r in report.stage_records}),
         "survivors": len(report.survivors),
         "selected": report.selected_ids,
-        "converged": bool(report.final_directions.converged),
+        "converged": bool(final.converged and inner
+                          and all(r.converged for r in report.stage_records)),
+        "inner_converged": bool(inner),
         "stage_kept": {
             str(s): int(sum(len(r.kept_indices) for r in report.stage_records
                             if r.stage == s))

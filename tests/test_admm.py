@@ -77,46 +77,51 @@ class TestGroupShrink:
 class TestBetaUpdate:
     def test_zero_design_returns_alpha_minus_u(self):
         X = np.zeros((4, 3))
-        gram = GramSolver(X, rho=2.0, mode="direct")
+        gram = GramSolver(X)
         alpha = np.ones((3, 2))
         u = 0.25 * np.ones((3, 2))
-        out = beta_update(gram, np.zeros((3, 2)), alpha, u)
+        out = beta_update(gram, np.zeros((3, 2)), alpha, u, rho=2.0)
         assert np.allclose(out, alpha - u, atol=1e-12)
 
     def test_huge_rho_pins_to_alpha_minus_u(self):
         X, Ztheta = random_problem(1, 20, 5, 2)
-        gram = GramSolver(X, rho=1e12)
+        gram = GramSolver(X)
         rng = np.random.default_rng(3)
         alpha = rng.standard_normal((5, 2))
         u = rng.standard_normal((5, 2))
-        out = beta_update(gram, X.T @ Ztheta, alpha, u)
+        out = beta_update(gram, X.T @ Ztheta, alpha, u, rho=1e12)
         assert np.max(np.abs(out - (alpha - u))) < 1e-4
 
     def test_matches_dense_solve(self):
         X, Ztheta = random_problem(4, 15, 6, 2)
         rho = 1.7
-        gram = GramSolver(X, rho)
+        gram = GramSolver(X)
         rng = np.random.default_rng(5)
         alpha = rng.standard_normal((6, 2))
         u = rng.standard_normal((6, 2))
         rhs = X.T @ Ztheta + (rho / 2) * (alpha - u)
         expected = np.linalg.solve(X.T @ X + (rho / 2) * np.eye(6), rhs)
-        assert np.allclose(beta_update(gram, X.T @ Ztheta, alpha, u),
+        assert np.allclose(beta_update(gram, X.T @ Ztheta, alpha, u, rho),
                            expected, atol=1e-8)
 
-    def test_woodbury_matches_direct(self):
-        X, _ = random_problem(6, 10, 40, 1)
-        rng = np.random.default_rng(7)
-        rhs = rng.standard_normal((40, 3))
-        direct = GramSolver(X, rho=2.5, mode="direct").solve(rhs)
-        wood = GramSolver(X, rho=2.5, mode="woodbury").solve(rhs)
-        assert np.max(np.abs(direct - wood)) < 1e-8
-
-    def test_default_mode_crossover(self):
-        X_wide, _ = random_problem(8, 5, 9, 1)
-        X_tall, _ = random_problem(8, 9, 5, 1)
-        assert GramSolver(X_wide, 1.0).mode == "woodbury"
-        assert GramSolver(X_tall, 1.0).mode == "direct"
+    @pytest.mark.parametrize("shape", ["wide", "tall", "rank_deficient"])
+    def test_gram_solve_matches_dense_solve(self, shape):
+        # one factorization serves every shift c
+        rng = np.random.default_rng(6)
+        if shape == "wide":
+            X = rng.standard_normal((10, 40))
+        elif shape == "tall":
+            X = rng.standard_normal((40, 10))
+        else:
+            X = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 12))
+        X -= X.mean(axis=0)
+        p = X.shape[1]
+        gram = GramSolver(X)
+        rhs = rng.standard_normal((p, 3))
+        for c in (1e-3, 0.5, 1.0, 7.0, 1e4):
+            expected = np.linalg.solve(X.T @ X + c * np.eye(p), rhs)
+            err = np.max(np.abs(gram.solve(rhs, c) - expected))
+            assert err <= 1e-9 * np.max(np.abs(expected))
 
 
 class TestSolveStepA:
@@ -194,3 +199,57 @@ class TestSolveStepA:
         X, Ztheta = random_problem(17, 10, 4, 1)
         with pytest.raises(ValidationError):
             solve_step_a(X, Ztheta, PenaltyParams(), max_iter=0)
+
+
+class TestStepAOptimality:
+    """Convex case r = 0: the answer satisfies the subgradient conditions of
+    the objective, whatever rho the solve starts from."""
+
+    PROBLEMS = [(21, 30, 60, 2, 6.0, 1.0), (22, 50, 20, 3, 5.0, 0.8),
+                (23, 40, 200, 1, 8.0, 1.0)]
+
+    @pytest.mark.parametrize("seed, n, p, d, lam, delta", PROBLEMS)
+    def test_kkt_conditions(self, seed, n, p, d, lam, delta):
+        X, Ztheta = random_problem(seed, n, p, d)
+        params = PenaltyParams(lam=lam, delta=delta, r=0.0, rho=2.0)
+        res = solve_step_a(X, Ztheta, params, tol=1e-10, max_iter=5000)
+        assert res.converged
+        B = res.B
+        grad = 2 * X.T @ (Ztheta - X @ B)     # minus the smooth gradient
+        norms = np.linalg.norm(B, axis=1)
+        zero = norms == 0
+        # zero rows: the smooth gradient lies in the ball of radius lam*delta
+        assert np.all(np.linalg.norm(grad[zero], axis=1)
+                      <= lam * delta * (1 + 1e-6))
+        # nonzero rows: stationarity of the differentiable objective
+        nz = ~zero
+        stat = (-grad[nz] + 2 * lam * (1 - delta) * B[nz]
+                + lam * delta * B[nz] / norms[nz, None])
+        assert np.max(np.abs(stat)) <= 1e-6 * lam
+
+    @pytest.mark.parametrize("seed, n, p, d, lam, delta", PROBLEMS)
+    def test_starting_rho_does_not_change_answer(self, seed, n, p, d, lam,
+                                                 delta):
+        X, Ztheta = random_problem(seed, n, p, d)
+        answers = []
+        for rho in (0.02, 2.0, 200.0):
+            params = PenaltyParams(lam=lam, delta=delta, r=0.0, rho=rho)
+            res = solve_step_a(X, Ztheta, params, tol=1e-10, max_iter=5000)
+            assert res.converged
+            answers.append(res.B)
+        for other in answers[1:]:
+            assert np.max(np.abs(other - answers[0])) <= 1e-7
+            assert np.array_equal(np.linalg.norm(other, axis=1) == 0,
+                                  np.linalg.norm(answers[0], axis=1) == 0)
+
+    @pytest.mark.parametrize("r", [0.0, 0.3])
+    def test_warm_restart_from_converged_result(self, r):
+        X, Ztheta = random_problem(24, 40, 80, 2)
+        params = PenaltyParams(lam=4.0, delta=0.8, r=r, rho=2.0)
+        first = solve_step_a(X, Ztheta, params, tol=1e-8, max_iter=5000)
+        assert first.converged and first.n_iter > 1
+        again = solve_step_a(X, Ztheta, params, tol=1e-8, max_iter=5000,
+                             warm=first)
+        assert again.converged and again.n_iter == 1
+        assert again.rho == first.rho
+        assert np.max(np.abs(again.B - first.B)) <= 1e-6

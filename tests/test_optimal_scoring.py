@@ -147,6 +147,26 @@ class TestFit:
         for a, b in zip(h, h[1:]):
             assert b <= a + 10 * cfg.inner_tol
 
+    def test_binary_second_step_a_resumes_at_its_answer(self, monkeypatch):
+        # with two classes the score cannot move, so the warm-started second
+        # ADMM call starts at its own converged answer
+        from sparsesdr import optimal_scoring
+        solve = optimal_scoring.solve_step_a
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(solve(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(optimal_scoring, "solve_step_a", recording)
+        x, y, _ = simulate(SyntheticSpec(
+            n_samples=200, n_features=60, maf_range=(0.1, 0.4),
+            support=[(j, 1.5) for j in range(5)], link="logistic", seed=4))
+        cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=20.0, rho=2.0))
+        ds = fit(center(x), build_design(y), cfg)
+        assert ds.converged and ds.inner_converged and ds.outer_iters == 2
+        assert calls[0].n_iter > 1 and calls[1].n_iter == 1
+
     def test_sign_canonicalization(self):
         x, y = three_class_instance(8)
         design = build_design(y)

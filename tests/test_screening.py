@@ -122,6 +122,27 @@ class TestRunPlan:
         assert np.array_equal(a.survivors, b.survivors)
         assert np.array_equal(a.selected_indices, b.selected_indices)
 
+    def test_summary_reports_convergence_of_every_fit(self):
+        x, y, _ = signal_instance()
+        stages = [(4, 10)]
+        ok = run_plan(x, y, ScreeningPlan(stages, solver(30.0)), seed=3)
+        assert all(r.converged and r.inner_converged
+                   for r in ok.stage_records)
+        summary = report_summary(ok)
+        assert summary["converged"] and summary["inner_converged"]
+        # an inner cap of one iteration stops every ADMM solve short
+        capped = run_plan(x, y, ScreeningPlan(
+            stages, solver(30.0, inner_max_iter=1)), seed=3)
+        assert not any(r.converged or r.inner_converged
+                       for r in capped.stage_records)
+        summary = report_summary(capped)
+        assert not summary["converged"] and not summary["inner_converged"]
+        # one outer iteration cannot show the outer loop has converged
+        short = run_plan(x, y, ScreeningPlan(
+            stages, solver(30.0, outer_max_iter=1, outer_tol=1e-14)), seed=3)
+        summary = report_summary(short)
+        assert not summary["converged"] and summary["inner_converged"]
+
     def test_seed_changes_partition_fits(self):
         x, y, _ = signal_instance()
         plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
