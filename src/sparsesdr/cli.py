@@ -20,9 +20,10 @@ from .dataset import (PredictorMatrix, SyntheticSpec, align_phenotype, center,
                       simulate)
 from .errors import NumericError, ParseError, SparseSdrError, ValidationError
 from .evaluation import (chi2_rank, cross_validate, cv_report_to_json,
-                         cv_report_to_tsv, fit_classifier, predict)
+                         cv_report_to_tsv, fit_classifier, load_model, predict,
+                         save_model)
 from .scoring import build_design
-from .screening import report_summary, report_to_tsv, run_plan
+from .screening import _NONZERO_ROW, report_summary, report_to_tsv, run_plan
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,6 +89,10 @@ def cmd_fit(args) -> int:
     solver = cfg.solver
     solver.seed = args.seed
     ds = optimal_scoring.fit(xc, design, solver)
+    nonzero = np.flatnonzero(ds.row_norms() > _NONZERO_ROW)
+    # model bundle for `predict`, built before any output is written
+    kept = nonzero if len(nonzero) else np.arange(x.n_features)
+    clf = fit_classifier(xc.restrict(kept), y, ds.B[kept])
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -103,22 +108,9 @@ def cmd_fit(args) -> int:
         "outer_iters": ds.outer_iters,
         "inner_converged": bool(ds.inner_converged),
         "objective": ds.objective_history,
-        "nonzero_rows": int(np.sum(ds.row_norms() > 1e-10)),
+        "nonzero_rows": len(nonzero),
     })
-    # model bundle for `predict`
-    kept = np.flatnonzero(ds.row_norms() > 1e-10)
-    if len(kept) == 0:
-        kept = np.arange(x.n_features)
-    clf = fit_classifier(xc.restrict(kept), y, ds.B[kept])
-    _write_json(outdir / "model.json", {
-        "feature_ids": clf.feature_ids,
-        "column_means": clf.column_means.tolist(),
-        "B_kept": clf.B_kept.tolist(),
-        "class_labels": [float(c) for c in clf.class_labels],
-        "class_centroids": clf.class_centroids.tolist(),
-        "class_priors": clf.class_priors.tolist(),
-        "degenerate": clf.degenerate,
-    })
+    save_model(clf, outdir / "model.json")
     _write_manifest(outdir, args, [args.x, args.y])
     return EXIT_OK
 
@@ -128,7 +120,7 @@ def cmd_screen(args) -> int:
     cfg = _load_config(args)
     y = make_phenotype(labels)
     report = run_plan(x, y, cfg.plan(), seed=args.seed,
-                      n_workers=args.threads)
+                      n_workers=args.threads, h=cfg.h)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "selection.tsv").write_text(report_to_tsv(report),
@@ -198,18 +190,7 @@ def cmd_simulate(args) -> int:
 def cmd_predict(args) -> int:
     fmt = "csv" if str(args.x).endswith(".csv") else "tsv"
     x = load_predictors(args.x, fmt)
-    with open(Path(args.model) / "model.json", "r", encoding="utf-8") as fh:
-        m = json.load(fh)
-    from .evaluation import ProjectionClassifier
-    clf = ProjectionClassifier(
-        B_kept=np.array(m["B_kept"]),
-        feature_ids=m["feature_ids"],
-        column_means=np.array(m["column_means"]),
-        class_labels=m["class_labels"],
-        class_centroids=np.array(m["class_centroids"]),
-        class_priors=np.array(m["class_priors"]),
-        degenerate=m["degenerate"],
-    )
+    clf = load_model(Path(args.model) / "model.json")
     labels, scores = predict(clf, x)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

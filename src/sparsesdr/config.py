@@ -25,12 +25,15 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _get(raw: dict, key: str, cast, default):
+    """Pop `key` from `raw` and cast its value; keys never popped are
+    unknown to the loader."""
     if key not in raw:
         return default
+    value = raw.pop(key)
     try:
-        return cast(raw[key])
+        return cast(value)
     except ValueError:
-        raise ValidationError(f"config key {key!r}: bad value {raw[key]!r}")
+        raise ValidationError(f"config key {key!r}: bad value {value!r}")
 
 
 def _parse_stages(text: str) -> list[Stage]:
@@ -90,14 +93,10 @@ def load_run_config(path) -> RunConfig:
         outer_max_iter=_get(raw, "solver.outer_max_iter", int, 100),
         inner_tol=_get(raw, "solver.inner_tol", float, 1e-6),
         inner_max_iter=_get(raw, "solver.inner_max_iter", int, 1000),
-        theta_fixed_point=_get(raw, "solver.theta_mode", str, "iterate"),
-        theta_inner_tol=_get(raw, "solver.theta_tol", float, 1e-10),
-        theta_max_iter=_get(raw, "solver.theta_max_iter", int, 200),
     )
-    stages = _parse_stages(raw["screen.stages"]) if "screen.stages" in raw else []
-    return RunConfig(
+    cfg = RunConfig(
         solver=solver,
-        stages=stages,
+        stages=_get(raw, "screen.stages", _parse_stages, []),
         cv_folds=_get(raw, "cv.folds", int, 5),
         cv_method=_get(raw, "cv.method", str, "sparse_sdr"),
         top_m=_get(raw, "cv.top_m", int, None),
@@ -111,3 +110,6 @@ def load_run_config(path) -> RunConfig:
         sim_effect=_get(raw, "simulate.effect", float, 1.0),
         sim_link=_get(raw, "simulate.link", str, "logistic"),
     )
+    if raw:
+        raise ValidationError(f"unknown config keys: {', '.join(sorted(raw))}")
+    return cfg

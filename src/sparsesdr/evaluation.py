@@ -3,7 +3,9 @@ chi-square P-value-ranking baseline and k-fold cross-validation."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import chi2 as chi2_dist
@@ -58,6 +60,35 @@ def fit_classifier(x_train: PredictorMatrix, y: Phenotype,
         class_centroids=centroids,
         class_priors=np.array(priors),
         degenerate=degenerate,
+    )
+
+
+def save_model(clf: ProjectionClassifier, path) -> None:
+    """Write the classifier as JSON; `load_model` reads it back."""
+    model = {
+        "feature_ids": clf.feature_ids,
+        "column_means": clf.column_means.tolist(),
+        "B_kept": clf.B_kept.tolist(),
+        "class_labels": [float(c) for c in clf.class_labels],
+        "class_centroids": clf.class_centroids.tolist(),
+        "class_priors": clf.class_priors.tolist(),
+        "degenerate": clf.degenerate,
+    }
+    Path(path).write_text(json.dumps(model, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+def load_model(path) -> ProjectionClassifier:
+    """Read a classifier written by `save_model`."""
+    m = json.loads(Path(path).read_text(encoding="utf-8"))
+    return ProjectionClassifier(
+        B_kept=np.array(m["B_kept"]),
+        feature_ids=m["feature_ids"],
+        column_means=np.array(m["column_means"]),
+        class_labels=m["class_labels"],
+        class_centroids=np.array(m["class_centroids"]),
+        class_priors=np.array(m["class_priors"]),
+        degenerate=m["degenerate"],
     )
 
 
@@ -296,13 +327,8 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
             kept = report.selected_indices
             if len(kept) == 0:
                 kept = report.survivors
-                pos_map = {int(j): i for i, j in enumerate(report.survivors)}
-                B_kept = report.final_directions.B[
-                    [pos_map[int(j)] for j in kept]]
-            else:
-                pos_map = {int(j): i for i, j in enumerate(report.survivors)}
-                B_kept = report.final_directions.B[
-                    [pos_map[int(j)] for j in kept]]
+            pos_map = {int(j): i for i, j in enumerate(report.survivors)}
+            B_kept = report.final_directions.B[[pos_map[int(j)] for j in kept]]
             clf = fit_classifier(x_train.restrict(kept), y_train, B_kept)
             tr_labels, tr_scores = predict(clf, x_train_raw.restrict(kept))
             te_labels, te_scores = predict(clf, x_test_raw.restrict(kept))

@@ -1,5 +1,5 @@
 """Bi-convex optimal-scoring solver: alternate the penalized coefficient
-subproblem (ADMM) with the score fixed point under D-orthonormality."""
+subproblem (ADMM) with the closed-form score step under D-orthonormality."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from .admm import GramSolver, PenaltyParams, solve_step_a, step_a_objective
 from .dataset import PredictorMatrix
 from .errors import NumericError, ValidationError
 from .scoring import ScoringDesign
+from .sir import column_signs
 
 _ZERO_BETA = 1e-14
 
@@ -23,19 +24,13 @@ class SolverConfig:
     outer_max_iter: int = 100
     inner_tol: float = 1e-6
     inner_max_iter: int = 1000
-    theta_fixed_point: str = "iterate"  # "iterate" | "newton"
-    theta_inner_tol: float = 1e-10
-    theta_max_iter: int = 200
     seed: int = 0
 
     def __post_init__(self):
         if self.d < 1:
             raise ValidationError("d must be >= 1")
-        if min(self.outer_tol, self.inner_tol, self.theta_inner_tol) <= 0:
+        if min(self.outer_tol, self.inner_tol) <= 0:
             raise ValidationError("tolerances must be positive")
-        if self.theta_fixed_point not in ("iterate", "newton"):
-            raise ValidationError(
-                f"unknown theta solver {self.theta_fixed_point!r}")
 
 
 @dataclass
@@ -68,6 +63,18 @@ def check_theta_invariants(Theta: np.ndarray, D: np.ndarray,
                 raise NumericError(f"theta_{i} not D-orthogonal to theta_{j}")
 
 
+def _deflated_draw(rng: np.random.Generator, D: np.ndarray,
+                   Q: np.ndarray) -> np.ndarray:
+    """Random D-unit score D-orthogonal to every column of Q."""
+    for _ in range(10):
+        star = rng.standard_normal(D.shape[0])
+        tilde = star - Q @ (Q.T @ (D @ star))
+        norm2 = tilde @ D @ tilde
+        if norm2 > 1e-12:
+            return tilde / np.sqrt(norm2)
+    raise NumericError("degenerate random score draw")
+
+
 def init_theta(design: ScoringDesign, d: int, seed: int = 0):
     """Random D-orthonormal initialization deflated against the constant
     score. Returns (Theta: K x d, Q: K x (d+1))."""
@@ -80,29 +87,22 @@ def init_theta(design: ScoringDesign, d: int, seed: int = 0):
     Q = q1[:, None]
     Theta = np.zeros((K, d))
     for i in range(d):
-        for attempt in range(10):
-            star = rng.standard_normal(K)
-            tilde = star - Q @ (Q.T @ (D @ star))
-            norm2 = tilde @ D @ tilde
-            if norm2 > 1e-12:
-                break
-        else:
-            raise NumericError(f"degenerate random draw for theta_{i}")
-        theta = tilde / np.sqrt(norm2)
+        theta = _deflated_draw(rng, D, Q)
         Theta[:, i] = theta
         Q = np.column_stack([Q, theta])
     return Theta, Q
 
 
 def theta_step(xtz: np.ndarray, D: np.ndarray, beta: np.ndarray,
-               Q: np.ndarray, mode: str = "iterate", tol: float = 1e-10,
-               max_iter: int = 200) -> np.ndarray:
-    """Solve the score fixed point for one direction.
+               Q: np.ndarray) -> np.ndarray:
+    """Closed-form score update for one direction.
 
     xtz is the precomputed p x K matrix X^T Z, beta the current length-p
-    coefficient vector, Q the K x i deflation matrix (constant score plus
-    previously extracted scores). Returns a D-unit vector D-orthogonal to
-    every column of Q, with sign chosen so theta^T Z^T X beta >= 0.
+    coefficient vector, Q the K x i D-orthonormal deflation matrix (constant
+    score plus previously extracted scores). With v = Z^T X beta and w the
+    deflation of D^-1 v against Q, the score is theta = w / sqrt(w^T D w):
+    a D-unit vector D-orthogonal to every column of Q. Because
+    w^T v = w^T D w, theta^T v = sqrt(w^T D w) > 0, so no sign fix is needed.
     """
     v = xtz.T @ beta                       # Z^T X beta
     w = np.linalg.solve(D, v)
@@ -111,63 +111,13 @@ def theta_step(xtz: np.ndarray, D: np.ndarray, beta: np.ndarray,
     if wDw <= 1e-24 or np.linalg.norm(v) < 1e-12:
         raise NumericError("degenerate score/direction pairing: direction "
                            "carries no signal for the score update")
-
-    if mode == "iterate":
-        theta = w / np.sqrt(wDw)
-        for _ in range(max_iter):
-            denom = theta @ v
-            if abs(denom) < 1e-12:
-                raise NumericError("degenerate score/direction pairing: "
-                                   "fixed-point denominator vanished")
-            theta_new = w / denom
-            if np.linalg.norm(theta_new - theta) < tol:
-                theta = theta_new
-                break
-            theta = theta_new
-    elif mode == "newton":
-        # theta = w / c with the scalar c solving c^2 = w^T v
-        target = w @ v
-        if abs(target) < 1e-24:
-            raise NumericError("degenerate score/direction pairing")
-        c = np.sqrt(abs(target))
-        for _ in range(max_iter):
-            step = (c * c - abs(target)) / (2 * c)
-            c -= step
-            if abs(step) < tol:
-                break
-        theta = w / c
-    else:
-        raise ValidationError(f"unknown theta solver {mode!r}")
-
-    theta = theta / np.sqrt(theta @ D @ theta)
-    if theta @ v < 0:
-        theta = -theta
-    return theta
-
-
-def _canonicalize_signs(B: np.ndarray, Theta: np.ndarray):
-    """Make the largest-|entry| of each score column positive, flipping the
-    matching coefficient column so the objective is untouched."""
-    B = B.copy()
-    Theta = Theta.copy()
-    for i in range(Theta.shape[1]):
-        k = np.argmax(np.abs(Theta[:, i]))
-        if Theta[k, i] < 0:
-            Theta[:, i] = -Theta[:, i]
-            B[:, i] = -B[:, i]
-    return B, Theta
-
-
-def objective(X: np.ndarray, Z: np.ndarray, Theta: np.ndarray,
-              B: np.ndarray, penalty: PenaltyParams) -> float:
-    """Penalized optimal-scoring objective at (Theta, B)."""
-    return step_a_objective(X, Z @ Theta, B, penalty)
+    return w / np.sqrt(wDw)
 
 
 def fit(x: PredictorMatrix, design: ScoringDesign,
         cfg: SolverConfig) -> DirectionSet:
-    """Alternate the coefficient subproblem and the score fixed point until
-    both stop moving (or the outer iteration cap is hit)."""
+    """Alternate the coefficient subproblem and the score step until both
+    stop moving (or the outer iteration cap is hit)."""
     if not x.centered:
         raise ValidationError("predictors must be centered")
     if x.n_samples != design.n_samples:
@@ -202,26 +152,15 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
                 # re-deflated against the refreshed earlier scores
                 tilde = Theta[:, i] - Qi @ (Qi.T @ (D @ Theta[:, i]))
                 norm2 = tilde @ D @ tilde
-                if norm2 <= 1e-12:
-                    for _ in range(10):
-                        star = rng.standard_normal(design.K)
-                        tilde = star - Qi @ (Qi.T @ (D @ star))
-                        norm2 = tilde @ D @ tilde
-                        if norm2 > 1e-12:
-                            break
-                    else:
-                        raise NumericError("degenerate score draw during fit")
-                theta = tilde / np.sqrt(norm2)
+                theta = (tilde / np.sqrt(norm2) if norm2 > 1e-12
+                         else _deflated_draw(rng, D, Qi))
             else:
-                theta = theta_step(xtz, D, beta, Qi,
-                                   mode=cfg.theta_fixed_point,
-                                   tol=cfg.theta_inner_tol,
-                                   max_iter=cfg.theta_max_iter)
+                theta = theta_step(xtz, D, beta, Qi)
             Theta_new[:, i] = theta
             Qi = np.column_stack([Qi, theta])
 
         check_theta_invariants(Theta_new, D, Q[:, 0])
-        history.append(objective(X, Z, Theta_new, B_new, cfg.penalty))
+        history.append(step_a_objective(X, Z @ Theta_new, B_new, cfg.penalty))
 
         theta_moved = max(float(np.linalg.norm(Theta_new[:, i] - Theta[:, i]))
                           for i in range(d))
@@ -232,7 +171,8 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
             converged = True
             break
 
-    B, Theta = _canonicalize_signs(B, Theta)
+    signs = column_signs(Theta)
+    B, Theta = B * signs, Theta * signs
     Q = np.column_stack([Q[:, :1], Theta])
     return DirectionSet(B=B, Theta=Theta, Q=Q, converged=converged,
                         outer_iters=outer, objective_history=history,

@@ -104,17 +104,19 @@ def _partition_seed(seed: int, stage: int, part: int) -> int:
 
 
 def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
-             seed: int = 0, n_workers: int = 1) -> SelectionReport:
+             seed: int = 0, n_workers: int = 1,
+             h: int | None = None) -> SelectionReport:
     """Execute the staged screening plan and the final fit.
 
     Centering is global and done once up front; partitions are fit on
-    column restrictions of the same centered matrix. Deterministic for a
-    fixed seed regardless of worker count (partitions are merged in index
-    order).
+    column restrictions of the same centered matrix. `h` is the slice count
+    passed to `build_design` (required for a continuous response).
+    Deterministic for a fixed seed regardless of worker count (partitions
+    are merged in index order).
     """
     if not x.centered:
         x = center(x)
-    design = build_design(y)
+    design = build_design(y, h)
     base_cfg = plan.final_fit
 
     current = np.arange(x.n_features)

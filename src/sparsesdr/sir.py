@@ -46,14 +46,11 @@ def slice_mean_cov(x: PredictorMatrix, design: ScoringDesign) -> np.ndarray:
     return M
 
 
-def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column positive."""
-    V = V.copy()
-    for j in range(V.shape[1]):
-        i = np.argmax(np.abs(V[:, j]))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-    return V
+def column_signs(V: np.ndarray) -> np.ndarray:
+    """+1 or -1 per column: the sign that makes the column's
+    largest-magnitude entry positive (first such entry on ties)."""
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return np.where(top < 0, -1.0, 1.0)
 
 
 def generalized_eigen(M: np.ndarray, sigma: np.ndarray):
@@ -72,7 +69,7 @@ def generalized_eigen(M: np.ndarray, sigma: np.ndarray):
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = scipy.linalg.solve_triangular(L.T, vecs[:, order], lower=False)
-    return vals, _fix_signs(vecs)
+    return vals, vecs * column_signs(vecs)
 
 
 def sir_eigen(x: PredictorMatrix, design: ScoringDesign, d: int) -> EigenBasis:

@@ -26,6 +26,13 @@ def write_dataset(tmp_path, seed=42, n=120, p=30, effect=2.0, support=5):
     return xp, yp, truth
 
 
+def write_continuous_phenotype(yp, seed=0):
+    """Replace the labels in `yp` with a continuous response."""
+    ids = [line.split("\t")[0] for line in yp.read_text().splitlines()]
+    values = np.random.default_rng(seed).standard_normal(len(ids))
+    yp.write_text("".join(f"{s}\t{v:.6f}\n" for s, v in zip(ids, values)))
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -74,6 +81,18 @@ class TestConfig:
         with pytest.raises(ValidationError, match="stage"):
             load_run_config(p)
 
+    @pytest.mark.parametrize("line", ["penalty.lamda = 8",
+                                      "solver.theta_mode = newton"])
+    def test_unknown_key_refused(self, tmp_path, capsys, line):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, FIT_CFG + line + "\n")
+        out = tmp_path / "out"
+        rc = main(["fit", "--x", str(xp), "--y", str(yp),
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert line.split(" ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_writes_outputs(self, tmp_path):
@@ -121,6 +140,17 @@ class TestFit:
         assert rc == 0
         assert json.loads((out / "fit.json").read_text())["converged"] is False
 
+    def test_continuous_response_leaves_no_output(self, tmp_path):
+        # the nearest-centroid model needs classes: refused before any write
+        xp, yp, _ = write_dataset(tmp_path)
+        write_continuous_phenotype(yp)
+        cfg = write_config(tmp_path, FIT_CFG + "design.h = 4\n")
+        out = tmp_path / "out"
+        rc = main(["fit", "--x", str(xp), "--y", str(yp),
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestScreen:
     def test_selection_outputs(self, tmp_path):
@@ -148,6 +178,16 @@ class TestScreen:
             outs.append((out / "selection.tsv").read_bytes()
                         + (out / "selection.json").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_continuous_response_uses_design_h(self, tmp_path):
+        xp, yp, _ = write_dataset(tmp_path)
+        write_continuous_phenotype(yp)
+        cfg = write_config(tmp_path, SCREEN_CFG + "design.h = 4\n")
+        out = tmp_path / "out"
+        rc = main(["screen", "--x", str(xp), "--y", str(yp),
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "selection.json").read_text())["survivors"] == 20
 
 
 class TestCv:

@@ -8,9 +8,11 @@ from sparsesdr.dataset import (PredictorMatrix, Phenotype, SyntheticSpec,
 from sparsesdr.errors import NumericError, ValidationError
 from sparsesdr.evaluation import (CvReport, MetricBundle, auc_mann_whitney,
                                   chi2_rank, cross_validate, cv_report_to_tsv,
-                                  fit_classifier, knn_predict, metrics,
-                                  predict, stratified_folds)
-from sparsesdr.optimal_scoring import SolverConfig
+                                  fit_classifier, knn_predict, load_model,
+                                  metrics, predict, save_model,
+                                  stratified_folds)
+from sparsesdr.optimal_scoring import SolverConfig, fit
+from sparsesdr.scoring import build_design
 from sparsesdr.screening import ScreeningPlan
 
 
@@ -280,6 +282,25 @@ class TestClassifier:
                                 x.sample_ids)
         with pytest.raises(ValidationError, match="missing"):
             predict(clf, small)
+
+    def test_save_load_round_trip(self, tmp_path):
+        # 3 classes, d = 2: the reloaded model predicts exactly as the original
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((150, 6))
+        labels = np.zeros(150, dtype=int)
+        labels[X[:, 0] > 0.4] = 1
+        labels[X[:, 1] > 0.4] = 2
+        x, y = center(matrix(X)), make_phenotype(labels)
+        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.5, rho=2.0))
+        ds = fit(x, build_design(y), cfg)
+        clf = fit_classifier(x, y, ds.B)
+        raw = matrix(rng.standard_normal((40, 6)))
+        save_model(clf, tmp_path / "model.json")
+        before = predict(clf, raw)
+        after = predict(load_model(tmp_path / "model.json"), raw)
+        assert np.array_equal(before[0], after[0])
+        assert np.array_equal(before[1], after[1])
+        assert len(set(before[0].tolist())) == 3
 
 
 class TestStratifiedFolds:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sparsesdr.admm import PenaltyParams
 from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
@@ -81,18 +82,27 @@ class TestThetaStep:
         with pytest.raises(NumericError, match="degenerate"):
             theta_step(xtz, design.D, np.zeros(x.n_features), q1)
 
-    def test_iterate_matches_newton(self):
-        x, design, xtz, q1 = self.setup_problem(3)
-        beta = np.random.default_rng(4).standard_normal(x.n_features)
-        a = theta_step(xtz, design.D, beta, q1, mode="iterate")
-        b = theta_step(xtz, design.D, beta, q1, mode="newton")
-        assert np.max(np.abs(a - b)) < 1e-7
-
-    def test_unknown_mode(self):
-        x, design, xtz, q1 = self.setup_problem()
-        beta = np.ones(x.n_features)
-        with pytest.raises(ValidationError):
-            theta_step(xtz, design.D, beta, q1, mode="exact")
+    def test_matches_constrained_maximizer_oracle(self):
+        # theta maximizes theta^T v over D-unit vectors D-orthogonal to Q.
+        # Oracle: write theta = N a with N a basis of null(Q^T D); then
+        # a is proportional to (N^T D N)^-1 N^T v.
+        rng = np.random.default_rng(11)
+        for K in range(2, 7):
+            labels = rng.integers(0, K, size=60)
+            labels[:K] = np.arange(K)
+            design = build_design(make_phenotype(labels, "categorical"))
+            D = design.D
+            for i in range(K - 1):
+                _, Q = init_theta(design, i, seed=K)  # 1 + i columns
+                xtz = rng.standard_normal((8, K))
+                beta = rng.standard_normal(8)
+                v = xtz.T @ beta
+                N = scipy.linalg.null_space(Q.T @ D)
+                oracle = N @ np.linalg.solve(N.T @ D @ N, N.T @ v)
+                oracle /= np.sqrt(oracle @ D @ oracle)
+                theta = theta_step(xtz, D, beta, Q)
+                assert np.max(np.abs(theta - oracle)) < 1e-10
+                assert theta @ v > 0
 
 
 class TestFit:
