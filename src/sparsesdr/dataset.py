@@ -141,7 +141,11 @@ def _split_line(line: str, delim: str) -> list[str]:
 
 
 def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
-    """Load a predictor file: header row of feature ids, first column sample id."""
+    """Load a predictor file: header row of feature ids, first column sample id.
+
+    Each row is converted by numpy's string-to-float cast, which accepts and
+    rejects the same cells (surrounding whitespace included) as `float()`.
+    """
     if format not in ("tsv", "csv"):
         raise ValidationError(f"unknown format {format!r}")
     delim = "\t" if format == "tsv" else ","
@@ -154,28 +158,31 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
         raise ParseError(f"{path}: header needs a sample-id column plus features")
     feature_ids = header[1:]
     p = len(feature_ids)
+    if len(lines) == 1:
+        raise ValidationError(f"{path}: zero samples (header only)")
+    values = np.empty((len(lines) - 1, p))
     sample_ids: list[str] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = _split_line(line, delim)
+    for i, line in enumerate(lines[1:]):
+        lineno = i + 2
+        cells = line.split(delim)
         if len(cells) != p + 1:
             raise ParseError(
                 f"{path}: ragged row at line {lineno}: expected {p + 1} "
                 f"cells, got {len(cells)}")
-        sample_ids.append(cells[0])
-        row = []
-        for j, cell in enumerate(cells[1:]):
-            try:
-                row.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell {cell!r} at line {lineno}, "
-                    f"column {header[j + 1]!r}") from None
-        rows.append(row)
-    if not rows:
-        raise ValidationError(f"{path}: zero samples (header only)")
+        sample_ids.append(cells[0].strip())
+        try:
+            values[i] = np.array(cells[1:], dtype=float)
+        except ValueError:
+            for j, cell in enumerate(cells[1:], start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-numeric cell {cell.strip()!r} at line "
+                        f"{lineno}, column {header[j]!r}") from None
+            raise
     return PredictorMatrix(
-        values=np.array(rows, dtype=float),
+        values=values,
         feature_ids=feature_ids,
         sample_ids=sample_ids,
         centered=False,

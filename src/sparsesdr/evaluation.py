@@ -94,7 +94,14 @@ def load_model(path) -> ProjectionClassifier:
 
 def predict(clf: ProjectionClassifier, x_test_raw: PredictorMatrix):
     """Nearest-centroid labels on test rows centered with the *training*
-    column means. Binary score = dist(control centroid) - dist(case centroid)."""
+    column means.
+
+    The score is the signed projection onto the axis from the first class
+    centroid c0 to the last c1 (control to case for binary phenotypes),
+    measured from their midpoint: (proj - (c0 + c1)/2) . (c1 - c0)/|c1 - c0|,
+    0 when the two centroids coincide. Its sign agrees with the binary
+    nearest-centroid label, and it keeps distinct projections apart where a
+    difference of distances saturates at +-|c1 - c0|."""
     pos = {f: j for j, f in enumerate(x_test_raw.feature_ids)}
     missing = [f for f in clf.feature_ids if f not in pos]
     if missing:
@@ -110,8 +117,11 @@ def predict(clf: ProjectionClassifier, x_test_raw: PredictorMatrix):
         labels = np.array([clf.class_labels[winner]] * len(proj))
     else:
         labels = np.array([clf.class_labels[i] for i in np.argmin(dists, axis=1)])
-    # signed score for the last class (the "case" for binary phenotypes)
-    scores = dists[:, 0] - dists[:, -1]
+    c0, c1 = clf.class_centroids[0], clf.class_centroids[-1]
+    axis_len = np.linalg.norm(c1 - c0)
+    if axis_len == 0:
+        return labels, np.zeros(len(proj))
+    scores = (proj - (c0 + c1) / 2) @ ((c1 - c0) / axis_len)
     return labels, scores
 
 
@@ -183,6 +193,11 @@ def chi2_rank(x_raw: PredictorMatrix, y: Phenotype):
     """Per-feature Pearson chi-square on the 2 x 3 case/control-by-genotype
     table, empty genotype columns dropped; df = non-empty columns - 1.
 
+    All p tables are counted in one pass over X and the statistics computed
+    as arrays. The statistic sums its terms in the order (control g=0..2,
+    case g=0..2), with the terms of empty genotype columns exactly 0.0, so it
+    equals a per-feature sum over the compacted table bit for bit.
+
     Returns a list of (feature index, statistic, p_value, flagged) sorted by
     p ascending (ties by feature index).
     """
@@ -192,54 +207,55 @@ def chi2_rank(x_raw: PredictorMatrix, y: Phenotype):
     if y.kind != "binary":
         raise ValidationError("chi2_rank requires a binary phenotype")
     case = np.asarray(y.labels) == y.level_codes[1]
-    results = []
-    for j in range(X.shape[1]):
-        col = X[:, j].astype(int)
-        table = np.zeros((2, 3))
+    # table[r, g, j]: samples of row r (0 control, 1 case) with dosage g
+    table = np.empty((2, 3, X.shape[1]))
+    for g in range(3):
+        eq = X == g
+        table[1, g] = np.count_nonzero(eq[case], axis=0)
+        table[0, g] = np.count_nonzero(eq, axis=0) - table[1, g]
+    genotype_totals = table.sum(axis=0)
+    nonempty = genotype_totals > 0
+    df = np.count_nonzero(nonempty, axis=0) - 1
+    row_totals = table.sum(axis=1)
+    expected = (row_totals[:, None, :] * genotype_totals[None, :, :]
+                / row_totals.sum(axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(nonempty, (table - expected) ** 2 / expected, 0.0)
+    stat = np.zeros(X.shape[1])
+    for r in range(2):
         for g in range(3):
-            mask = col == g
-            table[0, g] = np.sum(mask & ~case)
-            table[1, g] = np.sum(mask & case)
-        nonempty = table.sum(axis=0) > 0
-        table = table[:, nonempty]
-        df = table.shape[1] - 1
-        if df == 0:
-            results.append((j, 0.0, 1.0, True))
-            continue
-        n = table.sum()
-        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
-        stat = float(np.sum((table - expected) ** 2 / expected))
-        p = float(chi2_dist.sf(stat, df))
-        results.append((j, stat, p, False))
-    results.sort(key=lambda t: (t[2], t[0]))
-    return results
+            stat += terms[r, g]
+    flagged = df == 0  # its one non-empty column gives terms of exactly 0
+    p = np.ones(X.shape[1])
+    p[~flagged] = chi2_dist.sf(stat[~flagged], df[~flagged])
+    order = np.lexsort((np.arange(X.shape[1]), p))
+    return list(zip(order.tolist(), stat[order].tolist(), p[order].tolist(),
+                    flagged[order].tolist()))
 
 
 def knn_predict(x_train: np.ndarray, labels, x_test: np.ndarray, k: int):
-    """Euclidean k-nearest-neighbor majority vote; also returns the case
-    vote fraction as a ranking score (binary labels)."""
+    """Euclidean k-nearest-neighbor majority vote (ties go to the smallest
+    label); also returns the case vote fraction as a ranking score (binary
+    labels)."""
     labels = np.asarray(labels)
     n_train = x_train.shape[0]
     if k < 1:
         raise ValidationError("k must be >= 1")
     if k > n_train:
         raise ValidationError(f"k={k} exceeds {n_train} training samples")
-    classes = sorted(set(labels.tolist()))
+    classes = np.unique(labels)
     if len(classes) == 2 and k % 2 == 0:
         raise ValidationError("k must be odd for binary labels")
     d2 = (np.sum(x_test ** 2, axis=1)[:, None]
           + np.sum(x_train ** 2, axis=1)[None, :]
           - 2 * x_test @ x_train.T)
     nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    votes = labels[nearest]
-    pred = []
-    frac_case = np.zeros(len(x_test))
-    positive = classes[-1]
-    for i in range(len(x_test)):
-        vals, counts = np.unique(votes[i], return_counts=True)
-        pred.append(vals[np.argmax(counts)])
-        frac_case[i] = np.mean(votes[i] == positive)
-    return np.array(pred), frac_case
+    votes = np.searchsorted(classes, labels)[nearest]
+    m, n_classes = len(x_test), len(classes)
+    counts = np.bincount(
+        (votes + n_classes * np.arange(m)[:, None]).ravel(),
+        minlength=m * n_classes).reshape(m, n_classes)
+    return classes[np.argmax(counts, axis=1)], counts[:, -1] / k
 
 
 @dataclass
@@ -306,6 +322,12 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
         raise ValidationError(f"unknown method {method!r}")
     if method == "sparse_sdr" and plan is None:
         raise ValidationError("sparse_sdr needs a screening plan")
+    if y.kind != "binary":
+        levels = (f" with {y.n_levels} levels" if y.kind == "categorical"
+                  else "")
+        raise ValidationError(
+            f"cross-validation needs a binary response, got a {y.kind} "
+            f"one{levels}")
     assign = stratified_folds(y.labels, folds, seed)
     positive = y.level_codes[1]
 

@@ -207,6 +207,27 @@ class TestCv:
         assert tsv[-1].startswith("Average\t")
 
 
+    @pytest.mark.parametrize("method", ["sparse_sdr", "pvalue_rank"])
+    @pytest.mark.parametrize("kind", ["continuous", "categorical"])
+    def test_non_binary_response_refused(self, tmp_path, capsys, method,
+                                         kind):
+        xp, yp, _ = write_dataset(tmp_path, n=150)
+        if kind == "continuous":
+            write_continuous_phenotype(yp)
+        else:
+            ids = [line.split("\t")[0] for line in yp.read_text().splitlines()]
+            yp.write_text("".join(f"{s}\t{i % 3}\n"
+                                  for i, s in enumerate(ids)))
+        cfg = write_config(tmp_path, SCREEN_CFG
+                           + f"cv.folds = 3\ncv.method = {method}\n")
+        out = tmp_path / "out"
+        rc = main(["cv", "--x", str(xp), "--y", str(yp),
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"binary response, got a {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAssoc:
     def test_matches_library_ranking(self, tmp_path):
         from sparsesdr.dataset import load_predictors, make_phenotype

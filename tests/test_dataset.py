@@ -37,6 +37,40 @@ class TestLoadPredictors:
         with pytest.raises(ParseError, match="line 2"):
             load_predictors(p, "tsv")
 
+    def test_non_numeric_cell_names_line_and_column(self, tmp_path):
+        p = write(tmp_path, "x.tsv", "id\tf1\tf2\ns1\t0\t1\ns2\t1\t 1.5x \n")
+        with pytest.raises(ParseError, match="'1.5x' at line 3, column 'f2'"):
+            load_predictors(p, "tsv")
+
+    def test_padding_blank_lines_and_crlf(self, tmp_path):
+        cells = [" 1 ", "\t2.5", "-3e-2 ", "1_000", " +.5", "7."]
+        text = ("id, a , b ,c\r\n\r\n s1 ," + ",".join(cells[:3])
+                + "\r\n  \r\ns2," + ",".join(cells[3:]) + "\r\n\r\n")
+        m = load_predictors(write(tmp_path, "x.csv", text), "csv")
+        assert m.feature_ids == ["a", "b", "c"]
+        assert m.sample_ids == ["s1", "s2"]
+        assert m.values.tolist() == [[float(c) for c in cells[:3]],
+                                     [float(c) for c in cells[3:]]]
+
+    def test_nan_cell_names_sample_and_feature(self, tmp_path):
+        p = write(tmp_path, "x.tsv", "id\tf1\tf2\ns1\t0\t1\ns2\t1\tnan\n")
+        with pytest.raises(ValidationError, match="sample 's2', feature 'f2'"):
+            load_predictors(p, "tsv")
+
+    def test_wide_row_matches_float_per_cell(self, tmp_path):
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)
+        spellings = [lambda a: repr(float(a)), lambda a: f"{a:g}",
+                     lambda a: f" {a:.5e}", lambda a: f"{a:.25f} ",
+                     lambda a: str(int(a % 3))]
+        cells = [spellings[j % 5](a) for j, a in enumerate(v)]
+        ids = [f"f{j}" for j in range(2000)]
+        p = write(tmp_path, "x.tsv", "\t".join(["id"] + ids) + "\n"
+                  + "\t".join(["s1"] + cells) + "\n")
+        got = load_predictors(p, "tsv").values[0]
+        want = np.array([float(c) for c in cells])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_duplicate_feature_id(self, tmp_path):
         p = write(tmp_path, "x.tsv", "id\tf1\tf1\ns1\t0\t1\n")
         with pytest.raises(ValidationError, match="duplicate"):

@@ -107,6 +107,22 @@ class TestAuc:
             auc_mann_whitney(np.ones(3), np.arange(3.0), 1)
 
 
+def knn_oracle(x_train, labels, x_test, k):
+    """Per-row `np.unique` vote: the reference for `knn_predict`."""
+    labels = np.asarray(labels)
+    d2 = (np.sum(x_test ** 2, axis=1)[:, None]
+          + np.sum(x_train ** 2, axis=1)[None, :]
+          - 2 * x_test @ x_train.T)
+    votes = labels[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    positive = max(labels.tolist())
+    pred, frac = [], np.zeros(len(x_test))
+    for i in range(len(x_test)):
+        vals, counts = np.unique(votes[i], return_counts=True)
+        pred.append(vals[np.argmax(counts)])
+        frac[i] = np.mean(votes[i] == positive)
+    return np.array(pred), frac
+
+
 class TestChi2Rank:
     def dosage_matrix(self, cols):
         return matrix(np.array(cols, dtype=float).T)
@@ -125,6 +141,15 @@ class TestChi2Rank:
         e = np.outer(table.sum(1), table.sum(0)) / n
         stat = float(((table - e) ** 2 / e).sum())
         return stat, float(chi2_dist.sf(stat, df)), False
+
+    def rank_oracle(self, x, y):
+        """The per-feature loop, sorted by (p, index): the reference for
+        `chi2_rank`."""
+        case = np.asarray(y.labels) == y.level_codes[1]
+        results = [(j, *self.chi2_oracle(x.values[:, j].astype(int), case))
+                   for j in range(x.n_features)]
+        results.sort(key=lambda t: (t[2], t[0]))
+        return results
 
     def test_proportional_table_zero_statistic(self):
         # identical genotype distribution in cases and controls
@@ -175,6 +200,29 @@ class TestChi2Rank:
         with pytest.raises(ValidationError):
             chi2_rank(x, y)
 
+    def test_equals_per_feature_loop_exactly(self):
+        # 200 x 500 cohort with a constant column (df 0), a two-genotype
+        # column (df 1) and duplicated columns (equal p, index tie order)
+        rng = np.random.default_rng(14)
+        X = rng.binomial(2, rng.uniform(0.05, 0.5, 500),
+                         size=(200, 500)).astype(float)
+        labels = (rng.uniform(size=200)
+                  < 1 / (1 + np.exp(-(X[:, 3] - 1)))).astype(int)
+        X[:, 7] = 1.0
+        X[:, 11] = rng.integers(0, 2, 200) * 2.0
+        X[:, [20, 40, 60]] = X[:, [3]]
+        X[:, [100, 101]] = X[:, [50]]
+        x = matrix(X)
+        y = Phenotype(labels, "binary", [0, 1])
+        got = chi2_rank(x, y)
+        assert got == self.rank_oracle(x, y)
+        by_index = {j: (s, p, f) for j, s, p, f in got}
+        assert by_index[7] == (0.0, 1.0, True)
+        assert not by_index[11][2]
+        order = [j for j, *_ in got]
+        assert order.index(3) < order.index(20) < order.index(40) \
+            < order.index(60)
+
     def test_sorted_by_p_value(self):
         rng = np.random.default_rng(5)
         X = rng.integers(0, 3, size=(80, 10)).astype(float)
@@ -208,6 +256,32 @@ class TestKnn:
         X = np.zeros((4, 1))
         with pytest.raises(ValidationError, match="odd"):
             knn_predict(X, np.array([0, 1, 0, 1]), X, 2)
+
+    @pytest.mark.parametrize("n_classes,k", [(2, 1), (2, 5), (3, 4),
+                                             (3, 6), (3, 7)])
+    def test_equals_unique_vote_loop_exactly(self, n_classes, k):
+        # coarse integer features give many distance ties; even k with three
+        # classes gives tied votes, which go to the smallest label
+        rng = np.random.default_rng(15 + k)
+        train = rng.integers(0, 3, size=(60, 4)).astype(float)
+        test = rng.integers(0, 3, size=(40, 4)).astype(float)
+        labels = rng.integers(0, n_classes, size=60) * 10 + 1
+        pred, frac = knn_predict(train, labels, test, k)
+        want_pred, want_frac = knn_oracle(train, labels, test, k)
+        if n_classes == 3 and k % 2 == 0:
+            d2 = ((test[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+            votes = labels[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+            counts = np.stack([(votes == c).sum(axis=1) for c in (1, 11, 21)])
+            assert np.any(np.sum(counts == counts.max(axis=0), axis=0) > 1)
+        assert pred.dtype == want_pred.dtype
+        assert np.array_equal(pred, want_pred)
+        assert np.array_equal(frac, want_frac)
+
+    def test_tied_vote_goes_to_smallest_label(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0]])
+        pred, frac = knn_predict(X, np.array([5, 3, 5, 3, 7]),
+                                 np.array([[1.5]]), 4)
+        assert pred.tolist() == [3] and frac.tolist() == [0.0]
 
     def test_k_exceeds_n(self):
         X = np.zeros((2, 1))
@@ -268,6 +342,36 @@ class TestClassifier:
         _, scores = predict(clf, raw)
         # higher score should track the case class
         assert auc_mann_whitney(y.labels, scores, 1) > 0.9
+
+    def test_binary_d1_score_is_signed_axis_projection(self):
+        # d = 1: a difference of distances is +-|c1 - c0| for every
+        # projection outside the centroid interval; the axis projection
+        # keeps them apart and never moves a label
+        x, y = self.separated_instance(16)
+        B = np.zeros((5, 1))
+        B[0, 0], B[1, 0] = 1.0, 0.5
+        clf = fit_classifier(x, y, B)
+        raw = PredictorMatrix(x.values + clf.column_means,
+                              x.feature_ids, x.sample_ids)
+        labels, scores = predict(clf, raw)
+        proj = (x.values @ B)[:, 0]
+        c0, c1 = clf.class_centroids[:, 0]
+        order = np.argsort(proj)
+        assert np.all(np.diff(scores[order]) > 0)
+        assert len(np.unique(scores)) == len(np.unique(proj))
+        dists = np.abs(proj[:, None] - clf.class_centroids[None, :, 0])
+        nearest = np.array(clf.class_labels)[np.argmin(dists, axis=1)]
+        assert np.array_equal(labels, nearest)
+        assert np.allclose(scores, (proj - (c0 + c1) / 2) * np.sign(c1 - c0))
+        assert np.all((scores > 0) == (labels == 1))
+
+    def test_equal_centroids_score_zero(self):
+        x, y = self.separated_instance(17, n=100)
+        clf = fit_classifier(x, y, np.zeros((5, 1)))
+        clf.class_centroids[:] = 0.0
+        _, scores = predict(clf, PredictorMatrix(
+            x.values, x.feature_ids, x.sample_ids))
+        assert np.array_equal(scores, np.zeros(100))
 
     def test_requires_centered_training(self):
         x, y = self.separated_instance(11)
@@ -383,6 +487,24 @@ class TestCrossValidate:
         x, y, _ = self.cv_instance()
         with pytest.raises(ValidationError):
             cross_validate(x, y, 4, "logistic", seed=0)
+
+    @pytest.mark.parametrize("method", ["sparse_sdr", "pvalue_rank"])
+    @pytest.mark.parametrize("kind", ["continuous", "categorical"])
+    def test_non_binary_response_refused_before_folds(self, monkeypatch,
+                                                      method, kind):
+        import sparsesdr.evaluation as ev
+        x, _, _ = self.cv_instance()
+        rng = np.random.default_rng(0)
+        y = (Phenotype(rng.standard_normal(x.n_samples), "continuous")
+             if kind == "continuous"
+             else make_phenotype(np.arange(x.n_samples) % 3))
+
+        def no_folds(*args, **kwargs):
+            raise AssertionError("folds built for a non-binary response")
+
+        monkeypatch.setattr(ev, "stratified_folds", no_folds)
+        with pytest.raises(ValidationError, match=f"binary.*{kind}"):
+            cross_validate(x, y, 4, method, seed=0, plan=self.plan())
 
     def test_tsv_shape(self):
         x, y, _ = self.cv_instance()
