@@ -18,7 +18,7 @@ from .config import RunConfig, load_run_config
 from .dataset import (PredictorMatrix, SyntheticSpec, align_phenotype, center,
                       load_phenotype, load_predictors, make_phenotype,
                       simulate)
-from .errors import NumericError, ParseError, SparseSdrError, ValidationError
+from .errors import ParseError, SparseSdrError, ValidationError
 from .evaluation import (chi2_rank, cross_validate, cv_report_to_json,
                          cv_report_to_tsv, fit_classifier, load_model, predict,
                          save_model)
@@ -68,8 +68,7 @@ def _load_inputs(args) -> tuple[PredictorMatrix, np.ndarray]:
 def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
         return load_run_config(args.config)
-    from .optimal_scoring import SolverConfig
-    return RunConfig(solver=SolverConfig())
+    return RunConfig(solver=optimal_scoring.SolverConfig())
 
 
 def _directions_tsv(feature_ids, B) -> str:
@@ -190,7 +189,8 @@ def cmd_simulate(args) -> int:
 def cmd_predict(args) -> int:
     fmt = "csv" if str(args.x).endswith(".csv") else "tsv"
     x = load_predictors(args.x, fmt)
-    clf = load_model(Path(args.model) / "model.json")
+    model = Path(args.model) / "model.json"
+    clf = load_model(model)
     labels, scores = predict(clf, x)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -199,7 +199,7 @@ def cmd_predict(args) -> int:
         lines.append(f"{sid}\t{lab:g}\t{sc:.12g}")
     (outdir / "predictions.tsv").write_text("\n".join(lines) + "\n",
                                             encoding="utf-8")
-    _write_manifest(outdir, args, [args.x])
+    _write_manifest(outdir, args, [args.x, model])
     return EXIT_OK
 
 
@@ -251,9 +251,6 @@ def main(argv=None) -> int:
     except (ValidationError, ParseError) as exc:
         print(f"sparsesdr {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericError as exc:
-        print(f"sparsesdr {args.command}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except SparseSdrError as exc:
         print(f"sparsesdr {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -73,8 +73,7 @@ class RunConfig:
     sim_link: str = "logistic"
 
     def plan(self) -> ScreeningPlan:
-        stages = self.stages or [Stage(1, 1)]
-        return ScreeningPlan(stages=stages, final_fit=self.solver)
+        return ScreeningPlan(self.stages, self.solver)
 
 
 def load_run_config(path) -> RunConfig:

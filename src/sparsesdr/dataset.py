@@ -256,7 +256,6 @@ class SyntheticSpec:
     maf_range: tuple[float, float] = (0.05, 0.5)
     support: list[tuple[int, float]] = field(default_factory=list)
     link: str = "logistic"
-    block_structure: list[list[int]] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -268,18 +267,6 @@ class SyntheticSpec:
         for j, _ in self.support:
             if not (0 <= j < self.n_features):
                 raise ValidationError(f"support index {j} out of range")
-        if self.block_structure is not None:
-            seen: set[int] = set()
-            for block in self.block_structure:
-                if seen & set(block):
-                    raise ValidationError("blocks must be disjoint")
-                seen |= set(block)
-            if self.support:
-                for block in self.block_structure:
-                    if all(j in block for j, _ in self.support):
-                        break
-                else:
-                    raise ValidationError("support must lie in one block")
 
 
 def simulate(spec: SyntheticSpec):

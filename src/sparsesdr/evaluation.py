@@ -243,15 +243,23 @@ def knn_predict(x_train: np.ndarray, labels, x_test: np.ndarray, k: int):
         raise ValidationError("k must be >= 1")
     if k > n_train:
         raise ValidationError(f"k={k} exceeds {n_train} training samples")
+    return _knn_vote(_sq_dists(x_test, x_train), labels, k)
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and of b."""
+    return (np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :]
+            - 2 * a @ b.T)
+
+
+def _knn_vote(d2: np.ndarray, labels: np.ndarray, k: int):
+    """`knn_predict`'s vote, taken over the columns of d2."""
     classes = np.unique(labels)
     if len(classes) == 2 and k % 2 == 0:
         raise ValidationError("k must be odd for binary labels")
-    d2 = (np.sum(x_test ** 2, axis=1)[:, None]
-          + np.sum(x_train ** 2, axis=1)[None, :]
-          - 2 * x_test @ x_train.T)
     nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
     votes = np.searchsorted(classes, labels)[nearest]
-    m, n_classes = len(x_test), len(classes)
+    m, n_classes = d2.shape[0], len(classes)
     counts = np.bincount(
         (votes + n_classes * np.arange(m)[:, None]).ravel(),
         minlength=m * n_classes).reshape(m, n_classes)
@@ -312,8 +320,9 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
 
     method 'sparse_sdr' screens with the plan and classifies by nearest
     centroid on the projections; 'pvalue_rank' ranks features by chi-square
-    P-value and classifies with k-NN (small grid search on training
-    accuracy when top_m / knn_k are not given).
+    P-value and classifies with k-NN (when top_m / knn_k are not given, a
+    small grid search on leave-one-out k-NN accuracy over the training rows;
+    the reported train metrics stay resubstitution).
     """
     if x.centered:
         raise ValidationError("pass raw (uncentered) predictors to CV; "
@@ -363,10 +372,12 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
             for m in m_grid:
                 cols = [j for j, _, _, _ in ranked[:m]]
                 tr = x_train_raw.values[:, cols]
+                d2 = _sq_dists(tr, tr)
+                np.fill_diagonal(d2, np.inf)  # a row never votes on itself
                 for k in k_grid:
-                    if k > len(train_rows):
+                    if k >= len(train_rows):
                         continue
-                    pred_tr, _ = knn_predict(tr, y_train.labels, tr, k)
+                    pred_tr, _ = _knn_vote(d2, y_train.labels, k)
                     acc = float(np.mean(pred_tr == y_train.labels))
                     if best is None or acc > best[0]:
                         best = (acc, m, k)

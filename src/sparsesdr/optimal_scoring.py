@@ -36,8 +36,8 @@ class SolverConfig:
 @dataclass
 class DirectionSet:
     B: np.ndarray          # p x d coefficient matrix, rows exactly sparse
-    Theta: np.ndarray      # K x d score coefficients, D-orthonormal
-    Q: np.ndarray          # K x (d+1); first column deflates the constant score
+    Theta: np.ndarray      # h x d score coefficients, D-orthonormal
+    Q: np.ndarray          # h x (d+1); first column deflates the constant score
     converged: bool
     outer_iters: int
     objective_history: list[float] = field(default_factory=list)
@@ -77,15 +77,15 @@ def _deflated_draw(rng: np.random.Generator, D: np.ndarray,
 
 def init_theta(design: ScoringDesign, d: int, seed: int = 0):
     """Random D-orthonormal initialization deflated against the constant
-    score. Returns (Theta: K x d, Q: K x (d+1))."""
-    K, D = design.K, design.D
-    if d > K - 1:
-        raise ValidationError(f"d={d} must be <= K-1={K - 1}")
+    score. Returns (Theta: h x d, Q: h x (d+1))."""
+    h, D = design.h, design.D
+    if d > h - 1:
+        raise ValidationError(f"d={d} must be <= h-1={h - 1}")
     rng = np.random.default_rng(seed)
-    q1 = np.zeros(K)
+    q1 = np.zeros(h)
     q1[0] = 1.0
     Q = q1[:, None]
-    Theta = np.zeros((K, d))
+    Theta = np.zeros((h, d))
     for i in range(d):
         theta = _deflated_draw(rng, D, Q)
         Theta[:, i] = theta
@@ -97,8 +97,8 @@ def theta_step(xtz: np.ndarray, D: np.ndarray, beta: np.ndarray,
                Q: np.ndarray) -> np.ndarray:
     """Closed-form score update for one direction.
 
-    xtz is the precomputed p x K matrix X^T Z, beta the current length-p
-    coefficient vector, Q the K x i D-orthonormal deflation matrix (constant
+    xtz is the precomputed p x h matrix X^T Z, beta the current length-p
+    coefficient vector, Q the h x i D-orthonormal deflation matrix (constant
     score plus previously extracted scores). With v = Z^T X beta and w the
     deflation of D^-1 v against Q, the score is theta = w / sqrt(w^T D w):
     a D-unit vector D-orthogonal to every column of Q. Because

@@ -17,10 +17,8 @@ class ScoringDesign:
 
     Z: np.ndarray
     D: np.ndarray
-    K: int
     h: int
     slice_assignments: np.ndarray  # n-vector of slice index in [0, h)
-    slice_bounds: np.ndarray | None = None  # h-1 cut points, continuous only
 
     @property
     def n_samples(self) -> int:
@@ -43,7 +41,7 @@ def _assign_continuous_slices(y: np.ndarray, h: int) -> np.ndarray:
 
 
 def build_design(y: Phenotype, h: int | None = None) -> ScoringDesign:
-    """Slice the response and build Z (n x K, K = h) and D = Z^T Z / n."""
+    """Slice the response and build Z (n x h) and D = Z^T Z / n."""
     n = len(y.labels)
     if y.kind in ("binary", "categorical"):
         levels = y.level_codes
@@ -57,17 +55,12 @@ def build_design(y: Phenotype, h: int | None = None) -> ScoringDesign:
         assign = np.empty(n, dtype=int)
         for s, code in enumerate(levels):
             assign[np.asarray(y.labels) == code] = s
-        bounds = None
     else:
         if h is None or h < 2:
             raise ValidationError("h must be at least 2")
         if n < h:
             raise ValidationError(f"need n >= h, got n={n}, h={h}")
         assign = _assign_continuous_slices(y.labels, h)
-        order = np.sort(y.labels)
-        sizes = np.bincount(assign, minlength=h)
-        bounds = np.array([order[int(sizes[: s + 1].sum()) - 1]
-                           for s in range(h - 1)])
 
     for s in range(h):
         if not np.any(assign == s):
@@ -78,5 +71,4 @@ def build_design(y: Phenotype, h: int | None = None) -> ScoringDesign:
     for s in range(1, h):
         Z[assign == s, s] = 1.0
     D = Z.T @ Z / n
-    return ScoringDesign(Z=Z, D=D, K=h, h=h,
-                         slice_assignments=assign, slice_bounds=bounds)
+    return ScoringDesign(Z=Z, D=D, h=h, slice_assignments=assign)

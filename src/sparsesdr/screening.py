@@ -66,10 +66,6 @@ class SelectionReport:
     def selected_ids(self) -> list[str]:
         return [self.feature_ids[j] for j in self.selected_indices]
 
-    @property
-    def survivor_ids(self) -> list[str]:
-        return [self.feature_ids[j] for j in self.survivors]
-
 
 def partition_features(p: int, k: int) -> list[tuple[int, int]]:
     """Contiguous, disjoint, covering index ranges with sizes differing by
@@ -112,8 +108,11 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     column restrictions of the same centered matrix. `h` is the slice count
     passed to `build_design` (required for a continuous response).
     Deterministic for a fixed seed regardless of worker count (partitions
-    are merged in index order).
+    are merged in index order). A plan with no stages is one fit on every
+    feature.
     """
+    if n_workers < 1:
+        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
     if not x.centered:
         x = center(x)
     design = build_design(y, h)
@@ -146,12 +145,8 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
                                no_signal, ds.converged and ds.inner_converged,
                                ds.inner_converged)
 
-        items = list(enumerate(ranges))
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                stage_out = list(pool.map(fit_partition, items))
-        else:
-            stage_out = [fit_partition(it) for it in items]
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            stage_out = list(pool.map(fit_partition, enumerate(ranges)))
 
         merged: list[int] = []
         for rec in stage_out:

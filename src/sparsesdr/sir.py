@@ -2,7 +2,7 @@
 
 Small-scale oracle used to cross-validate the penalized optimal-scoring
 solver; solves M v = lambda * Sigma_x v with M the between-slice covariance
-of predictor means, by Cholesky whitening of Sigma_x.
+of predictor means.
 """
 
 from __future__ import annotations
@@ -54,21 +54,15 @@ def column_signs(V: np.ndarray) -> np.ndarray:
 
 
 def generalized_eigen(M: np.ndarray, sigma: np.ndarray):
-    """Solve M v = lambda sigma v via Cholesky whitening of sigma.
+    """Solve M v = lambda sigma v for symmetric M and positive definite sigma.
 
     Returns (eigenvalues descending, sigma-orthonormal eigenvectors)."""
     try:
-        L = np.linalg.cholesky(sigma)
+        vals, vecs = scipy.linalg.eigh(M, sigma)
     except np.linalg.LinAlgError:
         raise NumericError("covariance singular: Cholesky factorization "
                            "failed (p >= n or collinear columns)") from None
-    Linv_M = scipy.linalg.solve_triangular(L, M, lower=True)
-    W = scipy.linalg.solve_triangular(L, Linv_M.T, lower=True).T
-    W = (W + W.T) / 2
-    vals, vecs = np.linalg.eigh(W)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = scipy.linalg.solve_triangular(L.T, vecs[:, order], lower=False)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     return vals, vecs * column_signs(vecs)
 
 

@@ -233,11 +233,10 @@ def test_criterion_6_split_and_conquer_equivalence():
     with criterion(6, "partitioned screening selects exactly the single-"
                       "shot set on a block-independent cohort; analytic "
                       "block eigen-extension residual < 1e-10"):
-        blocks = [list(range(100 * i, 100 * (i + 1))) for i in range(4)]
         spec = SyntheticSpec(
             n_samples=1000, n_features=400, maf_range=(0.1, 0.4),
             support=[(j, 1.8) for j in range(110, 120)], link="logistic",
-            block_structure=blocks, seed=11)
+            seed=11)
         x, y, truth = simulate(spec)
         solver = SolverConfig(d=1, penalty=PenaltyParams(lam=100.0, delta=1.0,
                                                          rho=2.0), seed=0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -179,6 +180,35 @@ class TestScreen:
                         + (out / "selection.json").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_no_stages_selects_what_fit_keeps(self, tmp_path):
+        # unset screen.stages: one fit on every feature. Binary d=1 fixes
+        # the score up to sign, so `fit` and `screen` agree whatever seed
+        # each gives its solver.
+        xp, yp, _ = write_dataset(tmp_path, n=200, p=60)
+        cfg = write_config(tmp_path, FIT_CFG)
+        for cmd in ("fit", "screen"):
+            assert main([cmd, "--x", str(xp), "--y", str(yp), "--config",
+                         str(cfg), "--out", str(tmp_path / cmd)]) == 0
+        rows = (tmp_path / "fit" / "directions.tsv").read_text().splitlines()
+        kept = [r.split("\t")[0] for r in rows[1:]
+                if abs(float(r.split("\t")[1])) > 1e-10]
+        summary = json.loads(
+            (tmp_path / "screen" / "selection.json").read_text())
+        assert summary["n_stages"] == 0
+        assert summary["survivors"] == 60
+        assert len(kept) > 1
+        assert summary["selected"] == kept
+
+    def test_zero_threads_refused(self, tmp_path, capsys):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, SCREEN_CFG)
+        out = tmp_path / "out"
+        rc = main(["screen", "--x", str(xp), "--y", str(yp), "--config",
+                   str(cfg), "--out", str(out), "--threads", "0"])
+        assert rc == 2
+        assert "n_workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_continuous_response_uses_design_h(self, tmp_path):
         xp, yp, _ = write_dataset(tmp_path)
         write_continuous_phenotype(yp)
@@ -206,6 +236,21 @@ class TestCv:
         tsv = (out / "cv_report.tsv").read_text().splitlines()
         assert tsv[-1].startswith("Average\t")
 
+    def test_no_stages_fits_every_feature(self, tmp_path):
+        # each fold's fit sees every feature: the same report as one stage
+        # that keeps all p = 30 features
+        xp, yp, _ = write_dataset(tmp_path, n=150)
+        reports = []
+        for name, stages in [("none", ""), ("all", "screen.stages = 1:30\n")]:
+            cfg = write_config(tmp_path, FIT_CFG + stages + "cv.folds = 3\n",
+                               name=f"{name}.cfg")
+            out = tmp_path / name
+            assert main(["cv", "--x", str(xp), "--y", str(yp), "--config",
+                         str(cfg), "--out", str(out), "--seed", "2"]) == 0
+            reports.append((out / "cv_report.tsv").read_text())
+        assert reports[0] == reports[1]
+        folds = json.loads((tmp_path / "none" / "cv_report.json").read_text())
+        assert all(f["n_selected"] > 1 for f in folds["folds"])
 
     @pytest.mark.parametrize("method", ["sparse_sdr", "pvalue_rank"])
     @pytest.mark.parametrize("kind", ["continuous", "categorical"])
@@ -293,3 +338,15 @@ simulate.maf_high = 0.4
         assert man["seed"] == 5
         assert man["command"] == "assoc"
         assert str(xp) in man["input_digests"]
+
+        cfg = write_config(tmp_path, FIT_CFG)
+        fit_out, pred_out = tmp_path / "fit", tmp_path / "pred"
+        assert main(["fit", "--x", str(xp), "--y", str(yp), "--config",
+                     str(cfg), "--out", str(fit_out)]) == 0
+        assert main(["predict", "--x", str(xp), "--model", str(fit_out),
+                     "--out", str(pred_out)]) == 0
+        man = json.loads((pred_out / "manifest.json").read_text())
+        model = fit_out / "model.json"
+        assert man["input_digests"] == {
+            str(xp): hashlib.sha256(xp.read_bytes()).hexdigest(),
+            str(model): hashlib.sha256(model.read_bytes()).hexdigest()}

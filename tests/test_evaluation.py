@@ -460,6 +460,36 @@ class TestCrossValidate:
         assert rep.averages()["test_accuracy"] > 0.55
         assert all(f.n_selected == 10 for f in rep.folds)
 
+    def test_pvalue_rank_grid_scored_by_leave_one_out(self):
+        # oracle: each training row is voted on by its k nearest *other*
+        # training rows, one row at a time; the first best (m, k) in grid
+        # order wins. Train metrics stay resubstitution with that (m, k).
+        x, y, _ = self.cv_instance(n=200, p=100)
+        rep = cross_validate(x, y, 4, "pvalue_rank", seed=1)
+        assign = stratified_folds(y.labels, 4, 1)
+        chosen_k = set()
+        for fold in rep.folds:
+            rows = np.flatnonzero(assign != fold.fold)
+            x_tr, labels = x.take_rows(rows), y.labels[rows]
+            ranked = chi2_rank(x_tr, y.take(rows))
+            best = None
+            for m in (10, 25, 50):
+                tr = x_tr.values[:, [j for j, _, _, _ in ranked[:m]]]
+                for k in (1, 3, 5):
+                    hits = [knn_oracle(np.delete(tr, i, axis=0),
+                                       np.delete(labels, i), tr[i:i + 1],
+                                       k)[0][0] == labels[i]
+                            for i in range(len(rows))]
+                    if best is None or np.mean(hits) > best[0]:
+                        best = (np.mean(hits), m, k, tr)
+            _, m, k, tr = best
+            chosen_k.add(k)
+            resub, _ = knn_oracle(tr, labels, tr, k)
+            assert fold.n_selected == m
+            assert fold.train.accuracy == np.mean(resub == labels)
+        # resubstitution would pick k = 1 (each row its own neighbour)
+        assert chosen_k != {1}
+
     def test_selection_sees_training_rows_only(self, monkeypatch):
         import sparsesdr.evaluation as ev
         x, y, _ = self.cv_instance()

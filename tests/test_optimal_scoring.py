@@ -35,14 +35,14 @@ class TestInitTheta:
         for seed in range(5):
             Theta, Q = init_theta(design, 2, seed)
             check_theta_invariants(Theta, design.D, Q[:, 0])
-            assert Q.shape == (design.K, 3)
+            assert Q.shape == (design.h, 3)
             assert Q[0, 0] == 1 and np.all(Q[1:, 0] == 0)
 
     def test_d_too_large(self):
         _, y = three_class_instance()
         design = build_design(y)
         with pytest.raises(ValidationError):
-            init_theta(design, design.K)
+            init_theta(design, design.h)
 
     def test_deterministic_per_seed(self):
         _, y = three_class_instance()
@@ -59,7 +59,7 @@ class TestThetaStep:
         x, y = three_class_instance(seed)
         design = build_design(y)
         xtz = x.values.T @ design.Z
-        q1 = np.zeros((design.K, 1))
+        q1 = np.zeros((design.h, 1))
         q1[0, 0] = 1.0
         return x, design, xtz, q1
 

@@ -11,14 +11,14 @@ def test_binary_example():
     design = build_design(y, 2)
     assert design.Z.tolist() == [[1, 0], [1, 0], [1, 1], [1, 1]]
     assert design.D.tolist() == [[1, 0.5], [0.5, 0.5]]
-    assert design.K == 2
+    assert design.h == 2
 
 
 def test_h_must_match_levels():
     y = Phenotype(np.array([0, 1, 2, 0, 1, 2]), "categorical")
     with pytest.raises(ValidationError):
         build_design(y, 2)
-    assert build_design(y, 3).K == 3
+    assert build_design(y, 3).h == 3
 
 
 def test_h_below_two_rejected():
@@ -65,4 +65,4 @@ def test_D_positive_semidefinite():
     y = Phenotype(np.array([0, 1, 1, 2, 2, 2]), "categorical")
     design = build_design(y, 3)
     vals = np.linalg.eigvalsh(design.D)
-    assert vals.min() > 0  # all slices non-empty, h = K
+    assert vals.min() > 0  # all slices non-empty

@@ -106,6 +106,27 @@ class TestRunPlan:
         assert np.array_equal(report.survivors, np.arange(x.n_features))
         assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
 
+    def test_empty_plan_is_one_fit_on_every_feature(self):
+        x, y, _ = signal_instance()
+        xc = center(x)
+        report = run_plan(xc, y, ScreeningPlan([], solver(50.0)), seed=5)
+        from sparsesdr.screening import _partition_seed
+        import dataclasses
+        direct = fit(xc, build_design(y),
+                     dataclasses.replace(solver(50.0),
+                                         seed=_partition_seed(5, 0, 0)))
+        assert report.stage_records == []
+        assert np.array_equal(report.survivors, np.arange(x.n_features))
+        assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
+        assert report_summary(report)["n_stages"] == 0
+
+    @pytest.mark.parametrize("n_workers", [0, -1])
+    def test_worker_count_below_one_refused(self, n_workers):
+        x, y, _ = signal_instance()
+        plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
+        with pytest.raises(ValidationError, match="n_workers"):
+            run_plan(x, y, plan, n_workers=n_workers)
+
     def test_recovers_planted_support(self):
         x, y, truth = signal_instance()
         plan = ScreeningPlan(stages=[(4, 25)], final_fit=solver(60.0))
@@ -187,8 +208,6 @@ class TestRunPlan:
         spec = SyntheticSpec(
             n_samples=400, n_features=100, maf_range=(0.1, 0.4),
             support=[(j, 1.8) for j in range(10, 20)], link="logistic",
-            block_structure=[list(range(25 * i, 25 * (i + 1)))
-                             for i in range(4)],
             seed=7)
         x, y, truth = simulate(spec)
         split = run_plan(x, y, ScreeningPlan(stages=[(4, 25)],

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sparsesdr.dataset import (PredictorMatrix, Phenotype, SyntheticSpec,
                                center, make_phenotype, simulate)
 from sparsesdr.errors import NumericError, ValidationError
 from sparsesdr.scoring import build_design
 from sparsesdr.sir import (block_extension_check, block_residual,
-                           principal_angle, sir_eigen, slice_mean_cov)
+                           column_signs, generalized_eigen, principal_angle,
+                           sir_eigen, slice_mean_cov)
 
 
 def matrix(values):
@@ -128,6 +130,40 @@ class TestSirEigen:
         assert principal_angle(A @ b2, b1) < 1e-6
 
 
+def whitening_eigen(M, sigma):
+    """Reference: Cholesky-whiten sigma, solve the standard symmetric
+    problem, map the eigenvectors back, sort descending, fix signs."""
+    L = np.linalg.cholesky(sigma)
+    Linv_M = scipy.linalg.solve_triangular(L, M, lower=True)
+    W = scipy.linalg.solve_triangular(L, Linv_M.T, lower=True).T
+    W = (W + W.T) / 2
+    vals, vecs = np.linalg.eigh(W)
+    order = np.argsort(vals)[::-1]
+    vecs = scipy.linalg.solve_triangular(L.T, vecs[:, order], lower=False)
+    return vals[order], vecs * column_signs(vecs)
+
+
+class TestGeneralizedEigen:
+    @pytest.mark.parametrize("seed,p", [(0, 3), (1, 6), (2, 12), (3, 20)])
+    def test_matches_cholesky_whitening(self, seed, p):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((4 * p, p))
+        sigma = A.T @ A / (4 * p)
+        B = rng.standard_normal((p, p))
+        M = B @ B.T / p
+        ref_vals, ref_vecs = whitening_eigen(M, sigma)
+        vals, vecs = generalized_eigen(M, sigma)
+        # float64 backward-error scale; eigenvectors also scale with the
+        # conditioning of sigma over the smallest eigenvalue gap
+        tol = 100 * p * np.finfo(float).eps * np.abs(ref_vals).max()
+        gap = np.abs(np.diff(ref_vals)).min()
+        assert np.all(np.diff(vals) <= 0)
+        assert np.max(np.abs(vals - ref_vals)) < tol
+        assert np.max(np.abs(vecs - ref_vecs)) < tol * np.linalg.cond(sigma) / gap
+        assert np.allclose(vecs.T @ sigma @ vecs, np.eye(p),
+                           rtol=0, atol=100 * p * np.finfo(float).eps)
+
+
 class TestPrincipalAngle:
     def test_identical(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -162,11 +198,10 @@ class TestBlockExtension:
         assert block_residual(M, sigma, [0, 1], d=1) < 1e-10
 
     def test_sampled_instance(self):
-        blocks = [list(range(0, 3)), list(range(3, 6))]
         spec = SyntheticSpec(n_samples=5000, n_features=6,
                              maf_range=(0.2, 0.4),
                              support=[(0, 2.0), (1, 1.5)], link="logistic",
-                             block_structure=blocks, seed=17)
+                             seed=17)
         x, y, _ = simulate(spec)
         xc = center(x)
         design = build_design(y)
