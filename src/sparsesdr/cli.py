@@ -203,6 +203,18 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    """argparse type for --threads: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsesdr",
@@ -222,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="directory holding model.json from `fit`")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_worker_count, default=1)
 
     add_common(sub.add_parser("fit"), config=True)
     add_common(sub.add_parser("screen"), config=True)

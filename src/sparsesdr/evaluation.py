@@ -8,8 +8,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import rankdata
 
 from .dataset import Phenotype, PredictorMatrix, center
 from .errors import NumericError, ValidationError
@@ -145,6 +143,20 @@ class MetricBundle:
         assert abs(self.accuracy - expect) < 1e-12
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of finite `values`, each run of equal values given the
+    mean of the ranks it spans (scipy.stats.rankdata's default). The ranks
+    are exact half-integers."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def auc_mann_whitney(labels_true, scores, positive) -> float:
     """AUC as the normalized Mann-Whitney statistic; ties count one half."""
     labels_true = np.asarray(labels_true)
@@ -154,7 +166,7 @@ def auc_mann_whitney(labels_true, scores, positive) -> float:
     n0 = len(labels_true) - n1
     if n1 == 0 or n0 == 0:
         raise NumericError("AUC undefined: single-class truth")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return float((ranks[case].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
 
 
@@ -201,6 +213,8 @@ def chi2_rank(x_raw: PredictorMatrix, y: Phenotype):
     Returns a list of (feature index, statistic, p_value, flagged) sorted by
     p ascending (ties by feature index).
     """
+    from scipy.special import chdtrc  # chi2.sf's kernel, off the import path
+
     X = x_raw.values
     if not np.all(np.isin(X, (0.0, 1.0, 2.0))):
         raise ValidationError("chi2_rank requires dosages in {0, 1, 2}")
@@ -227,7 +241,7 @@ def chi2_rank(x_raw: PredictorMatrix, y: Phenotype):
             stat += terms[r, g]
     flagged = df == 0  # its one non-empty column gives terms of exactly 0
     p = np.ones(X.shape[1])
-    p[~flagged] = chi2_dist.sf(stat[~flagged], df[~flagged])
+    p[~flagged] = chdtrc(df[~flagged], stat[~flagged])
     order = np.lexsort((np.arange(X.shape[1]), p))
     return list(zip(order.tolist(), stat[order].tolist(), p[order].tolist(),
                     flagged[order].tolist()))

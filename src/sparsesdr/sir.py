@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import PredictorMatrix
 from .errors import NumericError, ValidationError
@@ -57,6 +56,8 @@ def generalized_eigen(M: np.ndarray, sigma: np.ndarray):
     """Solve M v = lambda sigma v for symmetric M and positive definite sigma.
 
     Returns (eigenvalues descending, sigma-orthonormal eigenvectors)."""
+    import scipy.linalg  # oracle only: the fitting path never loads scipy
+
     try:
         vals, vecs = scipy.linalg.eigh(M, sigma)
     except np.linalg.LinAlgError:

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsesdr
 from sparsesdr.cli import main
 from sparsesdr.config import parse_config_text, load_run_config
 from sparsesdr.dataset import SyntheticSpec, simulate
@@ -32,6 +36,16 @@ def write_continuous_phenotype(yp, seed=0):
     ids = [line.split("\t")[0] for line in yp.read_text().splitlines()]
     values = np.random.default_rng(seed).standard_normal(len(ids))
     yp.write_text("".join(f"{s}\t{v:.6f}\n" for s, v in zip(ids, values)))
+
+
+def assert_threads_refused(capsys, out, argv):
+    """The parser refuses `argv` (which sets --threads below 1) with exit 2,
+    names the flag and writes nothing to `out`."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --threads: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -202,12 +216,9 @@ class TestScreen:
     def test_zero_threads_refused(self, tmp_path, capsys):
         xp, yp, _ = write_dataset(tmp_path)
         cfg = write_config(tmp_path, SCREEN_CFG)
-        out = tmp_path / "out"
-        rc = main(["screen", "--x", str(xp), "--y", str(yp), "--config",
-                   str(cfg), "--out", str(out), "--threads", "0"])
-        assert rc == 2
-        assert "n_workers must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
+        assert_threads_refused(capsys, tmp_path / "out", [
+            "screen", "--x", str(xp), "--y", str(yp), "--config", str(cfg),
+            "--threads", "0"])
 
     def test_continuous_response_uses_design_h(self, tmp_path):
         xp, yp, _ = write_dataset(tmp_path)
@@ -272,6 +283,13 @@ class TestCv:
         assert f"binary response, got a {kind}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_threads_refused_for_pvalue_rank(self, tmp_path, capsys):
+        xp, yp, _ = write_dataset(tmp_path, n=150)
+        cfg = write_config(tmp_path, "cv.folds = 3\ncv.method = pvalue_rank\n")
+        assert_threads_refused(capsys, tmp_path / "out", [
+            "cv", "--x", str(xp), "--y", str(yp), "--config", str(cfg),
+            "--threads", "0"])
+
 
 class TestAssoc:
     def test_matches_library_ranking(self, tmp_path):
@@ -290,6 +308,11 @@ class TestAssoc:
         expected = chi2_rank(x, make_phenotype(labels))
         got_ids = [l.split("\t")[0] for l in lines[1:]]
         assert got_ids == [x.feature_ids[j] for j, *_ in expected]
+
+    def test_negative_threads_refused(self, tmp_path, capsys):
+        xp, yp, _ = write_dataset(tmp_path)
+        assert_threads_refused(capsys, tmp_path / "out", [
+            "assoc", "--x", str(xp), "--y", str(yp), "--threads", "-3"])
 
 
 class TestPipeline:
@@ -350,3 +373,37 @@ simulate.maf_high = 0.4
         assert man["input_digests"] == {
             str(xp): hashlib.sha256(xp.read_bytes()).hexdigest(),
             str(model): hashlib.sha256(model.read_bytes()).hexdigest()}
+
+
+def scipy_modules_after(code, *args):
+    """Run `code` in a fresh interpreter (argv[1:] = args) that imports
+    sparsesdr from this checkout; return the scipy modules it loaded."""
+    src = str(Path(sparsesdr.__file__).resolve().parent.parent)
+    report = ("\nimport json\nprint(json.dumps(sorted(m for m in sys.modules"
+              " if m == 'scipy' or m.startswith('scipy.'))))")
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+         + code + report, *map(str, args)],
+        capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+class TestStartup:
+    """`fit`, `screen` and `predict` start on numpy alone: scipy is imported
+    only inside the functions that need it (`chi2_rank`, the SIR oracle)."""
+
+    def test_cli_import_loads_no_scipy(self):
+        assert scipy_modules_after("import sparsesdr.cli") == []
+
+    def test_fit_then_predict_load_no_scipy(self, tmp_path):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, FIT_CFG)
+        code = """
+from sparsesdr.cli import main
+x, y, cfg, out = sys.argv[1:]
+assert main(["fit", "--x", x, "--y", y, "--config", cfg,
+             "--out", out + "/fit"]) == 0
+assert main(["predict", "--x", x, "--model", out + "/fit",
+             "--out", out + "/pred"]) == 0"""
+        assert scipy_modules_after(code, xp, yp, cfg, tmp_path) == []
+        assert (tmp_path / "pred" / "predictions.tsv").exists()

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
+from scipy.stats import rankdata
 
 from sparsesdr.admm import PenaltyParams
 from sparsesdr.dataset import (PredictorMatrix, Phenotype, SyntheticSpec,
                                center, make_phenotype, simulate)
 from sparsesdr.errors import NumericError, ValidationError
-from sparsesdr.evaluation import (CvReport, MetricBundle, auc_mann_whitney,
-                                  chi2_rank, cross_validate, cv_report_to_tsv,
-                                  fit_classifier, knn_predict, load_model,
-                                  metrics, predict, save_model,
-                                  stratified_folds)
+from sparsesdr.evaluation import (CvReport, MetricBundle, _average_ranks,
+                                  auc_mann_whitney, chi2_rank, cross_validate,
+                                  cv_report_to_tsv, fit_classifier,
+                                  knn_predict, load_model, metrics, predict,
+                                  save_model, stratified_folds)
 from sparsesdr.optimal_scoring import SolverConfig, fit
 from sparsesdr.scoring import build_design
 from sparsesdr.screening import ScreeningPlan
@@ -106,6 +107,21 @@ class TestAuc:
         with pytest.raises(NumericError):
             auc_mann_whitney(np.ones(3), np.arange(3.0), 1)
 
+    @pytest.mark.parametrize("scores", [
+        np.random.default_rng(6).standard_normal(97),
+        np.random.default_rng(7).integers(0, 4, 97).astype(float),
+        np.array([0.25]),
+        np.full(97, 3.5),
+    ], ids=["untied", "tied_integers", "one", "all_equal"])
+    def test_ranks_equal_rankdata_exactly(self, scores):
+        ranks = rankdata(scores)
+        assert np.array_equal(_average_ranks(scores), ranks)
+        if len(scores) > 1:
+            truth = np.arange(len(scores)) % 2
+            n1, n0 = int(truth.sum()), int((truth == 0).sum())
+            u = ranks[truth == 1].sum() - n1 * (n1 + 1) / 2
+            assert auc_mann_whitney(truth, scores, 1) == u / (n1 * n0)
+
 
 def knn_oracle(x_train, labels, x_test, k):
     """Per-row `np.unique` vote: the reference for `knn_predict`."""
@@ -200,9 +216,9 @@ class TestChi2Rank:
         with pytest.raises(ValidationError):
             chi2_rank(x, y)
 
-    def test_equals_per_feature_loop_exactly(self):
-        # 200 x 500 cohort with a constant column (df 0), a two-genotype
-        # column (df 1) and duplicated columns (equal p, index tie order)
+    def wide_cohort(self):
+        """200 x 500 cohort with a constant column (df 0), a two-genotype
+        column (df 1) and duplicated columns (equal p, index tie order)."""
         rng = np.random.default_rng(14)
         X = rng.binomial(2, rng.uniform(0.05, 0.5, 500),
                          size=(200, 500)).astype(float)
@@ -212,8 +228,10 @@ class TestChi2Rank:
         X[:, 11] = rng.integers(0, 2, 200) * 2.0
         X[:, [20, 40, 60]] = X[:, [3]]
         X[:, [100, 101]] = X[:, [50]]
-        x = matrix(X)
-        y = Phenotype(labels, "binary", [0, 1])
+        return matrix(X), Phenotype(labels, "binary", [0, 1])
+
+    def test_equals_per_feature_loop_exactly(self):
+        x, y = self.wide_cohort()
         got = chi2_rank(x, y)
         assert got == self.rank_oracle(x, y)
         by_index = {j: (s, p, f) for j, s, p, f in got}
@@ -222,6 +240,15 @@ class TestChi2Rank:
         order = [j for j, *_ in got]
         assert order.index(3) < order.index(20) < order.index(40) \
             < order.index(60)
+
+    def test_p_values_equal_chi2_sf_exactly(self):
+        x, y = self.wide_cohort()
+        j, stat, p, flagged = map(np.array, zip(*chi2_rank(x, y)))
+        df = np.array([len(np.unique(x.values[:, i])) - 1 for i in j])
+        tested = ~flagged
+        assert set(df[tested].tolist()) == {1, 2}
+        assert np.array_equal(p[tested],
+                              chi2_dist.sf(stat[tested], df[tested]))
 
     def test_sorted_by_p_value(self):
         rng = np.random.default_rng(5)
