@@ -140,11 +140,28 @@ def _split_line(line: str, delim: str) -> list[str]:
     return [c.strip() for c in line.rstrip("\n").split(delim)]
 
 
+def _digit_cells(tail: str, delim: int, p: int) -> np.ndarray | None:
+    """The p values of `tail` (a row from its first delimiter on) when every
+    cell is one ASCII digit: 2p characters, `delim` at each even offset and a
+    digit at each odd one. None for any other row, non-ASCII ones included:
+    their UTF-8 bytes are all >= 0x80, neither a digit nor a delimiter."""
+    if len(tail) != 2 * p:
+        return None
+    raw = np.frombuffer(tail.encode(), dtype=np.uint8)
+    digits = raw[1::2] - ord("0")  # bytes below '0' wrap past 9
+    if digits.max() > 9 or np.any(raw[0::2] != delim):
+        return None
+    return digits
+
+
 def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
     """Load a predictor file: header row of feature ids, first column sample id.
 
-    Each row is converted by numpy's string-to-float cast, which accepts and
-    rejects the same cells (surrounding whitespace included) as `float()`.
+    A row whose cells are all single ASCII digits (a dosage row) is decoded
+    from its bytes. Any other row is converted by numpy's string-to-float
+    cast, which accepts and rejects the same cells (surrounding whitespace
+    included) as `float()`. Single digits are exact, so both give the values
+    `float()` gives.
     """
     if format not in ("tsv", "csv"):
         raise ValidationError(f"unknown format {format!r}")
@@ -163,6 +180,12 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
     values = np.empty((len(lines) - 1, p))
     sample_ids: list[str] = []
     for i, line in enumerate(lines[1:]):
+        cut = line.find(delim)
+        digits = None if cut < 0 else _digit_cells(line[cut:], ord(delim), p)
+        if digits is not None:
+            sample_ids.append(line[:cut].strip())
+            values[i] = digits
+            continue
         lineno = i + 2
         cells = line.split(delim)
         if len(cells) != p + 1:

@@ -257,7 +257,7 @@ def knn_predict(x_train: np.ndarray, labels, x_test: np.ndarray, k: int):
         raise ValidationError("k must be >= 1")
     if k > n_train:
         raise ValidationError(f"k={k} exceeds {n_train} training samples")
-    return _knn_vote(_sq_dists(x_test, x_train), labels, k)
+    return _knn_vote(_neighbour_order(_sq_dists(x_test, x_train)), labels, k)
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -266,14 +266,19 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             - 2 * a @ b.T)
 
 
-def _knn_vote(d2: np.ndarray, labels: np.ndarray, k: int):
-    """`knn_predict`'s vote, taken over the columns of d2."""
+def _neighbour_order(d2: np.ndarray) -> np.ndarray:
+    """Columns of each row of d2, nearest first (ties in column order)."""
+    return np.argsort(d2, axis=1, kind="stable")
+
+
+def _knn_vote(order: np.ndarray, labels: np.ndarray, k: int):
+    """`knn_predict`'s vote over the first k columns of each row of `order`
+    (from `_neighbour_order`); one order serves every k."""
     classes = np.unique(labels)
     if len(classes) == 2 and k % 2 == 0:
         raise ValidationError("k must be odd for binary labels")
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    votes = np.searchsorted(classes, labels)[nearest]
-    m, n_classes = d2.shape[0], len(classes)
+    votes = np.searchsorted(classes, labels)[order[:, :k]]
+    m, n_classes = order.shape[0], len(classes)
     counts = np.bincount(
         (votes + n_classes * np.arange(m)[:, None]).ravel(),
         minlength=m * n_classes).reshape(m, n_classes)
@@ -351,6 +356,11 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
         raise ValidationError(
             f"cross-validation needs a binary response, got a {y.kind} "
             f"one{levels}")
+    if folds < 2:
+        raise ValidationError(f"cross-validation needs folds >= 2, got {folds}")
+    for name, value in (("top_m", top_m), ("knn_k", knn_k)):
+        if value is not None and value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
     assign = stratified_folds(y.labels, folds, seed)
     positive = y.level_codes[1]
 
@@ -380,18 +390,19 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
             selected_ids = [x.feature_ids[j] for j in kept]
         else:
             ranked = chi2_rank(x_train_raw, y_train)
-            m_grid = [top_m] if top_m else [10, 25, 50]
-            k_grid = [knn_k] if knn_k else [1, 3, 5]
+            m_grid = [top_m] if top_m is not None else [10, 25, 50]
+            k_grid = [knn_k] if knn_k is not None else [1, 3, 5]
             best = None
             for m in m_grid:
                 cols = [j for j, _, _, _ in ranked[:m]]
                 tr = x_train_raw.values[:, cols]
                 d2 = _sq_dists(tr, tr)
                 np.fill_diagonal(d2, np.inf)  # a row never votes on itself
+                order = _neighbour_order(d2)
                 for k in k_grid:
                     if k >= len(train_rows):
                         continue
-                    pred_tr, _ = _knn_vote(d2, y_train.labels, k)
+                    pred_tr, _ = _knn_vote(order, y_train.labels, k)
                     acc = float(np.mean(pred_tr == y_train.labels))
                     if best is None or acc > best[0]:
                         best = (acc, m, k)

@@ -283,6 +283,23 @@ class TestCv:
         assert f"binary response, got a {kind}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("cv.folds = 0", "folds >= 2, got 0"),
+        ("cv.folds = 1", "folds >= 2, got 1"),
+        ("cv.top_m = 0", "top_m must be >= 1, got 0"),
+        ("cv.knn_k = 0", "knn_k must be >= 1, got 0"),
+    ])
+    def test_bad_cv_setting_refused(self, tmp_path, capsys, setting,
+                                    message):
+        xp, yp, _ = write_dataset(tmp_path, n=150)
+        cfg = write_config(tmp_path, f"cv.method = pvalue_rank\n{setting}\n")
+        out = tmp_path / "out"
+        rc = main(["cv", "--x", str(xp), "--y", str(yp),
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_threads_refused_for_pvalue_rank(self, tmp_path, capsys):
         xp, yp, _ = write_dataset(tmp_path, n=150)
         cfg = write_config(tmp_path, "cv.folds = 3\ncv.method = pvalue_rank\n")

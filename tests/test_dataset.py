@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
-                               load_phenotype, load_predictors, simulate)
+from sparsesdr.cli import main
+from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, _digit_cells,
+                               center, load_phenotype, load_predictors,
+                               simulate)
 from sparsesdr.errors import ParseError, ValidationError
 
 
@@ -79,6 +81,110 @@ class TestLoadPredictors:
     def test_csv(self, tmp_path):
         p = write(tmp_path, "x.csv", "id,f1\ns1,3.5\n")
         assert load_predictors(p, "csv").values[0, 0] == 3.5
+
+
+def float_oracle(text, delim):
+    """Per-cell `float()` parse of a predictor file's non-blank rows: the
+    reference for `load_predictors`."""
+    rows = [ln.split(delim) for ln in text.splitlines() if ln.strip()][1:]
+    return ([r[0].strip() for r in rows],
+            np.array([[float(c) for c in r[1:]] for r in rows]))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestDosageRows:
+    """Rows of single ASCII digits are decoded from their bytes; every other
+    row goes through the `float()` cast with the same values and errors."""
+
+    def test_dosage_file_matches_float_per_cell(self, tmp_path):
+        v = np.random.default_rng(0).binomial(2, 0.3, size=(40, 500))
+        text = "\n".join(["\t".join(["id"] + [f"f{j}" for j in range(500)])]
+                         + ["\t".join([f"s{i}"] + [str(c) for c in row])
+                            for i, row in enumerate(v)]) + "\n"
+        m = load_predictors(write(tmp_path, "x.tsv", text), "tsv")
+        ids, want = float_oracle(text, "\t")
+        assert m.sample_ids == ids
+        assert_same_bits(m.values, want)
+        assert np.array_equal(m.values, v)
+
+    @pytest.mark.parametrize("tail, fast", [
+        ("\t0\t1\t2", True),
+        ("\t9\t0\t5", True),
+        ("\t 1\t1\t2", False),   # padded
+        ("\t10\t1\t2", False),   # two digits
+        ("\t-1\t1\t2", False),   # signed
+        ("\t1.0\t1\t2", False),  # decimal
+        ("\t1\t1\t\u0661", False),  # a non-ASCII digit float() accepts
+        ("\t1\t1\t/", False),    # the byte just below '0'
+        ("\t1\t1\t:", False),    # the byte just above '9'
+        ("\t1,1\t2", False),      # delimiter out of place
+        ("\t1\t2", False),        # p - 1 cells
+    ])
+    def test_byte_path_takes_only_single_digit_rows(self, tail, fast):
+        got = _digit_cells(tail, ord("\t"), 3)
+        assert (got is not None) == fast
+        if fast:
+            assert got.tolist() == [float(c) for c in tail.split("\t")[1:]]
+
+    @pytest.mark.parametrize("format, delim", [("tsv", "\t"), ("csv", ",")])
+    def test_mixed_rows_match_float_per_cell(self, tmp_path, format, delim):
+        rows = [
+            ["s1", "0", "1", "2"],
+            ["s2", " 1", "0", "2"],         # padded
+            ["s3", "2", "10", "1"],         # two digits
+            ["s4", "1", "1", "-1"],         # signed
+            ["s5", "1.0", "2", "0"],        # decimal
+            ["s\u00e9", "2", "2", "1"],     # non-ASCII sample id
+            ["s7", "0", "\u0661", "0"],     # non-ASCII digit
+            ["s8", "9", "8", "7"],
+        ]
+        lines = [delim.join(["id", "a", "b", "c"])]
+        lines += [delim.join(r) for r in rows]
+        for i in (1, 3):  # CRLF lines among LF lines, one of them digits
+            lines[i] += "\r"
+        text = "\n".join(lines) + "\n"
+        m = load_predictors(write(tmp_path, f"x.{format}", text), format)
+        ids, want = float_oracle(text, delim)
+        assert m.sample_ids == ids == [r[0] for r in rows]
+        assert_same_bits(m.values, want)
+
+    @pytest.mark.parametrize("row, got", [("s2\t1\t0", 3),
+                                          ("s2\t1\t0\t2\t1", 5)])
+    def test_single_digit_ragged_row(self, tmp_path, row, got):
+        p = write(tmp_path, "x.tsv", f"id\ta\tb\tc\ns1\t0\t1\t2\n{row}\n")
+        with pytest.raises(ParseError, match=(
+                f"ragged row at line 3: expected 4 cells, got {got}$")):
+            load_predictors(p, "tsv")
+
+    def test_empty_cell_refused(self, tmp_path):
+        p = write(tmp_path, "x.tsv", "id\tf1\tf2\ns1\t\t1\n")
+        with pytest.raises(ParseError,
+                           match="non-numeric cell '' at line 2, column 'f1'"):
+            load_predictors(p, "tsv")
+
+    def test_nan_row_refused(self, tmp_path):
+        p = write(tmp_path, "x.tsv", "id\tf1\tf2\ns1\t0\t1\ns2\tnan\tnan\n")
+        with pytest.raises(ValidationError,
+                           match="non-finite value at sample 's2', "
+                                 "feature 'f1'"):
+            load_predictors(p, "tsv")
+
+    def test_simulate_output_reads_back(self, tmp_path):
+        cfg = write(tmp_path, "sim.cfg", "simulate.n = 60\nsimulate.p = 40\n"
+                    "simulate.maf_low = 0.1\nsimulate.maf_high = 0.4\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", "4"]) == 0
+        x, _, _ = simulate(SyntheticSpec(n_samples=60, n_features=40,
+                                         maf_range=(0.1, 0.4), seed=4))
+        m = load_predictors(out / "predictors.tsv", "tsv")
+        assert m.sample_ids == x.sample_ids
+        assert m.feature_ids == x.feature_ids
+        assert_same_bits(m.values, x.values)
 
 
 class TestPhenotypeFile:

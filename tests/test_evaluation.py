@@ -545,6 +545,27 @@ class TestCrossValidate:
         with pytest.raises(ValidationError):
             cross_validate(x, y, 4, "logistic", seed=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"folds": 0}, "folds >= 2, got 0"),
+        ({"folds": 1}, "folds >= 2, got 1"),
+        ({"folds": -3}, "folds >= 2, got -3"),
+        ({"top_m": 0}, "top_m must be >= 1, got 0"),
+        ({"knn_k": 0}, "knn_k must be >= 1, got 0"),
+        ({"knn_k": -1}, "knn_k must be >= 1, got -1"),
+    ])
+    def test_bad_cv_settings_refused_before_folds(self, monkeypatch, kwargs,
+                                                  message):
+        import sparsesdr.evaluation as ev
+        x, y, _ = self.cv_instance()
+
+        def no_folds(*args, **kwargs):
+            raise AssertionError("folds built for refused settings")
+
+        monkeypatch.setattr(ev, "stratified_folds", no_folds)
+        kwargs = {"folds": 4, **kwargs}
+        with pytest.raises(ValidationError, match=message):
+            cross_validate(x, y, method="pvalue_rank", seed=0, **kwargs)
+
     @pytest.mark.parametrize("method", ["sparse_sdr", "pvalue_rank"])
     @pytest.mark.parametrize("kind", ["continuous", "categorical"])
     def test_non_binary_response_refused_before_folds(self, monkeypatch,
