@@ -308,6 +308,47 @@ class TestCv:
             "--threads", "0"])
 
 
+    @pytest.mark.parametrize("method", ["sparse_sdr", "pvalue_rank"])
+    def test_json_lists_each_folds_selected_ids(self, tmp_path, method):
+        xp, yp, _ = write_dataset(tmp_path, n=150)
+        cfg = write_config(tmp_path, SCREEN_CFG
+                           + f"cv.folds = 3\ncv.method = {method}\n")
+        out = tmp_path / "out"
+        assert main(["cv", "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        feature_ids = xp.read_text().splitlines()[0].split("\t")[1:]
+        folds = json.loads((out / "cv_report.json").read_text())["folds"]
+        assert len(folds) == 3
+        for fold in folds:
+            ids = fold["selected_ids"]
+            assert len(ids) == fold["n_selected"] > 0
+            assert len(set(ids)) == len(ids)
+            assert set(ids) <= set(feature_ids)
+        tsv = (out / "cv_report.tsv").read_text().splitlines()
+        assert tsv[0].split("\t") == [
+            "fold", "train_sens", "train_spec", "train_acc", "test_sens",
+            "test_spec", "test_acc", "n_selected"]
+        assert [line.split("\t")[-1] for line in tsv[1:4]] == [
+            str(f["n_selected"]) for f in folds]
+
+    @pytest.mark.parametrize("line", [1, 75, 150])
+    def test_pvalue_rank_non_dosage_refused(self, tmp_path, capsys, line):
+        xp, yp, _ = write_dataset(tmp_path, n=150)
+        rows = xp.read_text().splitlines()
+        cells = rows[line].split("\t")
+        cells[4] = "0.5"
+        rows[line] = "\t".join(cells)
+        xp.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, "cv.folds = 5\ncv.method = pvalue_rank\n")
+        out = tmp_path / "out"
+        rc = main(["cv", "--x", str(xp), "--y", str(yp),
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "requires dosages in {0, 1, 2}, got 0.5 at sample" in err
+        assert not out.exists()
+
+
 class TestAssoc:
     def test_matches_library_ranking(self, tmp_path):
         from sparsesdr.dataset import load_predictors, make_phenotype
@@ -406,8 +447,8 @@ def scipy_modules_after(code, *args):
 
 
 class TestStartup:
-    """`fit`, `screen` and `predict` start on numpy alone: scipy is imported
-    only inside the functions that need it (`chi2_rank`, the SIR oracle)."""
+    """Every command starts and runs on numpy alone: scipy is imported only
+    inside the SIR oracle."""
 
     def test_cli_import_loads_no_scipy(self):
         assert scipy_modules_after("import sparsesdr.cli") == []
@@ -424,3 +465,16 @@ assert main(["predict", "--x", x, "--model", out + "/fit",
              "--out", out + "/pred"]) == 0"""
         assert scipy_modules_after(code, xp, yp, cfg, tmp_path) == []
         assert (tmp_path / "pred" / "predictions.tsv").exists()
+
+    def test_assoc_and_pvalue_rank_cv_load_no_scipy(self, tmp_path):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, "cv.folds = 3\ncv.method = pvalue_rank\n")
+        code = """
+from sparsesdr.cli import main
+x, y, cfg, out = sys.argv[1:]
+assert main(["assoc", "--x", x, "--y", y, "--out", out + "/assoc"]) == 0
+assert main(["cv", "--x", x, "--y", y, "--config", cfg,
+             "--out", out + "/cv"]) == 0"""
+        assert scipy_modules_after(code, xp, yp, cfg, tmp_path) == []
+        assert (tmp_path / "assoc" / "assoc.tsv").exists()
+        assert (tmp_path / "cv" / "cv_report.tsv").exists()

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
@@ -8,10 +9,11 @@ from sparsesdr.dataset import (PredictorMatrix, Phenotype, SyntheticSpec,
                                center, make_phenotype, simulate)
 from sparsesdr.errors import NumericError, ValidationError
 from sparsesdr.evaluation import (CvReport, MetricBundle, _average_ranks,
-                                  auc_mann_whitney, chi2_rank, cross_validate,
-                                  cv_report_to_tsv, fit_classifier,
-                                  knn_predict, load_model, metrics, predict,
-                                  save_model, stratified_folds)
+                                  _chi2_sf, auc_mann_whitney, chi2_rank,
+                                  cross_validate, cv_report_to_tsv,
+                                  fit_classifier, knn_predict, load_model,
+                                  metrics, predict, save_model,
+                                  stratified_folds)
 from sparsesdr.optimal_scoring import SolverConfig, fit
 from sparsesdr.scoring import build_design
 from sparsesdr.screening import ScreeningPlan
@@ -233,7 +235,11 @@ class TestChi2Rank:
     def test_equals_per_feature_loop_exactly(self):
         x, y = self.wide_cohort()
         got = chi2_rank(x, y)
-        assert got == self.rank_oracle(x, y)
+        want = self.rank_oracle(x, y)
+        assert ([(j, s, f) for j, s, _, f in got]
+                == [(j, s, f) for j, s, _, f in want])
+        assert np.allclose([p for _, _, p, _ in got],
+                           [p for _, _, p, _ in want], rtol=5e-14, atol=0)
         by_index = {j: (s, p, f) for j, s, p, f in got}
         assert by_index[7] == (0.0, 1.0, True)
         assert not by_index[11][2]
@@ -241,14 +247,46 @@ class TestChi2Rank:
         assert order.index(3) < order.index(20) < order.index(40) \
             < order.index(60)
 
-    def test_p_values_equal_chi2_sf_exactly(self):
+    @staticmethod
+    def sf_reference(stat, df):
+        """P(chi-square with df 1 or 2 >= stat) at 50 digits, as a double."""
+        x = mpmath.mpf(float(stat))  # exact: a double is a short binary
+        with mpmath.workdps(50):
+            tail = (mpmath.exp(-x / 2) if df == 2
+                    else mpmath.erfc(mpmath.sqrt(x / 2)))
+        return float(tail)
+
+    def assert_near_reference(self, p, stat, df):
+        """Relative error <= 1e-15 against the 50-digit reference; where
+        the reference is subnormal or 0, relative to the smallest normal
+        double (a few units in the last place)."""
+        want = np.array([self.sf_reference(s, d) for s, d in zip(stat, df)])
+        scale = np.maximum(want, np.finfo(float).tiny)
+        assert np.max(np.abs(p - want) / scale) <= 1e-15
+        return want
+
+    def test_p_values_match_50_digit_reference(self):
+        rng = np.random.default_rng(8)
+        stat = np.concatenate([
+            [0.0, 5e-324, 1e-12, 1e-6, 1500.0],
+            rng.uniform(0, 1500, 400),
+            np.exp(rng.uniform(np.log(1e-10), np.log(1500), 400)),
+            np.linspace(1400, 1500, 60),  # p subnormal, then 0
+        ])
+        for df in (1, 2):
+            dfs = np.full(len(stat), df)
+            p = _chi2_sf(stat, dfs)
+            want = self.assert_near_reference(p, stat, dfs)
+            assert p[0] == 1.0
+            assert np.count_nonzero(want == 0) > 0
+            assert np.all(p[want == 0] == 0)
+        # and chi2_rank's own p-values, df 1 and 2 present
         x, y = self.wide_cohort()
         j, stat, p, flagged = map(np.array, zip(*chi2_rank(x, y)))
         df = np.array([len(np.unique(x.values[:, i])) - 1 for i in j])
         tested = ~flagged
         assert set(df[tested].tolist()) == {1, 2}
-        assert np.array_equal(p[tested],
-                              chi2_dist.sf(stat[tested], df[tested]))
+        self.assert_near_reference(p[tested], stat[tested], df[tested])
 
     def test_sorted_by_p_value(self):
         rng = np.random.default_rng(5)
@@ -516,6 +554,69 @@ class TestCrossValidate:
             assert fold.train.accuracy == np.mean(resub == labels)
         # resubstitution would pick k = 1 (each row its own neighbour)
         assert chosen_k != {1}
+
+    def test_pvalue_rank_fold_tables_equal_training_rows_exactly(
+            self, monkeypatch):
+        # oracle: each fold ranks by chi2_rank on its own training rows; a
+        # constant column (df 0), a two-genotype column (df 1), a column
+        # whose one `1` makes it df 2 or df 1 by fold, and duplicated columns
+        import sparsesdr.evaluation as ev
+        rng = np.random.default_rng(21)
+        X = rng.binomial(2, rng.uniform(0.05, 0.5, 120),
+                         size=(150, 120)).astype(float)
+        labels = (rng.uniform(size=150)
+                  < 1 / (1 + np.exp(-(X[:, 2] - 1)))).astype(int)
+        X[:, 5] = 2.0
+        X[:, 9] = rng.integers(0, 2, 150) * 2.0
+        X[:, 13] = X[:, 9]
+        X[7, 13] = 1.0
+        X[:, [30, 31, 32]] = X[:, [2]]
+        X[:, [60, 61]] = X[:, [40]]
+        x, y = matrix(X), Phenotype(labels, "binary", [0, 1])
+        rankings = []
+        original = ev._chi2_ranking
+
+        def spy(table):
+            out = original(table)
+            rankings.append(out)
+            return out
+
+        monkeypatch.setattr(ev, "_chi2_ranking", spy)
+        rep = cross_validate(x, y, 5, "pvalue_rank", seed=4, top_m=10,
+                             knn_k=3)
+        monkeypatch.undo()
+        assign = stratified_folds(labels, 5, 4)
+        assert len(rankings) == len(rep.folds) == 5
+        col13_df = set()
+        for fold, (order, stat, p, flagged) in zip(rep.folds, rankings):
+            rows = np.flatnonzero(assign != fold.fold)
+            col13_df.add(len(np.unique(X[rows, 13])) - 1)
+            want = chi2_rank(x.take_rows(rows), y.take(rows))
+            assert list(zip(order.tolist(), stat[order].tolist(),
+                            p[order].tolist(), flagged[order].tolist())) \
+                == want
+            assert flagged[5] and not flagged[9]
+            assert fold.selected_ids == [x.feature_ids[j]
+                                         for j, *_ in want[:10]]
+        assert col13_df == {1, 2}
+
+    @pytest.mark.parametrize("row", [0, 77, 149])
+    def test_pvalue_rank_non_dosage_refused_before_folds(self, monkeypatch,
+                                                         row):
+        import sparsesdr.evaluation as ev
+        x, y, _ = self.cv_instance(n=150)
+        values = x.values.copy()
+        values[row, 3] = 0.5
+        bad = PredictorMatrix(values, x.feature_ids, x.sample_ids)
+
+        def no_folds(*args, **kwargs):
+            raise AssertionError("folds built for a non-dosage cell")
+
+        monkeypatch.setattr(ev, "stratified_folds", no_folds)
+        with pytest.raises(ValidationError,
+                           match=f"got 0.5 at sample '{x.sample_ids[row]}', "
+                                 f"feature '{x.feature_ids[3]}'"):
+            cross_validate(bad, y, 5, "pvalue_rank", seed=0)
 
     def test_selection_sees_training_rows_only(self, monkeypatch):
         import sparsesdr.evaluation as ev
