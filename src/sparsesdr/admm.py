@@ -31,14 +31,14 @@ class PenaltyParams:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValidationError("lambda must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise ValidationError("lambda must be finite and >= 0")
         if not 0 <= self.delta <= 1:
             raise ValidationError("delta must be in [0, 1]")
         if not 0 <= self.r < 1:
             raise ValidationError("r must be in [0, 1)")
-        if self.rho <= 0:
-            raise ValidationError("rho must be > 0")
+        if not 0 < self.rho < np.inf:
+            raise ValidationError("rho must be finite and > 0")
 
 
 @dataclass

@@ -13,17 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, optimal_scoring
+from . import __version__
 from .config import RunConfig, load_run_config
-from .dataset import (PredictorMatrix, SyntheticSpec, align_phenotype, center,
-                      load_phenotype, load_predictors, make_phenotype,
-                      simulate)
+from .dataset import (Phenotype, PredictorMatrix, SyntheticSpec,
+                      align_phenotype, center, load_phenotype, load_predictors,
+                      make_phenotype, simulate)
 from .errors import ParseError, SparseSdrError, ValidationError
 from .evaluation import (chi2_rank, cross_validate, cv_report_to_json,
-                         cv_report_to_tsv, fit_classifier, load_model, predict,
-                         save_model)
+                         cv_report_to_tsv, fit_classifier, fit_model,
+                         load_model, predict, save_model)
+# bench/tracer.py hooks `build_design` and `fit_classifier` here by name
 from .scoring import build_design
-from .screening import _NONZERO_ROW, report_summary, report_to_tsv, run_plan
+from .screening import report_summary, report_to_tsv, run_plan
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,13 +40,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-def _write_manifest(outdir: Path, args, inputs: list[str]) -> None:
-    manifest = {
+def _manifest(args, inputs: list) -> dict:
+    return {
         "version": __version__,
         "numpy": np.__version__,
         "seed": args.seed,
@@ -55,114 +51,103 @@ def _write_manifest(outdir: Path, args, inputs: list[str]) -> None:
         else None,
         "input_digests": {str(p): _sha256(p) for p in inputs},
     }
-    _write_json(outdir / "manifest.json", manifest)
 
 
-def _load_inputs(args) -> tuple[PredictorMatrix, np.ndarray]:
+def _write_outputs(args, inputs: list, files: dict) -> Path:
+    """Make the output directory and write `files` (name -> text, or a dict
+    written as JSON) and manifest.json, which digests `inputs`."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = {**files, "manifest.json": _manifest(args, inputs)}
+    for name, content in files.items():
+        if isinstance(content, dict):
+            content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+        (outdir / name).write_text(content, encoding="utf-8")
+    return outdir
+
+
+def _load_inputs(args) -> tuple[PredictorMatrix, Phenotype]:
     fmt = "csv" if str(args.x).endswith(".csv") else "tsv"
     x = load_predictors(args.x, fmt)
     sample_ids, labels = load_phenotype(args.y)
-    return x, align_phenotype(x, sample_ids, labels)
+    return x, make_phenotype(align_phenotype(x, sample_ids, labels))
 
 
 def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
         return load_run_config(args.config)
-    return RunConfig(solver=optimal_scoring.SolverConfig())
+    return RunConfig()
 
 
-def _directions_tsv(feature_ids, B) -> str:
-    d = B.shape[1]
-    lines = ["\t".join(["feature_id"] + [f"dir{i + 1}" for i in range(d)])]
-    for f, row in zip(feature_ids, B):
-        lines.append("\t".join([f] + [f"{v:.12g}" for v in row]))
-    return "\n".join(lines) + "\n"
+def _matrix_tsv(M, ids=None) -> str:
+    """Rows of M under a dir1..dirD header, each led by its id if given."""
+    rows = [[f"dir{i + 1}" for i in range(M.shape[1])]]
+    rows += [[f"{v:.12g}" for v in row] for row in M]
+    if ids is not None:
+        rows = [[i] + row for i, row in zip(["feature_id", *ids], rows)]
+    return "\n".join("\t".join(row) for row in rows) + "\n"
 
 
-def cmd_fit(args) -> int:
-    x, labels = _load_inputs(args)
+def cmd_fit(args) -> None:
+    x, y = _load_inputs(args)
     cfg = _load_config(args)
-    y = make_phenotype(labels)
-    xc = center(x)
-    design = build_design(y, cfg.h)
-    solver = cfg.solver
-    solver.seed = args.seed
-    ds = optimal_scoring.fit(xc, design, solver)
-    nonzero = np.flatnonzero(ds.row_norms() > _NONZERO_ROW)
-    # model bundle for `predict`, built before any output is written
-    kept = nonzero if len(nonzero) else np.arange(x.n_features)
-    clf = fit_classifier(xc.restrict(kept), y, ds.B[kept])
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "directions.tsv").write_text(
-        _directions_tsv(x.feature_ids, ds.B), encoding="utf-8")
-    theta_lines = ["\t".join([f"dir{i + 1}" for i in range(ds.Theta.shape[1])])]
-    for row in ds.Theta:
-        theta_lines.append("\t".join(f"{v:.12g}" for v in row))
-    (outdir / "theta.tsv").write_text("\n".join(theta_lines) + "\n",
-                                      encoding="utf-8")
-    _write_json(outdir / "fit.json", {
-        "converged": bool(ds.converged),
-        "outer_iters": ds.outer_iters,
-        "inner_converged": bool(ds.inner_converged),
-        "objective": ds.objective_history,
-        "nonzero_rows": len(nonzero),
+    report, clf = fit_model(center(x), y, cfg.plan(), seed=args.seed,
+                            n_workers=args.threads, h=cfg.h)
+    ds, summary = report.final_directions, report_summary(report)
+    B = np.zeros((x.n_features, ds.B.shape[1]))
+    B[report.survivors] = ds.B
+    outdir = _write_outputs(args, [args.x, args.y], {
+        "directions.tsv": _matrix_tsv(B, x.feature_ids),
+        "theta.tsv": _matrix_tsv(ds.Theta),
+        "fit.json": {
+            "converged": summary["converged"],
+            "outer_iters": ds.outer_iters,
+            "inner_converged": summary["inner_converged"],
+            "objective": ds.objective_history,
+            "nonzero_rows": len(report.selected_indices),
+        },
     })
     save_model(clf, outdir / "model.json")
-    _write_manifest(outdir, args, [args.x, args.y])
-    return EXIT_OK
 
 
-def cmd_screen(args) -> int:
-    x, labels = _load_inputs(args)
+def cmd_screen(args) -> None:
+    x, y = _load_inputs(args)
     cfg = _load_config(args)
-    y = make_phenotype(labels)
     report = run_plan(x, y, cfg.plan(), seed=args.seed,
                       n_workers=args.threads, h=cfg.h)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "selection.tsv").write_text(report_to_tsv(report),
-                                          encoding="utf-8")
-    _write_json(outdir / "selection.json", report_summary(report))
-    _write_manifest(outdir, args, [args.x, args.y])
-    return EXIT_OK
+    _write_outputs(args, [args.x, args.y], {
+        "selection.tsv": report_to_tsv(report),
+        "selection.json": report_summary(report),
+    })
 
 
-def cmd_cv(args) -> int:
-    x, labels = _load_inputs(args)
+def cmd_cv(args) -> None:
+    x, y = _load_inputs(args)
     cfg = _load_config(args)
-    y = make_phenotype(labels)
     report = cross_validate(
         x, y, folds=cfg.cv_folds, method=cfg.cv_method, seed=args.seed,
         plan=cfg.plan() if cfg.cv_method == "sparse_sdr" else None,
         top_m=cfg.top_m, knn_k=cfg.knn_k, n_workers=args.threads)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "cv_report.tsv").write_text(cv_report_to_tsv(report),
-                                          encoding="utf-8")
-    _write_json(outdir / "cv_report.json", cv_report_to_json(report))
-    _write_manifest(outdir, args, [args.x, args.y])
-    return EXIT_OK
+    _write_outputs(args, [args.x, args.y], {
+        "cv_report.tsv": cv_report_to_tsv(report),
+        "cv_report.json": cv_report_to_json(report),
+    })
 
 
-def cmd_assoc(args) -> int:
-    x, labels = _load_inputs(args)
-    y = make_phenotype(labels)
-    results = chi2_rank(x, y)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_assoc(args) -> None:
+    x, y = _load_inputs(args)
     lines = ["feature_id\tchi2\tp"]
-    for j, stat, p, _flagged in results:
+    for j, stat, p, _flagged in chi2_rank(x, y):
         lines.append(f"{x.feature_ids[j]}\t{stat:.12g}\t{p:.12g}")
-    (outdir / "assoc.tsv").write_text("\n".join(lines) + "\n",
-                                      encoding="utf-8")
-    _write_manifest(outdir, args, [args.x, args.y])
-    return EXIT_OK
+    _write_outputs(args, [args.x, args.y],
+                   {"assoc.tsv": "\n".join(lines) + "\n"})
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     cfg = _load_config(args)
+    if not 0 <= cfg.sim_support <= cfg.sim_p:
+        raise ValidationError(f"simulate.support must be in [0, simulate.p = "
+                              f"{cfg.sim_p}], got {cfg.sim_support}")
     rng = np.random.default_rng(args.seed)
     support_idx = sorted(rng.choice(cfg.sim_p, size=cfg.sim_support,
                                     replace=False).tolist())
@@ -172,35 +157,28 @@ def cmd_simulate(args) -> int:
         support=[(int(j), cfg.sim_effect) for j in support_idx],
         link=cfg.sim_link, seed=args.seed)
     x, y, truth = simulate(spec)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     lines = ["\t".join(["id"] + x.feature_ids)]
     for sid, row in zip(x.sample_ids, x.values):
         lines.append("\t".join([sid] + [f"{v:g}" for v in row]))
-    (outdir / "predictors.tsv").write_text("\n".join(lines) + "\n",
-                                           encoding="utf-8")
-    pheno = "\n".join(f"{s}\t{int(v)}" for s, v in zip(x.sample_ids, y.labels))
-    (outdir / "phenotype.tsv").write_text(pheno + "\n", encoding="utf-8")
-    _write_json(outdir / "truth.json", {"support": sorted(truth)})
-    _write_manifest(outdir, args, [])
-    return EXIT_OK
+    pheno = "".join(f"{s}\t{int(v)}\n" for s, v in zip(x.sample_ids, y.labels))
+    _write_outputs(args, [], {
+        "predictors.tsv": "\n".join(lines) + "\n",
+        "phenotype.tsv": pheno,
+        "truth.json": {"support": sorted(truth)},
+    })
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     fmt = "csv" if str(args.x).endswith(".csv") else "tsv"
     x = load_predictors(args.x, fmt)
     model = Path(args.model) / "model.json"
     clf = load_model(model)
     labels, scores = predict(clf, x)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     lines = ["id\tlabel\tscore"]
     for sid, lab, sc in zip(x.sample_ids, labels, scores):
         lines.append(f"{sid}\t{lab:g}\t{sc:.12g}")
-    (outdir / "predictions.tsv").write_text("\n".join(lines) + "\n",
-                                            encoding="utf-8")
-    _write_manifest(outdir, args, [args.x, model])
-    return EXIT_OK
+    _write_outputs(args, [args.x, model],
+                   {"predictions.tsv": "\n".join(lines) + "\n"})
 
 
 def _worker_count(text: str) -> int:
@@ -259,7 +237,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        _HANDLERS[args.command](args)
+        return EXIT_OK
     except (ValidationError, ParseError) as exc:
         print(f"sparsesdr {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -56,7 +56,7 @@ def _parse_stages(text: str) -> list[Stage]:
 
 @dataclass
 class RunConfig:
-    solver: SolverConfig
+    solver: SolverConfig = field(default_factory=SolverConfig)
     stages: list[Stage] = field(default_factory=list)
     cv_folds: int = 5
     cv_method: str = "sparse_sdr"

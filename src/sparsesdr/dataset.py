@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+
+
+def _refuse_repeats(ids: list[str], message: str) -> None:
+    """Refuse `ids` if some id occurs twice, naming the first such id."""
+    if len(set(ids)) != len(ids):
+        dup = next(i for i, c in Counter(ids).items() if c > 1)
+        raise ValidationError(f"{message}: {dup!r}")
 
 
 @dataclass
@@ -34,14 +42,8 @@ class PredictorMatrix:
         if len(self.sample_ids) != n:
             raise ValidationError(
                 f"{len(self.sample_ids)} sample ids for {n} rows")
-        if len(set(self.feature_ids)) != p:
-            seen, dup = set(), None
-            for f in self.feature_ids:
-                if f in seen:
-                    dup = f
-                    break
-                seen.add(f)
-            raise ValidationError(f"duplicate feature id: {dup!r}")
+        _refuse_repeats(self.feature_ids, "duplicate feature id")
+        _refuse_repeats(self.sample_ids, "duplicate sample id")
         if not np.all(np.isfinite(self.values)):
             i, j = np.argwhere(~np.isfinite(self.values))[0]
             raise ValidationError(
@@ -242,6 +244,7 @@ def load_phenotype(path) -> tuple[list[str], np.ndarray]:
 def align_phenotype(x: PredictorMatrix, sample_ids: list[str],
                     labels: np.ndarray) -> np.ndarray:
     """Reorder phenotype labels to the predictor sample order, by id."""
+    _refuse_repeats(sample_ids, "phenotype repeats sample id")
     pos = {s: i for i, s in enumerate(sample_ids)}
     missing = [s for s in x.sample_ids if s not in pos]
     if missing:
@@ -282,6 +285,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_samples < 2 or self.n_features < 1:
+            raise ValidationError(
+                f"a cohort needs >= 2 samples and >= 1 feature, got "
+                f"{self.n_samples} x {self.n_features}")
         lo, hi = self.maf_range
         if not (0 < lo <= hi <= 0.5):
             raise ValidationError("maf_range must be ordered within (0, 0.5]")

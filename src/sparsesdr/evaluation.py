@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import Phenotype, PredictorMatrix, center
 from .errors import NumericError, ValidationError
-from .screening import ScreeningPlan, run_plan
+from .screening import ScreeningPlan, SelectionReport, run_plan
 
 
 @dataclass
@@ -60,6 +60,19 @@ def fit_classifier(x_train: PredictorMatrix, y: Phenotype,
         class_priors=np.array(priors),
         degenerate=degenerate,
     )
+
+
+def fit_model(x_centered: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
+              seed: int = 0, n_workers: int = 1, h: int | None = None
+              ) -> tuple[SelectionReport, ProjectionClassifier]:
+    """Screen with `plan` (see `run_plan`), then fit the classifier on the
+    selected features, or on every survivor when none is selected."""
+    report = run_plan(x_centered, y, plan, seed=seed, n_workers=n_workers, h=h)
+    keep = np.isin(report.survivors, report.selected_indices)
+    if not keep.any():
+        keep[:] = True
+    return report, fit_classifier(x_centered.restrict(report.survivors[keep]),
+                                  y, report.final_directions.B[keep])
 
 
 def save_model(clf: ProjectionClassifier, path) -> None:
@@ -400,8 +413,8 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
     """Stratified k-fold CV; selection and model fitting see training rows
     only, test rows are centered with training means at prediction time.
 
-    method 'sparse_sdr' screens with the plan and classifies by nearest
-    centroid on the projections; 'pvalue_rank' ranks features by chi-square
+    method 'sparse_sdr' builds each fold's model with `fit_model` (the plan's
+    screen, then nearest centroid on the projections); 'pvalue_rank' ranks features by chi-square
     P-value and classifies with k-NN (when top_m / knn_k are not given, a
     small grid search on leave-one-out k-NN accuracy over the training rows;
     the reported train metrics stay resubstitution).
@@ -448,19 +461,11 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
 
         if method == "sparse_sdr":
             x_train_raw = x.take_rows(train_rows)
-            x_test_raw = x.take_rows(test_rows)
-            x_train = center(x_train_raw)
-            report = run_plan(x_train, y_train, plan,
-                              seed=seed * 1000 + fold, n_workers=n_workers)
-            kept = report.selected_indices
-            if len(kept) == 0:
-                kept = report.survivors
-            pos_map = {int(j): i for i, j in enumerate(report.survivors)}
-            B_kept = report.final_directions.B[[pos_map[int(j)] for j in kept]]
-            clf = fit_classifier(x_train.restrict(kept), y_train, B_kept)
-            tr_labels, tr_scores = predict(clf, x_train_raw.restrict(kept))
-            te_labels, te_scores = predict(clf, x_test_raw.restrict(kept))
-            selected_ids = [x.feature_ids[j] for j in kept]
+            _, clf = fit_model(center(x_train_raw), y_train, plan,
+                               seed=seed * 1000 + fold, n_workers=n_workers)
+            tr_labels, tr_scores = predict(clf, x_train_raw)
+            te_labels, te_scores = predict(clf, x.take_rows(test_rows))
+            selected_ids = clf.feature_ids
         else:
             ranked, _, _, _ = _chi2_ranking(all_rows - counts[fold])
             m_grid = [top_m] if top_m is not None else [10, 25, 50]

@@ -29,8 +29,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValidationError("d must be >= 1")
-        if min(self.outer_tol, self.inner_tol) <= 0:
-            raise ValidationError("tolerances must be positive")
+        if not all(0 < t < np.inf for t in (self.outer_tol, self.inner_tol)):
+            raise ValidationError("tolerances must be finite and > 0")
+        if min(self.outer_max_iter, self.inner_max_iter) < 1:
+            raise ValidationError("iteration caps must be >= 1")
 
 
 @dataclass

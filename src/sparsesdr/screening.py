@@ -108,8 +108,8 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     column restrictions of the same centered matrix. `h` is the slice count
     passed to `build_design` (required for a continuous response).
     Deterministic for a fixed seed regardless of worker count (partitions
-    are merged in index order). A plan with no stages is one fit on every
-    feature.
+    are merged in index order). The final fit is seeded with `seed`, so a
+    plan with no stages is `optimal_scoring.fit` on every feature.
     """
     if n_workers < 1:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
@@ -157,8 +157,9 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
             merged.extend(int(j) for j in rec.kept_indices)
         current = np.array(sorted(merged))
 
-    final_cfg = replace(base_cfg, seed=_partition_seed(seed, 0, 0))
-    final_ds = optimal_scoring.fit(x.restrict(current), design, final_cfg)
+    final_x = x.restrict(current) if plan.stages else x  # unscreened: no copy
+    final_ds = optimal_scoring.fit(final_x, design,
+                                   replace(base_cfg, seed=seed))
     nonzero = final_ds.row_norms() > _NONZERO_ROW
     selected = current[nonzero]
     for j in selected:

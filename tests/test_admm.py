@@ -28,6 +28,15 @@ class TestPenaltyParams:
             PenaltyParams(**kwargs)
 
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(lam=float("nan")), dict(lam=float("inf")),
+        dict(rho=float("nan")), dict(rho=float("inf")),
+    ])
+    def test_non_finite_refused(self, kwargs):
+        with pytest.raises(ValidationError, match="must be finite"):
+            PenaltyParams(**kwargs)
+
+
 class TestGroupShrink:
     def test_zero_vector_stays_zero(self):
         params = PenaltyParams(lam=1.0, delta=1.0, r=0.0, rho=2.0)

@@ -167,6 +167,64 @@ class TestFit:
         assert not out.exists() or not any(out.iterdir())
 
 
+    def test_staged_fit_selects_what_screen_selects(self, tmp_path):
+        # `fit` runs the configured plan: every feature keeps its row, in
+        # input order, rows outside the final survivors are zero, and the
+        # nonzero rows are `screen`'s selection at the same seed and config
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, SCREEN_CFG)
+        for cmd in ("fit", "screen"):
+            assert main([cmd, "--x", str(xp), "--y", str(yp), "--config",
+                         str(cfg), "--out", str(tmp_path / cmd),
+                         "--seed", "4"]) == 0
+        rows = [r.split("\t") for r in
+                (tmp_path / "fit" / "directions.tsv").read_text()
+                .splitlines()[1:]]
+        assert [r[0] for r in rows] == [f"f{j}" for j in range(30)]
+        screen_tsv = (tmp_path / "screen" / "selection.tsv").read_text()
+        survivors = {r.split("\t")[0] for r in screen_tsv.splitlines()[1:]
+                     if r.split("\t")[2] == "1"}
+        assert len(survivors) == 20
+        assert all(r[1] == "0" for r in rows if r[0] not in survivors)
+        kept = [r[0] for r in rows if float(r[1]) != 0]
+        summary = json.loads(
+            (tmp_path / "screen" / "selection.json").read_text())
+        assert kept == summary["selected"]
+        fit_info = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        assert fit_info["nonzero_rows"] == len(kept)
+
+    def test_unconverged_inner_solve_not_reported_converged(self, tmp_path):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, FIT_CFG + "solver.inner_max_iter = 1\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        fit_info = json.loads((out / "fit.json").read_text())
+        assert fit_info["inner_converged"] is False
+        assert fit_info["converged"] is False
+
+    @pytest.mark.parametrize("line, message", [
+        ("penalty.lambda = nan", "lambda must be finite and >= 0"),
+        ("penalty.lambda = inf", "lambda must be finite and >= 0"),
+        ("penalty.rho = inf", "rho must be finite and > 0"),
+        ("penalty.rho = nan", "rho must be finite and > 0"),
+        ("solver.outer_tol = nan", "tolerances must be finite and > 0"),
+        ("solver.inner_tol = inf", "tolerances must be finite and > 0"),
+        ("solver.outer_max_iter = 0", "iteration caps must be >= 1"),
+        ("solver.inner_max_iter = -2", "iteration caps must be >= 1"),
+    ], ids=["lambda_nan", "lambda_inf", "rho_inf", "rho_nan", "outer_tol_nan",
+            "inner_tol_inf", "outer_max_iter_0", "inner_max_iter_-2"])
+    def test_bad_solver_setting_refused(self, tmp_path, capsys, line,
+                                        message):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, FIT_CFG + line + "\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestScreen:
     def test_selection_outputs(self, tmp_path):
         xp, yp, truth = write_dataset(tmp_path, effect=2.5)
@@ -195,9 +253,8 @@ class TestScreen:
         assert outs[0] == outs[1] == outs[2]
 
     def test_no_stages_selects_what_fit_keeps(self, tmp_path):
-        # unset screen.stages: one fit on every feature. Binary d=1 fixes
-        # the score up to sign, so `fit` and `screen` agree whatever seed
-        # each gives its solver.
+        # unset screen.stages: one fit on every feature. `fit` and `screen`
+        # run the same plan at the same seed, so they agree by construction.
         xp, yp, _ = write_dataset(tmp_path, n=200, p=60)
         cfg = write_config(tmp_path, FIT_CFG)
         for cmd in ("fit", "screen"):
@@ -371,6 +428,49 @@ class TestAssoc:
         xp, yp, _ = write_dataset(tmp_path)
         assert_threads_refused(capsys, tmp_path / "out", [
             "assoc", "--x", str(xp), "--y", str(yp), "--threads", "-3"])
+
+
+    def test_repeated_predictor_sample_refused(self, tmp_path, capsys):
+        # s1 twice and no s2: the sample counts match the phenotype's
+        xp, yp, _ = write_dataset(tmp_path)
+        lines = xp.read_text().splitlines()
+        assert lines[3].startswith("s2\t")
+        lines[3] = "s1" + lines[3][len("s2"):]
+        xp.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["assoc", "--x", str(xp), "--y", str(yp),
+                     "--out", str(out)]) == 2
+        assert "duplicate sample id: 's1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_phenotype_sample_refused(self, tmp_path, capsys):
+        xp, yp, _ = write_dataset(tmp_path)
+        yp.write_text(yp.read_text() + "s3\t1\n")
+        out = tmp_path / "out"
+        assert main(["assoc", "--x", str(xp), "--y", str(yp),
+                     "--out", str(out)]) == 2
+        assert "phenotype repeats sample id: 's3'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("lines, message", [
+        ("simulate.p = 10\nsimulate.support = 11\n",
+         "simulate.support must be in [0, simulate.p = 10], got 11"),
+        ("simulate.support = -1\n",
+         "simulate.support must be in [0, simulate.p = 100], got -1"),
+        ("simulate.n = 0\n", "got 0 x 100"),
+        ("simulate.n = -3\n", "got -3 x 100"),
+        ("simulate.p = 0\n", "got 200 x 0"),
+    ], ids=["support_above_p", "support_negative", "n_zero", "n_negative",
+            "p_zero"])
+    def test_impossible_size_refused(self, tmp_path, capsys, lines, message):
+        cfg = write_config(tmp_path, lines)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipeline:

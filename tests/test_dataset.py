@@ -3,8 +3,8 @@ import pytest
 
 from sparsesdr.cli import main
 from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, _digit_cells,
-                               center, load_phenotype, load_predictors,
-                               simulate)
+                               align_phenotype, center, load_phenotype,
+                               load_predictors, simulate)
 from sparsesdr.errors import ParseError, ValidationError
 
 
@@ -76,6 +76,12 @@ class TestLoadPredictors:
     def test_duplicate_feature_id(self, tmp_path):
         p = write(tmp_path, "x.tsv", "id\tf1\tf1\ns1\t0\t1\n")
         with pytest.raises(ValidationError, match="duplicate"):
+            load_predictors(p, "tsv")
+
+    def test_repeated_sample_id_named(self, tmp_path):
+        p = write(tmp_path, "x.tsv", "id\ta\ns1\t0\ns3\t1\ns1\t2\n")
+        with pytest.raises(ValidationError,
+                           match="duplicate sample id: 's1'"):
             load_predictors(p, "tsv")
 
     def test_csv(self, tmp_path):
@@ -194,6 +200,17 @@ class TestPhenotypeFile:
         assert ids == ["s1", "s2"]
         assert labels.tolist() == [0, 1]
 
+    def test_align_refuses_repeated_id(self):
+        x = PredictorMatrix(np.zeros((2, 1)), ["a"], ["s1", "s2"])
+        with pytest.raises(ValidationError,
+                           match="phenotype repeats sample id: 's2'"):
+            align_phenotype(x, ["s2", "s1", "s2"], np.array([0, 1, 1]))
+
+    def test_align_reorders_by_id(self):
+        x = PredictorMatrix(np.zeros((3, 1)), ["a"], ["s1", "s2", "s3"])
+        got = align_phenotype(x, ["s3", "s1", "s2"], np.array([3, 1, 2]))
+        assert got.tolist() == [1, 2, 3]
+
     def test_bad_column_count(self, tmp_path):
         p = write(tmp_path, "y.tsv", "s1\t0\t9\n")
         with pytest.raises(ParseError):
@@ -289,6 +306,11 @@ class TestSimulate:
     def test_bad_maf_range(self):
         with pytest.raises(ValidationError):
             SyntheticSpec(n_samples=10, n_features=5, maf_range=(0.4, 0.1))
+
+    @pytest.mark.parametrize("n, p", [(0, 5), (-3, 5), (1, 5), (10, 0)])
+    def test_impossible_size_refused(self, n, p):
+        with pytest.raises(ValidationError, match=f"got {n} x {p}"):
+            SyntheticSpec(n_samples=n, n_features=p)
 
     def test_support_out_of_range(self):
         with pytest.raises(ValidationError):

@@ -11,8 +11,8 @@ from sparsesdr.errors import NumericError, ValidationError
 from sparsesdr.evaluation import (CvReport, MetricBundle, _average_ranks,
                                   _chi2_sf, auc_mann_whitney, chi2_rank,
                                   cross_validate, cv_report_to_tsv,
-                                  fit_classifier, knn_predict, load_model,
-                                  metrics, predict, save_model,
+                                  fit_classifier, fit_model, knn_predict,
+                                  load_model, metrics, predict, save_model,
                                   stratified_folds)
 from sparsesdr.optimal_scoring import SolverConfig, fit
 from sparsesdr.scoring import build_design
@@ -472,6 +472,37 @@ class TestClassifier:
         assert len(set(before[0].tolist())) == 3
 
 
+class TestFitModel:
+    def instance(self):
+        spec = SyntheticSpec(n_samples=200, n_features=40,
+                             maf_range=(0.1, 0.4),
+                             support=[(j, 2.0) for j in range(5)],
+                             link="logistic", seed=42)
+        x, y, _ = simulate(spec)
+        return center(x), y
+
+    def plan(self, lam):
+        return ScreeningPlan(stages=[(2, 10)], final_fit=SolverConfig(
+            d=1, penalty=PenaltyParams(lam=lam, delta=1.0, rho=2.0)))
+
+    def test_classifier_uses_selected_rows(self):
+        x, y = self.instance()
+        report, clf = fit_model(x, y, self.plan(15.0), seed=1)
+        assert 0 < len(report.selected_indices) < len(report.survivors)
+        assert clf.feature_ids == report.selected_ids
+        pos = np.searchsorted(report.survivors, report.selected_indices)
+        assert np.array_equal(clf.B_kept, report.final_directions.B[pos])
+        assert np.array_equal(
+            clf.column_means, x.column_means[report.selected_indices])
+
+    def test_no_selection_keeps_every_survivor(self):
+        x, y = self.instance()
+        report, clf = fit_model(x, y, self.plan(1e6), seed=1)
+        assert len(report.selected_indices) == 0
+        assert clf.feature_ids == [x.feature_ids[j] for j in report.survivors]
+        assert np.array_equal(clf.B_kept, report.final_directions.B)
+
+
 class TestStratifiedFolds:
     def test_every_fold_has_both_classes(self):
         labels = np.array([0] * 30 + [1] * 20)
@@ -624,16 +655,29 @@ class TestCrossValidate:
         seen = []
         original = ev.run_plan
 
-        def spy(x_train, y_train, plan, seed=0, n_workers=1):
+        def spy(x_train, y_train, plan, seed=0, n_workers=1, h=None):
             seen.append(x_train.n_samples)
             return original(x_train, y_train, plan, seed=seed,
-                           n_workers=n_workers)
+                           n_workers=n_workers, h=h)
 
         monkeypatch.setattr(ev, "run_plan", spy)
         cross_validate(x, y, 4, "sparse_sdr", seed=3, plan=self.plan())
         assert len(seen) == 4
         assert all(n < x.n_samples for n in seen)
         assert sum(x.n_samples - n for n in seen) == x.n_samples
+
+    def test_each_fold_scores_fit_model_on_its_training_rows(self):
+        x, y, _ = self.cv_instance()
+        rep = cross_validate(x, y, 4, "sparse_sdr", seed=3, plan=self.plan())
+        assign = stratified_folds(y.labels, 4, 3)
+        for f in rep.folds:
+            train = np.flatnonzero(assign != f.fold)
+            test = np.flatnonzero(assign == f.fold)
+            _, clf = fit_model(center(x.take_rows(train)), y.take(train),
+                               self.plan(), seed=3 * 1000 + f.fold)
+            assert f.selected_ids == clf.feature_ids
+            labels, scores = predict(clf, x.take_rows(test))
+            assert f.test == metrics(y.labels[test], labels, scores, 1)
 
     def test_centered_input_rejected(self):
         x, y, _ = self.cv_instance()

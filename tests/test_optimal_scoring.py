@@ -28,6 +28,24 @@ def three_class_instance(seed=0, n=300, p=6):
     return center(matrix(X)), make_phenotype(labels)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(outer_tol=float("nan")), dict(outer_tol=float("inf")),
+        dict(inner_tol=float("nan")), dict(inner_tol=0.0),
+    ])
+    def test_bad_tolerance_refused(self, kwargs):
+        with pytest.raises(ValidationError, match="tolerances"):
+            SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(outer_max_iter=0), dict(inner_max_iter=0),
+        dict(inner_max_iter=-1),
+    ])
+    def test_iteration_cap_below_one_refused(self, kwargs):
+        with pytest.raises(ValidationError, match="iteration caps"):
+            SolverConfig(**kwargs)
+
+
 class TestInitTheta:
     def test_invariants_hold(self):
         _, y = three_class_instance()

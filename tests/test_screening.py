@@ -98,10 +98,8 @@ class TestRunPlan:
         plan = ScreeningPlan(stages=[(1, x.n_features)],
                              final_fit=solver(lam))
         report = run_plan(xc, y, plan, seed=5)
-        from sparsesdr.screening import _partition_seed
         import dataclasses
-        direct_cfg = dataclasses.replace(solver(lam),
-                                         seed=_partition_seed(5, 0, 0))
+        direct_cfg = dataclasses.replace(solver(lam), seed=5)
         direct = fit(xc, build_design(y), direct_cfg)
         assert np.array_equal(report.survivors, np.arange(x.n_features))
         assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
@@ -110,11 +108,9 @@ class TestRunPlan:
         x, y, _ = signal_instance()
         xc = center(x)
         report = run_plan(xc, y, ScreeningPlan([], solver(50.0)), seed=5)
-        from sparsesdr.screening import _partition_seed
         import dataclasses
         direct = fit(xc, build_design(y),
-                     dataclasses.replace(solver(50.0),
-                                         seed=_partition_seed(5, 0, 0)))
+                     dataclasses.replace(solver(50.0), seed=5))
         assert report.stage_records == []
         assert np.array_equal(report.survivors, np.arange(x.n_features))
         assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
