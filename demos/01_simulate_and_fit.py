@@ -33,7 +33,6 @@ design = build_design(y)   # binary response -> 2 slices
 cfg = SolverConfig(
     d=1,
     penalty=PenaltyParams(lam=40.0, delta=1.0, r=0.0, rho=2.0),
-    seed=0,
 )
 directions = fit(xc, design, cfg)
 selected = np.flatnonzero(directions.row_norms() > 1e-10)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .config import RunConfig, load_run_config
 from .dataset import (Phenotype, PredictorMatrix, SyntheticSpec,
                       align_phenotype, center, load_phenotype, load_predictors,
@@ -40,10 +40,21 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _blas_build() -> dict | None:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.25 has no `mode`
+        return None
+    return {"name": dep.get("name"), "version": dep.get("version")}
+
+
 def _manifest(args, inputs: list) -> dict:
     return {
         "version": __version__,
         "numpy": np.__version__,
+        "blas": _blas_build(),
+        "blas_threads_per_worker": blas.threads_per_worker(args.threads),
         "seed": args.seed,
         "threads": args.threads,
         "command": args.command,

@@ -24,7 +24,6 @@ class SolverConfig:
     outer_max_iter: int = 100
     inner_tol: float = 1e-6
     inner_max_iter: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if self.d < 1:
@@ -116,10 +115,11 @@ def theta_step(xtz: np.ndarray, D: np.ndarray, beta: np.ndarray,
     return w / np.sqrt(wDw)
 
 
-def fit(x: PredictorMatrix, design: ScoringDesign,
-        cfg: SolverConfig) -> DirectionSet:
+def fit(x: PredictorMatrix, design: ScoringDesign, cfg: SolverConfig,
+        seed: int = 0) -> DirectionSet:
     """Alternate the coefficient subproblem and the score step until both
-    stop moving (or the outer iteration cap is hit)."""
+    stop moving (or the outer iteration cap is hit). `seed` draws the
+    starting scores."""
     if not x.centered:
         raise ValidationError("predictors must be centered")
     if x.n_samples != design.n_samples:
@@ -127,10 +127,10 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
 
     X, Z, D = x.values, design.Z, design.D
     d = cfg.d
-    Theta, Q = init_theta(design, d, cfg.seed)
+    Theta, Q = init_theta(design, d, seed)
     xtz = X.T @ Z
     gram = GramSolver(X)
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(seed + 1)
 
     B = np.zeros((x.n_features, d))
     history: list[float] = []

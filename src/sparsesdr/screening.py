@@ -3,12 +3,11 @@ partition, keep the top rows by coefficient norm, merge and repeat."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import optimal_scoring
+from . import blas, optimal_scoring
 from .dataset import Phenotype, PredictorMatrix, center
 from .errors import SparseSdrError, ValidationError
 from .optimal_scoring import DirectionSet, SolverConfig
@@ -110,6 +109,15 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     Deterministic for a fixed seed regardless of worker count (partitions
     are merged in index order). The final fit is seeded with `seed`, so a
     plan with no stages is `optimal_scoring.fit` on every feature.
+
+    With `n_workers > 1`, each worker runs OpenBLAS on
+    `blas.threads_per_worker(n_workers)` threads: OpenBLAS's own count,
+    which honours `OPENBLAS_NUM_THREADS`, split evenly between the workers.
+    The final fit, and every fit at `n_workers == 1`, keeps the full count.
+    Any other BLAS is left as found. Every fit computes its Gram
+    factorization, whose last bits were seen to change with OpenBLAS's
+    thread count, on one thread (`admm.GramSolver`), so the answer does
+    not depend on `n_workers`.
     """
     if n_workers < 1:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
@@ -132,10 +140,10 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
                 raise ValidationError(
                     f"stage {stage_no} partition {part_no}: keep="
                     f"{stage.keep_per_partition} exceeds {len(cols)} features")
-            cfg = replace(base_cfg,
-                          seed=_partition_seed(seed, stage_no, part_no))
             try:
-                ds = optimal_scoring.fit(x.restrict(cols), design, cfg)
+                ds = optimal_scoring.fit(
+                    x.restrict(cols), design, base_cfg,
+                    seed=_partition_seed(seed, stage_no, part_no))
             except SparseSdrError as exc:
                 raise type(exc)(
                     f"stage {stage_no}, partition {part_no}: {exc}") from exc
@@ -145,7 +153,7 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
                                no_signal, ds.converged and ds.inner_converged,
                                ds.inner_converged)
 
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with blas.worker_pool(n_workers) as pool:
             stage_out = list(pool.map(fit_partition, enumerate(ranges)))
 
         merged: list[int] = []
@@ -158,8 +166,7 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
         current = np.array(sorted(merged))
 
     final_x = x.restrict(current) if plan.stages else x  # unscreened: no copy
-    final_ds = optimal_scoring.fit(final_x, design,
-                                   replace(base_cfg, seed=seed))
+    final_ds = optimal_scoring.fit(final_x, design, base_cfg, seed=seed)
     nonzero = final_ds.row_norms() > _NONZERO_ROW
     selected = current[nonzero]
     for j in selected:

@@ -55,7 +55,7 @@ def unpenalized_fits():
         design = build_design(y, 3)
         cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.0, rho=2.0),
                            outer_tol=1e-8, outer_max_iter=300,
-                           inner_tol=1e-9, inner_max_iter=5000, seed=0)
+                           inner_tol=1e-9, inner_max_iter=5000)
         t0 = time.monotonic()
         ds = fit(x, design, cfg)
         out.append((x, y, design, cfg, ds, time.monotonic() - t0))
@@ -239,7 +239,7 @@ def test_criterion_6_split_and_conquer_equivalence():
             seed=11)
         x, y, truth = simulate(spec)
         solver = SolverConfig(d=1, penalty=PenaltyParams(lam=100.0, delta=1.0,
-                                                         rho=2.0), seed=0)
+                                                         rho=2.0))
         split = run_plan(x, y, ScreeningPlan(stages=[(4, 100)],
                                              final_fit=solver), seed=5)
         whole = run_plan(x, y, ScreeningPlan(stages=[(1, 400)],
@@ -342,6 +342,34 @@ def test_criterion_8_baseline_oracles():
             assert m.tp + m.fn + m.tn + m.fp == n
 
 
+def write_cohort(tmp_path, x, y, cfg_text):
+    """Write `x`, `y` and a run config as the CLI reads them; return the
+    three paths."""
+    xp = tmp_path / "x.tsv"
+    yp = tmp_path / "y.tsv"
+    lines = ["\t".join(["id"] + x.feature_ids)]
+    for sid, row in zip(x.sample_ids, x.values):
+        lines.append("\t".join([sid] + [f"{v:g}" for v in row]))
+    xp.write_text("\n".join(lines) + "\n")
+    yp.write_text("".join(f"{s}\t{int(v)}\n"
+                          for s, v in zip(x.sample_ids, y.labels)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    return xp, yp, cfg
+
+
+def cli_outputs(cmd, out, xp, yp, cfg, threads):
+    """Run `cmd` at seed 4 and return its output files' bytes by name."""
+    rc = cli_main([cmd, "--x", str(xp), "--y", str(yp), "--config", str(cfg),
+                   "--out", str(out), "--seed", "4",
+                   "--threads", str(threads)])
+    assert rc == 0
+    # manifest.json records the requested thread count itself and is run
+    # metadata, not a report
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())
+            if f.name != "manifest.json"}
+
+
 def test_criterion_9_determinism(tmp_path):
     with criterion(9, "repeated CLI runs with the same seed are byte-"
                       "identical for any --threads value"):
@@ -350,35 +378,38 @@ def test_criterion_9_determinism(tmp_path):
                              support=[(j, 2.0) for j in range(5)],
                              link="logistic", seed=6)
         x, y, _ = simulate(spec)
-        xp = tmp_path / "x.tsv"
-        yp = tmp_path / "y.tsv"
-        lines = ["\t".join(["id"] + x.feature_ids)]
-        for sid, row in zip(x.sample_ids, x.values):
-            lines.append("\t".join([sid] + [f"{v:g}" for v in row]))
-        xp.write_text("\n".join(lines) + "\n")
-        yp.write_text("".join(f"{s}\t{int(v)}\n"
-                              for s, v in zip(x.sample_ids, y.labels)))
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("penalty.lambda = 8\npenalty.rho = 2\nsolver.d = 1\n"
-                       "screen.stages = 2:10\ncv.folds = 3\n"
-                       "cv.method = sparse_sdr\n")
-
-        def run(cmd, outname, threads):
-            out = tmp_path / outname
-            rc = cli_main([cmd, "--x", str(xp), "--y", str(yp),
-                           "--config", str(cfg), "--out", str(out),
-                           "--seed", "4", "--threads", str(threads)])
-            assert rc == 0
-            # manifest.json records the requested thread count itself and
-            # is run metadata, not a report
-            return {f.name: f.read_bytes() for f in sorted(out.iterdir())
-                    if f.name != "manifest.json"}
-
+        paths = write_cohort(tmp_path, x, y,
+                             "penalty.lambda = 8\npenalty.rho = 2\n"
+                             "solver.d = 1\nscreen.stages = 2:10\n"
+                             "cv.folds = 3\ncv.method = sparse_sdr\n")
         for cmd in ("fit", "screen", "cv"):
-            a = run(cmd, f"{cmd}_a", 1)
-            b = run(cmd, f"{cmd}_b", 1)
-            c = run(cmd, f"{cmd}_c", 4)
-            assert a == b == c
+            runs = [cli_outputs(cmd, tmp_path / f"{cmd}_{i}", *paths, threads)
+                    for i, threads in enumerate((1, 1, 2, 4))]
+            assert all(run == runs[0] for run in runs[1:])
+
+
+def test_criterion_9_determinism_where_blas_threads(tmp_path):
+    # 120 x 40 is below the sizes at which OpenBLAS splits its work over
+    # threads. Here the stage-1 partitions are 400 x 500, and on a machine
+    # with 2+ cores the partition fits run on every BLAS thread at
+    # --threads 1 but on each worker's share at --threads 2 and 4. On 2
+    # cores, with the Gram factorization left on the caller's thread count,
+    # this cohort's selection.tsv differed in the last digit of two norms.
+    with criterion(9, "screen and fit are byte-identical across --threads "
+                      "on a 400 x 2000 cohort"):
+        spec = SyntheticSpec(n_samples=400, n_features=2000,
+                             maf_range=(0.1, 0.4),
+                             support=[(j, 1.8) for j in range(10)],
+                             link="logistic", seed=12)
+        x, y, _ = simulate(spec)
+        paths = write_cohort(tmp_path, x, y,
+                             "penalty.lambda = 70\npenalty.rho = 2\n"
+                             "solver.d = 1\nscreen.stages = 4:50, 2:50\n")
+        for cmd in ("screen", "fit"):
+            runs = [cli_outputs(cmd, tmp_path / f"{cmd}_{threads}", *paths,
+                                threads)
+                    for threads in (1, 2, 4)]
+            assert runs[0] == runs[1] == runs[2]
 
 
 def test_criterion_10_protocol_shape_fidelity():
@@ -394,7 +425,7 @@ def test_criterion_10_protocol_shape_fidelity():
         cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=0.5, delta=1.0,
                                                       rho=2.0),
                            inner_max_iter=30, outer_max_iter=2,
-                           outer_tol=1e-3, seed=0)
+                           outer_tol=1e-3)
         wide = run_plan(x, y, ScreeningPlan(stages=[(20, 2000), (4, 1500)],
                                             final_fit=cfg),
                         seed=3, n_workers=4)

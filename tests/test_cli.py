@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sparsesdr
+from sparsesdr import blas
 from sparsesdr.cli import main
 from sparsesdr.config import parse_config_text, load_run_config
 from sparsesdr.dataset import SyntheticSpec, simulate
@@ -531,6 +532,22 @@ simulate.maf_high = 0.4
         assert man["input_digests"] == {
             str(xp): hashlib.sha256(xp.read_bytes()).hexdigest(),
             str(model): hashlib.sha256(model.read_bytes()).hexdigest()}
+
+    def test_manifest_records_blas(self, tmp_path, monkeypatch):
+        xp, yp, _ = write_dataset(tmp_path)
+        argv = ["assoc", "--x", str(xp), "--y", str(yp), "--threads", "2"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        man = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert man["blas"] == {"name": dep["name"], "version": dep["version"]}
+        threads = blas._threads
+        assert man["blas_threads_per_worker"] == (
+            None if threads is None else max(1, threads() // 2))
+        # a BLAS without the OpenBLAS thread calls records null
+        monkeypatch.setattr(blas, "_threads", None)
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        man = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert man["blas_threads_per_worker"] is None
 
 
 def scipy_modules_after(code, *args):

@@ -131,7 +131,7 @@ class TestFit:
         design = build_design(y)
         cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.0, rho=2.0),
                            outer_tol=1e-8, outer_max_iter=300,
-                           inner_tol=1e-9, inner_max_iter=5000, seed=0)
+                           inner_tol=1e-9, inner_max_iter=5000)
         ds = fit(x, design, cfg)
         assert ds.converged
         eig = sir_eigen(x, design, 2)
@@ -157,7 +157,7 @@ class TestFit:
         design = build_design(y)
         cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=50.0, delta=1.0,
                                                       rho=2.0),
-                           outer_max_iter=50, seed=0)
+                           outer_max_iter=50)
         ds = fit(xc, design, cfg)
         selected = set(np.flatnonzero(ds.row_norms() > 1e-10))
         assert len(selected & truth) >= 8

@@ -1,6 +1,10 @@
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
+from sparsesdr import blas, screening
 from sparsesdr.admm import PenaltyParams
 from sparsesdr.dataset import SyntheticSpec, center, simulate
 from sparsesdr.errors import ValidationError
@@ -11,10 +15,9 @@ from sparsesdr.screening import (ScreeningPlan, Stage, partition_features,
                                  report_to_tsv, run_plan)
 
 
-def solver(lam, seed=0, **kw):
+def solver(lam, **kw):
     return SolverConfig(d=1, penalty=PenaltyParams(lam=lam, delta=1.0,
-                                                   rho=2.0),
-                        seed=seed, **kw)
+                                                   rho=2.0), **kw)
 
 
 def signal_instance(seed=13, n=400, p=100):
@@ -98,9 +101,7 @@ class TestRunPlan:
         plan = ScreeningPlan(stages=[(1, x.n_features)],
                              final_fit=solver(lam))
         report = run_plan(xc, y, plan, seed=5)
-        import dataclasses
-        direct_cfg = dataclasses.replace(solver(lam), seed=5)
-        direct = fit(xc, build_design(y), direct_cfg)
+        direct = fit(xc, build_design(y), solver(lam), seed=5)
         assert np.array_equal(report.survivors, np.arange(x.n_features))
         assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
 
@@ -108,9 +109,7 @@ class TestRunPlan:
         x, y, _ = signal_instance()
         xc = center(x)
         report = run_plan(xc, y, ScreeningPlan([], solver(50.0)), seed=5)
-        import dataclasses
-        direct = fit(xc, build_design(y),
-                     dataclasses.replace(solver(50.0), seed=5))
+        direct = fit(xc, build_design(y), solver(50.0), seed=5)
         assert report.stage_records == []
         assert np.array_equal(report.survivors, np.arange(x.n_features))
         assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
@@ -212,3 +211,50 @@ class TestRunPlan:
                                              final_fit=solver(60.0)), seed=5)
         assert set(split.selected_ids) == set(whole.selected_ids)
         assert set(int(j) for j in split.selected_indices) == truth
+
+
+def fits_with_blas_threads(monkeypatch, n_workers):
+    """Run a two-stage plan, recording for each optimal_scoring.fit call
+    whether it ran on the calling thread and the BLAS count it saw. The
+    one-thread Gram factorization is left out: in OpenBLAS's pthreads
+    build it holds the whole process at one thread while it runs, so a fit
+    starting meanwhile on another worker would see 1."""
+    monkeypatch.setattr(blas, "one_thread", contextlib.nullcontext)
+    seen = []
+    real_fit = screening.optimal_scoring.fit
+
+    def spy(*args, **kwargs):
+        seen.append((threading.get_ident() == caller,
+                     blas._threads()))
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(screening.optimal_scoring, "fit", spy)
+    caller = threading.get_ident()
+    x, y, _ = signal_instance()
+    plan = ScreeningPlan(stages=[(4, 10), (2, 10)], final_fit=solver(30.0))
+    report = run_plan(x, y, plan, seed=3, n_workers=n_workers)
+    return report, seen
+
+
+class TestBlasShare:
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_each_worker_fits_on_its_share(self, monkeypatch, blas_budget,
+                                           n_workers):
+        _, seen = fits_with_blas_threads(monkeypatch, n_workers)
+        share = max(1, blas_budget // n_workers)
+        assert [t for on_caller, t in seen if not on_caller] == [share] * 6
+        # the final fit runs on the calling thread with every BLAS thread
+        assert [t for on_caller, t in seen if on_caller] == [blas_budget]
+        assert blas._threads() == blas_budget
+        assert blas.threads_per_worker(n_workers) == share
+
+    def test_without_setter_blas_left_as_found(self, monkeypatch,
+                                                blas_budget):
+        capped, _ = fits_with_blas_threads(monkeypatch, 2)
+        monkeypatch.setattr(blas, "_set_threads_local", None)
+        found, seen = fits_with_blas_threads(monkeypatch, 2)
+        assert [t for _, t in seen] == [blas_budget] * 7
+        assert blas.threads_per_worker(2) is None
+        assert np.array_equal(found.final_directions.B,
+                              capped.final_directions.B)
+        assert report_to_tsv(found) == report_to_tsv(capped)
