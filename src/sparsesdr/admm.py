@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import blas
 from .errors import ValidationError
 
 # Residual balancing on residuals relative to their tolerances (Wohlberg
@@ -86,18 +85,14 @@ class GramSolver:
         (X^T X + c I)^{-1} r = V((V^T r)/(s2 + c) - (V^T r)/c) + r/c
 
     and a change of the ADMM step parameter needs no new factorization.
-    It is computed on one BLAS thread, so V and s2 are the same bits
-    whatever thread count the caller has.
     """
 
     def __init__(self, X: np.ndarray):
         n, p = X.shape
-        with blas.one_thread():
-            s2, W = np.linalg.eigh(X @ X.T if p > n else X.T @ X)
-            keep = s2 > s2[-1] * max(n, p) * np.finfo(float).eps
-            self.s2 = s2[keep]
-            self.V = (X.T @ (W[:, keep] / np.sqrt(self.s2)) if p > n
-                      else W[:, keep])
+        s2, W = np.linalg.eigh(X @ X.T if p > n else X.T @ X)
+        keep = s2 > s2[-1] * max(n, p) * np.finfo(float).eps
+        self.s2 = s2[keep]
+        self.V = X.T @ (W[:, keep] / np.sqrt(self.s2)) if p > n else W[:, keep]
 
     def solve(self, rhs: np.ndarray, c: float) -> np.ndarray:
         """Solve (X^T X + c I) B = rhs for a p x m right-hand side."""

@@ -1,20 +1,15 @@
 """OpenBLAS's thread count, read and set through the BLAS that numpy links.
 
-`openblas_set_num_threads_local` (OpenBLAS >= 0.3.27) is meant to act on
-the calling thread only, but OpenBLAS's pthreads build, the one numpy's
-wheels ship, applies it to the whole process. The code here is right for
-both: a pool worker sets its own share, `one_thread` holds the count at 1
-while any thread is inside it, and `worker_pool` puts the caller's count
-back once the pool has drained. With any other BLAS (MKL, Accelerate, an
-older OpenBLAS) both calls are absent and the BLAS is left as found.
+Both calls are looked up once, through numpy's own extension module. With
+any other BLAS (MKL, Accelerate, an OpenBLAS older than 0.3.27) they are
+None and the BLAS is left as found. In OpenBLAS's pthreads build, the one
+numpy's wheels ship, `openblas_set_num_threads_local` sets the count of the
+whole process, not only of the calling thread.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,74 +35,19 @@ def _openblas_thread_calls():
     return getter, setter
 
 
-_threads, _set_threads_local = _openblas_thread_calls()
+_get_threads, _set_threads = _openblas_thread_calls()
 
 
-def threads_per_worker(n_workers: int) -> int | None:
-    """BLAS threads each of `n_workers` pool workers runs on: OpenBLAS's
-    current count (so `OPENBLAS_NUM_THREADS` holds) split evenly, at
-    least 1. None when the BLAS is not an OpenBLAS that can be capped."""
-    if _threads is None or _set_threads_local is None:
+def get_threads() -> int | None:
+    """OpenBLAS's current thread count; None without the OpenBLAS calls."""
+    return None if _get_threads is None else _get_threads()
+
+
+def set_threads(n: int | None) -> int | None:
+    """Set OpenBLAS's thread count to `n` and return the count it had.
+    Does nothing, and returns None, when `n` is None or the OpenBLAS calls
+    are absent, so `set_threads(set_threads(1))` always puts back what it
+    found."""
+    if n is None or _get_threads is None:
         return None
-    return max(1, _threads() // n_workers)
-
-
-# In the pthreads build the count is one value for the whole process, so
-# `one_thread` holds it at 1 until the last thread inside has left; only
-# then is the leaving thread's own count (its pool share, or the count it
-# found) put back.
-_lock = threading.Lock()
-_inside = 0
-_worker = threading.local()   # .share: the count a pool worker runs on
-
-
-def _start_worker(share: int) -> None:
-    _worker.share = share
-    with _lock:
-        if _inside == 0:   # else the last thread to leave one_thread sets it
-            _set_threads_local(share)
-
-
-@contextmanager
-def one_thread():
-    """Run the block on one OpenBLAS thread.
-
-    Some OpenBLAS results depend in their last bits on the thread count:
-    on OpenBLAS 0.3.31, `X.T @ X`, `eigh` and a 500 x 400 x 400 `gemm`
-    each differed between 1, 2 and 4 threads. A block run here gives the
-    same bits whatever count its caller has. While any thread is inside,
-    other pool workers may run on one thread too: that costs speed, never
-    a bit."""
-    global _inside
-    if _set_threads_local is None:
-        yield
-        return
-    with _lock:
-        _inside += 1
-        found = _set_threads_local(1)
-    try:
-        yield
-    finally:
-        with _lock:
-            _inside -= 1
-            if _inside == 0:
-                _set_threads_local(getattr(_worker, "share", found))
-
-
-@contextmanager
-def worker_pool(n_workers: int):
-    """Thread pool of `n_workers` whose workers, when there are two or
-    more, each cap OpenBLAS at `threads_per_worker(n_workers)`, so that
-    concurrent BLAS calls do not oversubscribe the cores. The caller's
-    count is put back once the pool has drained."""
-    share = threads_per_worker(n_workers) if n_workers > 1 else None
-    found = _threads() if share is not None else None
-    try:
-        with ThreadPoolExecutor(
-                max_workers=n_workers,
-                initializer=None if share is None else _start_worker,
-                initargs=(share,)) as pool:
-            yield pool
-    finally:
-        if found is not None:
-            _set_threads_local(found)
+    return _set_threads(n)

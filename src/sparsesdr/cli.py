@@ -24,7 +24,8 @@ from .evaluation import (chi2_rank, cross_validate, cv_report_to_json,
                          load_model, predict, save_model)
 # bench/tracer.py hooks `build_design` and `fit_classifier` here by name
 from .scoring import build_design
-from .screening import report_summary, report_to_tsv, run_plan
+from .screening import (PARTITION_BLAS_THREADS, report_summary,
+                        report_to_tsv, run_plan)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,11 +51,14 @@ def _blas_build() -> dict | None:
 
 
 def _manifest(args, inputs: list) -> dict:
+    threads = blas.get_threads()   # None unless OpenBLAS's calls resolved
     return {
         "version": __version__,
         "numpy": np.__version__,
         "blas": _blas_build(),
-        "blas_threads_per_worker": blas.threads_per_worker(args.threads),
+        "blas_threads": threads,
+        "blas_threads_per_worker": (None if threads is None
+                                    else PARTITION_BLAS_THREADS),
         "seed": args.seed,
         "threads": args.threads,
         "command": args.command,

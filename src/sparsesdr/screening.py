@@ -3,6 +3,7 @@ partition, keep the top rows by coefficient norm, merge and repeat."""
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,9 +12,11 @@ from . import blas, optimal_scoring
 from .dataset import Phenotype, PredictorMatrix, center
 from .errors import SparseSdrError, ValidationError
 from .optimal_scoring import DirectionSet, SolverConfig
-from .scoring import build_design
+from .scoring import ScoringDesign, build_design
 
 _NONZERO_ROW = 1e-10
+# OpenBLAS threads each partition fit runs on (see run_plan).
+PARTITION_BLAS_THREADS = 1
 
 
 @dataclass
@@ -98,34 +101,10 @@ def _partition_seed(seed: int, stage: int, part: int) -> int:
     return int(np.random.SeedSequence((seed, stage, part)).generate_state(1)[0])
 
 
-def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
-             seed: int = 0, n_workers: int = 1,
-             h: int | None = None) -> SelectionReport:
-    """Execute the staged screening plan and the final fit.
-
-    Centering is global and done once up front; partitions are fit on
-    column restrictions of the same centered matrix. `h` is the slice count
-    passed to `build_design` (required for a continuous response).
-    Deterministic for a fixed seed regardless of worker count (partitions
-    are merged in index order). The final fit is seeded with `seed`, so a
-    plan with no stages is `optimal_scoring.fit` on every feature.
-
-    With `n_workers > 1`, each worker runs OpenBLAS on
-    `blas.threads_per_worker(n_workers)` threads: OpenBLAS's own count,
-    which honours `OPENBLAS_NUM_THREADS`, split evenly between the workers.
-    The final fit, and every fit at `n_workers == 1`, keeps the full count.
-    Any other BLAS is left as found. Every fit computes its Gram
-    factorization, whose last bits were seen to change with OpenBLAS's
-    thread count, on one thread (`admm.GramSolver`), so the answer does
-    not depend on `n_workers`.
-    """
-    if n_workers < 1:
-        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
-    if not x.centered:
-        x = center(x)
-    design = build_design(y, h)
-    base_cfg = plan.final_fit
-
+def _screen(x: PredictorMatrix, design: ScoringDesign, plan: ScreeningPlan,
+            seed: int, n_workers: int):
+    """Run `plan`'s stages on the centered `x`; return the survivors'
+    column indices, the stage records and each survivor's provenance."""
     current = np.arange(x.n_features)
     records: list[StageRecord] = []
     provenance: dict[int, list[tuple[int, int]]] = {}
@@ -142,7 +121,7 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
                     f"{stage.keep_per_partition} exceeds {len(cols)} features")
             try:
                 ds = optimal_scoring.fit(
-                    x.restrict(cols), design, base_cfg,
+                    x.restrict(cols), design, plan.final_fit,
                     seed=_partition_seed(seed, stage_no, part_no))
             except SparseSdrError as exc:
                 raise type(exc)(
@@ -153,7 +132,7 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
                                no_signal, ds.converged and ds.inner_converged,
                                ds.inner_converged)
 
-        with blas.worker_pool(n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
             stage_out = list(pool.map(fit_partition, enumerate(ranges)))
 
         merged: list[int] = []
@@ -164,9 +143,45 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
                     (rec.stage, rec.partition))
             merged.extend(int(j) for j in rec.kept_indices)
         current = np.array(sorted(merged))
+    return current, records, provenance
+
+
+def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
+             seed: int = 0, n_workers: int = 1,
+             h: int | None = None) -> SelectionReport:
+    """Execute the staged screening plan and the final fit.
+
+    Centering is global and done once up front; partitions are fit on
+    column restrictions of the same centered matrix. `h` is the slice count
+    passed to `build_design` (required for a continuous response).
+    Deterministic for a fixed seed regardless of worker count (partitions
+    are merged in index order). The final fit is seeded with `seed`, so a
+    plan with no stages is `optimal_scoring.fit` on every feature.
+
+    Every partition fit runs on `PARTITION_BLAS_THREADS` (one) OpenBLAS
+    thread, whatever `n_workers` is, so `n_workers` concurrent fits ask for
+    `n_workers` BLAS threads, not `n_workers` times OpenBLAS's count. As
+    OpenBLAS's last bits can change with its thread count, one count for
+    every partition fit also keeps the answer independent of `n_workers`.
+    The count found is put back before the final fit, which runs alone on
+    the calling thread with every BLAS thread (`OPENBLAS_NUM_THREADS`
+    respected). Any other BLAS is left as found.
+    """
+    if n_workers < 1:
+        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
+    if not x.centered:
+        x = center(x)
+    design = build_design(y, h)
+    found_threads = blas.set_threads(PARTITION_BLAS_THREADS)
+    try:
+        current, records, provenance = _screen(x, design, plan, seed,
+                                               n_workers)
+    finally:
+        blas.set_threads(found_threads)
 
     final_x = x.restrict(current) if plan.stages else x  # unscreened: no copy
-    final_ds = optimal_scoring.fit(final_x, design, base_cfg, seed=seed)
+    final_ds = optimal_scoring.fit(final_x, design, plan.final_fit,
+                                   seed=seed)
     nonzero = final_ds.row_norms() > _NONZERO_ROW
     selected = current[nonzero]
     for j in selected:

@@ -390,11 +390,10 @@ def test_criterion_9_determinism(tmp_path):
 
 def test_criterion_9_determinism_where_blas_threads(tmp_path):
     # 120 x 40 is below the sizes at which OpenBLAS splits its work over
-    # threads. Here the stage-1 partitions are 400 x 500, and on a machine
-    # with 2+ cores the partition fits run on every BLAS thread at
-    # --threads 1 but on each worker's share at --threads 2 and 4. On 2
-    # cores, with the Gram factorization left on the caller's thread count,
-    # this cohort's selection.tsv differed in the last digit of two norms.
+    # threads. Here the stage-1 partitions are 400 x 500. On 2 cores, with
+    # each of the N workers' fits on max(1, 2 // N) BLAS threads instead of
+    # one, this cohort's selection.tsv differed between --threads 1 and 2 in
+    # the last digit of two norms.
     with criterion(9, "screen and fit are byte-identical across --threads "
                       "on a 400 x 2000 cohort"):
         spec = SyntheticSpec(n_samples=400, n_features=2000,

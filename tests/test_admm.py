@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sparsesdr import blas
 from sparsesdr.admm import (GramSolver, PenaltyParams, beta_update,
                             group_shrink, shrink_rows, solve_step_a,
                             step_a_objective)
@@ -85,16 +84,6 @@ class TestGroupShrink:
 
 
 class TestBetaUpdate:
-    @pytest.mark.parametrize("p", [250, 500])   # direct and Woodbury Gram
-    def test_gram_solver_bits_independent_of_blas_threads(self, blas_budget,
-                                                          p):
-        X, _ = random_problem(6, 400, p, 1)
-        full = GramSolver(X)
-        with blas.one_thread():
-            single = GramSolver(X)
-        assert np.array_equal(full.s2, single.s2)
-        assert np.array_equal(full.V, single.V)
-
     def test_zero_design_returns_alpha_minus_u(self):
         X = np.zeros((4, 3))
         gram = GramSolver(X)

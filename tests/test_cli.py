@@ -540,13 +540,15 @@ simulate.maf_high = 0.4
         man = json.loads((tmp_path / "a" / "manifest.json").read_text())
         dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert man["blas"] == {"name": dep["name"], "version": dep["version"]}
-        threads = blas._threads
-        assert man["blas_threads_per_worker"] == (
-            None if threads is None else max(1, threads() // 2))
+        threads = blas.get_threads()
+        assert man["blas_threads"] == threads
+        assert man["blas_threads_per_worker"] == (None if threads is None
+                                                  else 1)
         # a BLAS without the OpenBLAS thread calls records null
-        monkeypatch.setattr(blas, "_threads", None)
+        monkeypatch.setattr(blas, "_get_threads", None)
         assert main(argv + ["--out", str(tmp_path / "b")]) == 0
         man = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert man["blas_threads"] is None
         assert man["blas_threads_per_worker"] is None
 
 
