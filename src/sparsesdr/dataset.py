@@ -21,21 +21,32 @@ def _refuse_repeats(ids: list[str], message: str) -> None:
 class PredictorMatrix:
     """Dense n_samples x n_features predictor matrix with feature identity.
 
+    `raw` holds the uncentered cells: uint8 as given (`load_predictors`
+    gives uint8 for a file whose cells are all single digits, and `simulate`
+    draws uint8 dosages), any other array as float64. `center` shares `raw`
+    and stores the column means; a centered matrix's `values` are then
+    `raw - column_means` in float64, computed on each read, and `restrict`
+    copies only its own raw columns, so fitting one partition never makes a
+    float copy of the whole matrix. Arithmetic on the values of an
+    uncentered matrix must convert them to float64 first: uint8 products
+    and sums wrap around.
+
     Instances are treated as immutable after construction; downstream code
     (partition workers, CV folds) shares them freely.
     """
 
-    values: np.ndarray
+    raw: np.ndarray
     feature_ids: list[str]
     sample_ids: list[str]
-    centered: bool = False
-    column_means: np.ndarray | None = None
+    column_means: np.ndarray | None = None  # set by `center`
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
+        self.raw = np.asarray(self.raw)
+        if self.raw.dtype != np.uint8:
+            self.raw = self.raw.astype(float, copy=False)
+        if self.raw.ndim != 2:
             raise ValidationError("predictor matrix must be 2-dimensional")
-        n, p = self.values.shape
+        n, p = self.raw.shape
         if len(self.feature_ids) != p:
             raise ValidationError(
                 f"{len(self.feature_ids)} feature ids for {p} columns")
@@ -44,42 +55,53 @@ class PredictorMatrix:
                 f"{len(self.sample_ids)} sample ids for {n} rows")
         _refuse_repeats(self.feature_ids, "duplicate feature id")
         _refuse_repeats(self.sample_ids, "duplicate sample id")
-        if not np.all(np.isfinite(self.values)):
-            i, j = np.argwhere(~np.isfinite(self.values))[0]
+        if self.raw.dtype != np.uint8 and not np.all(np.isfinite(self.raw)):
+            i, j = np.argwhere(~np.isfinite(self.raw))[0]
             raise ValidationError(
                 f"non-finite value at sample {self.sample_ids[i]!r}, "
                 f"feature {self.feature_ids[j]!r}")
 
     @property
+    def centered(self) -> bool:
+        return self.column_means is not None
+
+    @property
+    def values(self) -> np.ndarray:
+        """The cells: `raw` itself, or a new float64 `raw - column_means`
+        (same memory order as `raw`) when centered."""
+        if self.column_means is None:
+            return self.raw
+        return self.raw - self.column_means
+
+    @property
     def n_samples(self) -> int:
-        return self.values.shape[0]
+        return self.raw.shape[0]
 
     @property
     def n_features(self) -> int:
-        return self.values.shape[1]
+        return self.raw.shape[1]
 
     def restrict(self, columns) -> "PredictorMatrix":
-        """Column-restricted copy (keeps centering state and stored means)."""
+        """Column-restricted copy of `raw`, with those columns' stored means.
+        Its `values` equal this matrix's `values[:, columns]` bit for bit,
+        and are Fortran-ordered like them."""
         columns = np.asarray(columns, dtype=int)
         return PredictorMatrix(
-            values=self.values[:, columns],
+            raw=self.raw[:, columns],
             feature_ids=[self.feature_ids[j] for j in columns],
             sample_ids=list(self.sample_ids),
-            centered=self.centered,
             column_means=None if self.column_means is None
             else self.column_means[columns],
         )
 
     def take_rows(self, rows) -> "PredictorMatrix":
-        """Row-restricted copy. Centering state is dropped: a row subset of a
-        centered matrix is in general no longer centered."""
+        """Row-restricted copy of `raw`. Centering is dropped: a row subset
+        of a centered matrix is in general no longer centered."""
         rows = np.asarray(rows, dtype=int)
         return PredictorMatrix(
-            values=self.values[rows],
+            raw=self.raw[rows],
             feature_ids=list(self.feature_ids),
             sample_ids=[self.sample_ids[i] for i in rows],
-            centered=False,
-            column_means=None,
         )
 
 
@@ -156,62 +178,71 @@ def _digit_cells(tail: str, delim: int, p: int) -> np.ndarray | None:
     return digits
 
 
+def _nonblank_lines(fh):
+    """The lines of `fh` that hold more than whitespace, without their line
+    ends, split where `str.splitlines` splits."""
+    for chunk in fh:
+        for line in chunk.splitlines():
+            if line.strip() != "":
+                yield line
+
+
 def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
     """Load a predictor file: header row of feature ids, first column sample id.
 
-    A row whose cells are all single ASCII digits (a dosage row) is decoded
-    from its bytes. Any other row is converted by numpy's string-to-float
-    cast, which accepts and rejects the same cells (surrounding whitespace
-    included) as `float()`. Single digits are exact, so both give the values
-    `float()` gives.
+    The file is read one line at a time. A row whose cells are all single
+    ASCII digits (a dosage row) is decoded from its bytes as uint8. Any
+    other row is converted by numpy's string-to-float cast, which accepts
+    and rejects the same cells (surrounding whitespace included) as
+    `float()`. The rows are stacked once at the end: the matrix is uint8
+    when every row is a dosage row, else float64. Single digits are exact,
+    so both give the values `float()` gives. Line numbers in errors count
+    the non-blank lines, the header being line 1.
     """
     if format not in ("tsv", "csv"):
         raise ValidationError(f"unknown format {format!r}")
     delim = "\t" if format == "tsv" else ","
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip() != ""]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = _split_line(lines[0], delim)
-    if len(header) < 2:
-        raise ParseError(f"{path}: header needs a sample-id column plus features")
-    feature_ids = header[1:]
-    p = len(feature_ids)
-    if len(lines) == 1:
-        raise ValidationError(f"{path}: zero samples (header only)")
-    values = np.empty((len(lines) - 1, p))
+    rows: list[np.ndarray] = []
     sample_ids: list[str] = []
-    for i, line in enumerate(lines[1:]):
-        cut = line.find(delim)
-        digits = None if cut < 0 else _digit_cells(line[cut:], ord(delim), p)
-        if digits is not None:
-            sample_ids.append(line[:cut].strip())
-            values[i] = digits
-            continue
-        lineno = i + 2
-        cells = line.split(delim)
-        if len(cells) != p + 1:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _nonblank_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(f"{path}: empty file")
+        header = _split_line(first, delim)
+        if len(header) < 2:
             raise ParseError(
-                f"{path}: ragged row at line {lineno}: expected {p + 1} "
-                f"cells, got {len(cells)}")
-        sample_ids.append(cells[0].strip())
-        try:
-            values[i] = np.array(cells[1:], dtype=float)
-        except ValueError:
-            for j, cell in enumerate(cells[1:], start=1):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric cell {cell.strip()!r} at line "
-                        f"{lineno}, column {header[j]!r}") from None
-            raise
-    return PredictorMatrix(
-        values=values,
-        feature_ids=feature_ids,
-        sample_ids=sample_ids,
-        centered=False,
-    )
+                f"{path}: header needs a sample-id column plus features")
+        feature_ids = header[1:]
+        p = len(feature_ids)
+        for lineno, line in enumerate(lines, start=2):
+            cut = line.find(delim)
+            digits = (None if cut < 0
+                      else _digit_cells(line[cut:], ord(delim), p))
+            if digits is not None:
+                sample_ids.append(line[:cut].strip())
+                rows.append(digits)
+                continue
+            cells = line.split(delim)
+            if len(cells) != p + 1:
+                raise ParseError(
+                    f"{path}: ragged row at line {lineno}: expected {p + 1} "
+                    f"cells, got {len(cells)}")
+            sample_ids.append(cells[0].strip())
+            try:
+                rows.append(np.array(cells[1:], dtype=float))
+            except ValueError:
+                for j, cell in enumerate(cells[1:], start=1):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: non-numeric cell {cell.strip()!r} at "
+                            f"line {lineno}, column {header[j]!r}") from None
+                raise
+    if not rows:
+        raise ValidationError(f"{path}: zero samples (header only)")
+    return PredictorMatrix(np.stack(rows), feature_ids, sample_ids)
 
 
 def load_phenotype(path) -> tuple[list[str], np.ndarray]:
@@ -260,16 +291,18 @@ def align_phenotype(x: PredictorMatrix, sample_ids: list[str],
 
 
 def center(m: PredictorMatrix) -> PredictorMatrix:
-    """Subtract column means; stores them for later use on held-out data."""
+    """`m` centered: its column means are computed once and stored for later
+    use on held-out data, and its raw cells are shared, not copied. The
+    means of uint8 dosages are exact sums divided by n, so they equal the
+    means of the same cells held as float64, and those of any column
+    subset."""
     if m.centered:
         raise ValidationError("matrix is already centered")
-    means = m.values.mean(axis=0)
     return PredictorMatrix(
-        values=m.values - means,
+        raw=m.raw,
         feature_ids=list(m.feature_ids),
         sample_ids=list(m.sample_ids),
-        centered=True,
-        column_means=means,
+        column_means=m.raw.mean(axis=0),
     )
 
 
@@ -299,6 +332,9 @@ class SyntheticSpec:
                 raise ValidationError(f"support index {j} out of range")
 
 
+_SIM_BLOCK_CELLS = 1 << 20  # cells per `simulate` draw (8 MB as int64)
+
+
 def simulate(spec: SyntheticSpec):
     """Draw a genotype-like cohort: dosage ~ Binomial(2, q_j) per feature,
     labels from the requested link on the centered causal score.
@@ -309,11 +345,17 @@ def simulate(spec: SyntheticSpec):
     n, p = spec.n_samples, spec.n_features
     lo, hi = spec.maf_range
     maf = rng.uniform(lo, hi, size=p)
-    values = rng.binomial(2, maf, size=(n, p)).astype(float)
+    # Drawn in row blocks straight into uint8: one Generator's blocks are
+    # the one-shot (n, p) draw, without its int64 copy.
+    values = np.empty((n, p), dtype=np.uint8)
+    step = max(1, _SIM_BLOCK_CELLS // p)
+    for start in range(0, n, step):
+        block = values[start:start + step]
+        block[:] = rng.binomial(2, maf, size=block.shape)
 
     score = np.zeros(n)
     for j, eff in spec.support:
-        score += eff * (values[:, j] - 2 * maf[j])
+        score += eff * (values[:, j].astype(float) - 2 * maf[j])
     if spec.link == "logistic":
         prob = 1.0 / (1.0 + np.exp(-score))
         labels = (rng.uniform(size=n) < prob).astype(int)
@@ -325,10 +367,9 @@ def simulate(spec: SyntheticSpec):
         labels[0] = 1 - labels[0]
 
     x = PredictorMatrix(
-        values=values,
+        raw=values,
         feature_ids=[f"f{j}" for j in range(p)],
         sample_ids=[f"s{i}" for i in range(n)],
-        centered=False,
     )
     y = Phenotype(labels, "binary", [0, 1])
     return x, y, {j for j, _ in spec.support}

@@ -119,7 +119,8 @@ def predict(clf: ProjectionClassifier, x_test_raw: PredictorMatrix):
     if missing:
         raise ValidationError(f"test data is missing features: {missing[:10]}")
     cols = [pos[f] for f in clf.feature_ids]
-    xt = x_test_raw.values[:, cols] - clf.column_means
+    xt = np.subtract(x_test_raw.values[:, cols], clf.column_means,
+                     dtype=float)
     proj = xt @ clf.B_kept
     dists = np.linalg.norm(
         proj[:, None, :] - clf.class_centroids[None, :, :], axis=2)
@@ -337,7 +338,9 @@ def knn_predict(x_train: np.ndarray, labels, x_test: np.ndarray, k: int):
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and of b."""
+    """Squared Euclidean distances between the rows of a and of b, in
+    float64 whatever their dtype (uint8 products would wrap around)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return (np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :]
             - 2 * a @ b.T)
 

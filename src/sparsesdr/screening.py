@@ -151,8 +151,10 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
              h: int | None = None) -> SelectionReport:
     """Execute the staged screening plan and the final fit.
 
-    Centering is global and done once up front; partitions are fit on
-    column restrictions of the same centered matrix. `h` is the slice count
+    `x` is centered once up front (`center` computes the column means and
+    shares the raw cells), and each partition fit centers only its own
+    columns, in float64, with those global means: no fit holds a float copy
+    of every column unless the plan has no stages. `h` is the slice count
     passed to `build_design` (required for a continuous response).
     Deterministic for a fixed seed regardless of worker count (partitions
     are merged in index order). The final fit is seeded with `seed`, so a
@@ -179,7 +181,7 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     finally:
         blas.set_threads(found_threads)
 
-    final_x = x.restrict(current) if plan.stages else x  # unscreened: no copy
+    final_x = x.restrict(current) if plan.stages else x
     final_ds = optimal_scoring.fit(final_x, design, plan.final_fit,
                                    seed=seed)
     nonzero = final_ds.row_norms() > _NONZERO_ROW

@@ -55,28 +55,32 @@ def column_signs(V: np.ndarray) -> np.ndarray:
 def generalized_eigen(M: np.ndarray, sigma: np.ndarray):
     """Solve M v = lambda sigma v for symmetric M and positive definite sigma.
 
-    Returns (eigenvalues descending, sigma-orthonormal eigenvectors)."""
-    import scipy.linalg  # oracle only: the fitting path never loads scipy
-
+    With sigma = L L^T (Cholesky), this is the symmetric problem
+    L^-1 M L^-T w = lambda w with v = L^-T w: the reduction LAPACK's `sygvd`
+    makes. Returns (eigenvalues descending, sigma-orthonormal
+    eigenvectors)."""
     try:
-        vals, vecs = scipy.linalg.eigh(M, sigma)
+        L = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise NumericError("covariance singular: Cholesky factorization "
                            "failed (p >= n or collinear columns)") from None
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    return vals, vecs * column_signs(vecs)
+    W = np.linalg.solve(L, np.linalg.solve(L, M).T)  # L^-1 M L^-T
+    vals, w = np.linalg.eigh((W + W.T) / 2)
+    vecs = np.linalg.solve(L.T, w[:, ::-1])
+    return vals[::-1], vecs * column_signs(vecs)
 
 
 def sir_eigen(x: PredictorMatrix, design: ScoringDesign, d: int) -> EigenBasis:
     """Top-d solutions of M v = lambda Sigma_x v on the centered sample."""
     if not x.centered:
         raise ValidationError("predictors must be centered")
-    n, p = x.values.shape
+    n, p = x.n_samples, x.n_features
     if p > _MAX_DENSE_P:
         raise ValidationError(f"dense eigensolve guarded at p <= {_MAX_DENSE_P}")
     if not 1 <= d <= p:
         raise ValidationError(f"d={d} out of range for p={p}")
-    sigma = x.values.T @ x.values / n
+    X = x.values
+    sigma = X.T @ X / n
     M = slice_mean_cov(x, design)
     vals, vecs = generalized_eigen(M, sigma)
     return EigenBasis(eigenvalues=vals, vectors=vecs, d_used=d)
@@ -130,7 +134,7 @@ def block_extension_check(x: PredictorMatrix, block, design: ScoringDesign,
     padded vector satisfies the whole-problem eigenequation."""
     if not x.centered:
         raise ValidationError("predictors must be centered")
-    n = x.n_samples
-    sigma = x.values.T @ x.values / n
+    X = x.values
+    sigma = X.T @ X / x.n_samples
     M = slice_mean_cov(x, design)
     return block_residual(M, sigma, block, d)

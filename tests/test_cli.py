@@ -474,6 +474,47 @@ class TestSimulate:
         assert not out.exists()
 
 
+class TestStorage:
+    """A cohort of digit cells is held as uint8, the same cohort spelled
+    `1.0` as float64; every command answers the same, byte for byte."""
+
+    def write_spelling(self, src, dst, spell):
+        lines = src.read_text().splitlines()
+        rows = [lines[0]] + ["\t".join([c[0]] + [spell(v) for v in c[1:]])
+                             for c in (ln.split("\t") for ln in lines[1:])]
+        dst.write_text("\n".join(rows) + "\n")
+
+    def test_every_command_answers_alike(self, tmp_path):
+        digits, yp, _ = write_dataset(tmp_path, n=90, p=24)
+        decimals = tmp_path / "x_decimal.tsv"
+        self.write_spelling(digits, decimals, lambda v: f"{v}.0")
+        cv_rank = write_config(tmp_path, "cv.folds = 3\n"
+                               "cv.method = pvalue_rank\n", name="rank.cfg")
+        runs = [
+            ("screen", write_config(tmp_path, SCREEN_CFG, name="s.cfg")),
+            ("fit", write_config(tmp_path, SCREEN_CFG, name="f.cfg")),
+            ("fit", write_config(tmp_path, FIT_CFG, name="unstaged.cfg")),
+            ("cv", write_config(tmp_path, CV_CFG, name="cv.cfg")),
+            ("cv", cv_rank),
+            ("assoc", None),
+        ]
+        for i, (command, cfg) in enumerate(runs):
+            outs = []
+            for xp in (digits, decimals):
+                out = tmp_path / f"{i}_{command}_{xp.stem}"
+                argv = [command, "--x", str(xp), "--y", str(yp), "--out",
+                        str(out), "--seed", "4"]
+                assert main(argv + (["--config", str(cfg)] if cfg else [])) \
+                    == 0
+                if command == "fit":
+                    assert main(["predict", "--x", str(xp), "--model",
+                                 str(out), "--out", str(out / "pred")]) == 0
+                outs.append({f.relative_to(out): f.read_bytes()
+                             for f in sorted(out.rglob("*"))
+                             if f.is_file() and f.name != "manifest.json"})
+            assert outs[0] and outs[0] == outs[1], (command, cfg)
+
+
 class TestPipeline:
     def test_simulate_fit_predict(self, tmp_path):
         sim_cfg = write_config(tmp_path, """

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import sparsesdr.cli
+import sparsesdr.dataset
 from sparsesdr.cli import main
-from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, _digit_cells,
-                               align_phenotype, center, load_phenotype,
-                               load_predictors, simulate)
+from sparsesdr.dataset import (Phenotype, PredictorMatrix, SyntheticSpec,
+                               _digit_cells, align_phenotype, center,
+                               load_phenotype, load_predictors, simulate)
 from sparsesdr.errors import ParseError, ValidationError
 
 
@@ -114,7 +116,8 @@ class TestDosageRows:
         m = load_predictors(write(tmp_path, "x.tsv", text), "tsv")
         ids, want = float_oracle(text, "\t")
         assert m.sample_ids == ids
-        assert_same_bits(m.values, want)
+        assert m.values.dtype == np.uint8
+        assert_same_bits(m.values.astype(np.float64), want)
         assert np.array_equal(m.values, v)
 
     @pytest.mark.parametrize("tail, fast", [
@@ -190,7 +193,84 @@ class TestDosageRows:
         m = load_predictors(out / "predictors.tsv", "tsv")
         assert m.sample_ids == x.sample_ids
         assert m.feature_ids == x.feature_ids
-        assert_same_bits(m.values, x.values)
+        assert m.values.dtype == x.values.dtype == np.uint8
+        assert_same_bits(m.values.astype(np.float64),
+                         x.values.astype(np.float64))
+
+
+def dosage_text(v, spell):
+    """A predictor file of the cells of `v`, each written as `spell(c)`."""
+    n, p = v.shape
+    return "\n".join(["\t".join(["id"] + [f"f{j}" for j in range(p)])]
+                     + ["\t".join([f"s{i}"] + [spell(c) for c in row])
+                        for i, row in enumerate(v)]) + "\n"
+
+
+class TestStorage:
+    """Single-digit files are held as uint8, anything else as float64;
+    centering shares the raw cells and each restriction centers its own
+    columns with the whole matrix's means."""
+
+    @pytest.fixture
+    def dosages(self):
+        return np.random.default_rng(5).binomial(2, 0.35, size=(37, 60))
+
+    @pytest.mark.parametrize("decimal_rows, dtype", [
+        ([], np.uint8), ([5], np.float64), (range(37), np.float64)])
+    def test_any_decimal_row_makes_the_matrix_float(self, tmp_path, dosages,
+                                                    decimal_rows, dtype):
+        lines = dosage_text(dosages, str).splitlines()
+        for i in decimal_rows:  # "2" -> "2.0" in every cell of row i
+            sid, *cells = lines[i + 1].split("\t")
+            lines[i + 1] = "\t".join([sid] + [c + ".0" for c in cells])
+        m = load_predictors(write(tmp_path, "x.tsv", "\n".join(lines)), "tsv")
+        assert m.values.dtype == dtype
+        assert np.array_equal(m.values, dosages)
+
+    def test_center_shares_raw_cells(self, dosages):
+        for cells in (dosages.astype(np.uint8), dosages.astype(float)):
+            x = PredictorMatrix(cells, [f"f{j}" for j in range(60)],
+                                [f"s{i}" for i in range(37)])
+            c = center(x)
+            assert np.shares_memory(c.raw, x.values)
+            assert not np.shares_memory(c.values, x.values)
+
+    def test_partition_means_equal_whole_means(self, dosages):
+        ids = [f"f{j}" for j in range(60)], [f"s{i}" for i in range(37)]
+        u8 = PredictorMatrix(dosages.astype(np.uint8), *ids)
+        f64 = PredictorMatrix(dosages.astype(float), *ids)
+        whole = center(u8).column_means
+        assert_same_bits(center(f64).column_means, whole)
+        for cols in (np.arange(0, 20), np.arange(20, 60), [3, 17, 59]):
+            for x in (u8, f64):
+                assert_same_bits(center(x.restrict(cols)).column_means,
+                                 whole[cols])
+                assert_same_bits(center(x).restrict(cols).column_means,
+                                 whole[cols])
+
+    def test_restricted_values_match_full_values(self, dosages):
+        ids = [f"f{j}" for j in range(60)], [f"s{i}" for i in range(37)]
+        u8 = center(PredictorMatrix(dosages.astype(np.uint8), *ids))
+        f64 = center(PredictorMatrix(dosages.astype(float), *ids))
+        full = f64.values
+        assert full.dtype == np.float64 and full.flags.c_contiguous
+        assert_same_bits(u8.values, full)
+        cols = np.arange(10, 35)
+        for x in (u8, f64):
+            part = x.restrict(cols)
+            assert part.centered
+            assert part.raw.dtype == x.raw.dtype
+            assert part.values.flags.f_contiguous
+            assert_same_bits(part.values, full[:, cols])
+
+    def test_take_rows_copies_cells_and_drops_centering(self, dosages):
+        x = center(PredictorMatrix(dosages.astype(np.uint8),
+                                   [f"f{j}" for j in range(60)],
+                                   [f"s{i}" for i in range(37)]))
+        rows = x.take_rows([0, 4, 9])
+        assert not rows.centered
+        assert rows.values.dtype == np.uint8
+        assert np.array_equal(rows.values, dosages[[0, 4, 9]])
 
 
 class TestPhenotypeFile:
@@ -302,6 +382,54 @@ class TestSimulate:
     def test_dosages(self):
         x, _, _ = simulate(SyntheticSpec(n_samples=30, n_features=5, seed=3))
         assert set(np.unique(x.values)) <= {0.0, 1.0, 2.0}
+
+    @staticmethod
+    def one_shot(spec):
+        """`simulate` as a single (n, p) draw converted to float64: the
+        reference for the blocked uint8 draw."""
+        rng = np.random.default_rng(spec.seed)
+        n, p = spec.n_samples, spec.n_features
+        maf = rng.uniform(*spec.maf_range, size=p)
+        values = rng.binomial(2, maf, size=(n, p)).astype(float)
+        score = np.zeros(n)
+        for j, eff in spec.support:
+            score += eff * (values[:, j] - 2 * maf[j])
+        if spec.link == "logistic":
+            prob = 1.0 / (1.0 + np.exp(-score))
+            labels = (rng.uniform(size=n) < prob).astype(int)
+        else:
+            labels = (score + rng.standard_normal(n) > 0).astype(int)
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        x = PredictorMatrix(values, [f"f{j}" for j in range(p)],
+                            [f"s{i}" for i in range(n)])
+        truth = {j for j, _ in spec.support}
+        return x, Phenotype(labels, "binary", [0, 1]), truth
+
+    @pytest.mark.parametrize("block", [7, 40, 1 << 20])
+    @pytest.mark.parametrize("link", ["logistic", "threshold"])
+    def test_blocked_draw_matches_one_shot(self, monkeypatch, block, link):
+        monkeypatch.setattr(sparsesdr.dataset, "_SIM_BLOCK_CELLS", block)
+        spec = SyntheticSpec(n_samples=53, n_features=13, seed=8, link=link,
+                             support=[(2, 1.5), (11, -2.0)])
+        x, y, truth = simulate(spec)
+        ref_x, ref_y, ref_truth = self.one_shot(spec)
+        assert x.values.dtype == np.uint8
+        assert np.array_equal(x.values, ref_x.values)
+        assert np.array_equal(y.labels, ref_y.labels)
+        assert truth == ref_truth
+
+    def test_command_writes_the_one_shot_files(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path, "sim.cfg", "simulate.n = 41\nsimulate.p = 9\n"
+                    "simulate.support = 3\nsimulate.effect = 2.0\n")
+        argv = ["simulate", "--config", str(cfg), "--seed", "6", "--out"]
+        monkeypatch.setattr(sparsesdr.dataset, "_SIM_BLOCK_CELLS", 20)
+        assert main(argv + [str(tmp_path / "blocked")]) == 0
+        monkeypatch.setattr(sparsesdr.cli, "simulate", self.one_shot)
+        assert main(argv + [str(tmp_path / "one_shot")]) == 0
+        for name in ("predictors.tsv", "phenotype.tsv", "truth.json"):
+            assert ((tmp_path / "blocked" / name).read_bytes()
+                    == (tmp_path / "one_shot" / name).read_bytes())
 
     def test_bad_maf_range(self):
         with pytest.raises(ValidationError):

@@ -9,8 +9,9 @@ from sparsesdr.dataset import (PredictorMatrix, Phenotype, SyntheticSpec,
                                center, make_phenotype, simulate)
 from sparsesdr.errors import NumericError, ValidationError
 from sparsesdr.evaluation import (CvReport, MetricBundle, _average_ranks,
-                                  _chi2_sf, auc_mann_whitney, chi2_rank,
-                                  cross_validate, cv_report_to_tsv,
+                                  _chi2_sf, _sq_dists, auc_mann_whitney,
+                                  chi2_rank, cross_validate,
+                                  cv_report_to_json, cv_report_to_tsv,
                                   fit_classifier, fit_model, knn_predict,
                                   load_model, metrics, predict, save_model,
                                   stratified_folds)
@@ -353,6 +354,16 @@ class TestKnn:
         with pytest.raises(ValidationError):
             knn_predict(X, np.array([0, 1]), X, 3)
 
+    def test_uint8_distances_do_not_wrap(self):
+        # 200 columns of 2s: a row's inner product with itself is 800,
+        # which uint8 arithmetic wraps to 32
+        twos = np.full((3, 200), 2, dtype=np.uint8)
+        zeros = np.zeros((2, 200), dtype=np.uint8)
+        d2 = _sq_dists(twos, zeros)
+        assert d2.dtype == np.float64
+        assert d2.tolist() == [[800.0, 800.0]] * 3
+        assert _sq_dists(twos, twos).tolist() == [[0.0] * 3] * 3
+
 
 class TestClassifier:
     def separated_instance(self, seed=7, n=200):
@@ -631,12 +642,25 @@ class TestCrossValidate:
                                          for j, *_ in want[:10]]
         assert col13_df == {1, 2}
 
+    @pytest.mark.parametrize("top_m, knn_k", [(64, 3), (90, None)])
+    def test_pvalue_rank_uint8_matches_float64(self, top_m, knn_k):
+        # top_m >= 64 columns of dosages: inner products past 255, which
+        # uint8 arithmetic would wrap around
+        x, y, _ = self.cv_instance(n=120, p=100)
+        assert x.values.dtype == np.uint8
+        f64 = PredictorMatrix(x.values.astype(float), x.feature_ids,
+                              x.sample_ids)
+        got, want = (cross_validate(m, y, 4, "pvalue_rank", seed=1,
+                                    top_m=top_m, knn_k=knn_k)
+                     for m in (x, f64))
+        assert cv_report_to_json(got) == cv_report_to_json(want)
+
     @pytest.mark.parametrize("row", [0, 77, 149])
     def test_pvalue_rank_non_dosage_refused_before_folds(self, monkeypatch,
                                                          row):
         import sparsesdr.evaluation as ev
         x, y, _ = self.cv_instance(n=150)
-        values = x.values.copy()
+        values = x.values.astype(float)  # simulated dosages are uint8
         values[row, 3] = 0.5
         bad = PredictorMatrix(values, x.feature_ids, x.sample_ids)
 

@@ -164,6 +164,23 @@ class TestGeneralizedEigen:
                            rtol=0, atol=100 * p * np.finfo(float).eps)
 
 
+    @pytest.mark.parametrize("seed,p", [(4, 5), (5, 15)])
+    def test_matches_scipy_generalized_eigh(self, seed, p):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((3 * p, p))
+        sigma = A.T @ A / (3 * p)
+        B = rng.standard_normal((p, p))
+        M = B @ B.T / p
+        ref_vals, ref_vecs = scipy.linalg.eigh(M, sigma)
+        ref_vals, ref_vecs = ref_vals[::-1], ref_vecs[:, ::-1]
+        ref_vecs = ref_vecs * column_signs(ref_vecs)
+        vals, vecs = generalized_eigen(M, sigma)
+        tol = 100 * p * np.finfo(float).eps * np.abs(ref_vals).max()
+        gap = np.abs(np.diff(ref_vals)).min()
+        assert np.max(np.abs(vals - ref_vals)) < tol
+        assert np.max(np.abs(vecs - ref_vecs)) < tol * np.linalg.cond(sigma) / gap
+
+
 class TestPrincipalAngle:
     def test_identical(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
