@@ -130,6 +130,11 @@ def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
     moving the optimum; at r > 0 the shrinkage is approximate, its fixed
     point depends on rho, and rho is held. `warm`, an earlier result on the
     same X, is resumed: its B (alpha), u and rho. Returns alpha as B.
+
+    This solves on every column of the X it is given. `optimal_scoring.fit`
+    gives it the working set's columns X_W: at r = 0 a KKT pass over the
+    other columns adds violators and solves again until none is left or a
+    solve hits `max_iter`; at r > 0 X_W is every column.
     """
     if max_iter < 1 or tol <= 0:
         raise ValidationError("max_iter must be >= 1 and tol > 0")

@@ -118,6 +118,9 @@ def cmd_fit(args) -> None:
             "converged": summary["converged"],
             "outer_iters": ds.outer_iters,
             "inner_converged": summary["inner_converged"],
+            "kkt_max_rel": summary["kkt_max_rel"],
+            "kkt_slack": summary["kkt_slack"],
+            "working_set_size": summary["working_set_size"],
             "objective": ds.objective_history,
             "nonzero_rows": len(report.selected_indices),
         },

@@ -179,12 +179,14 @@ def _digit_cells(tail: str, delim: int, p: int) -> np.ndarray | None:
 
 
 def _nonblank_lines(fh):
-    """The lines of `fh` that hold more than whitespace, without their line
-    ends, split where `str.splitlines` splits."""
-    for chunk in fh:
+    """(line number, line) for each line of `fh` that holds more than
+    whitespace, without its line end, split where `str.splitlines` splits.
+    The numbers count the file's lines from 1, blank ones included, as
+    `load_phenotype`'s do."""
+    for lineno, chunk in enumerate(fh, start=1):
         for line in chunk.splitlines():
             if line.strip() != "":
-                yield line
+                yield lineno, line
 
 
 def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
@@ -197,7 +199,7 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
     `float()`. The rows are stacked once at the end: the matrix is uint8
     when every row is a dosage row, else float64. Single digits are exact,
     so both give the values `float()` gives. Line numbers in errors count
-    the non-blank lines, the header being line 1.
+    every line of the file from 1, blank lines included.
     """
     if format not in ("tsv", "csv"):
         raise ValidationError(f"unknown format {format!r}")
@@ -209,13 +211,13 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
         first = next(lines, None)
         if first is None:
             raise ParseError(f"{path}: empty file")
-        header = _split_line(first, delim)
+        header = _split_line(first[1], delim)
         if len(header) < 2:
             raise ParseError(
                 f"{path}: header needs a sample-id column plus features")
         feature_ids = header[1:]
         p = len(feature_ids)
-        for lineno, line in enumerate(lines, start=2):
+        for lineno, line in lines:
             cut = line.find(delim)
             digits = (None if cut < 0
                       else _digit_cells(line[cut:], ord(delim), p))

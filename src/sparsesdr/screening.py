@@ -218,7 +218,9 @@ def report_to_tsv(report: SelectionReport) -> str:
 def report_summary(report: SelectionReport) -> dict:
     """JSON-ready summary of the screening run. `converged` holds only when
     every partition fit and the final fit converged, inner solves included;
-    `inner_converged` covers the inner solves alone."""
+    `inner_converged` covers the inner solves alone. `kkt_max_rel`,
+    `kkt_slack` and `working_set_size` are the final fit's (see
+    `optimal_scoring.fit`)."""
     final = report.final_directions
     inner = (final.inner_converged
              and all(r.inner_converged for r in report.stage_records))
@@ -229,6 +231,9 @@ def report_summary(report: SelectionReport) -> dict:
         "converged": bool(final.converged and inner
                           and all(r.converged for r in report.stage_records)),
         "inner_converged": bool(inner),
+        "kkt_max_rel": final.kkt_max_rel,
+        "kkt_slack": final.kkt_slack,
+        "working_set_size": final.working_set_size,
         "stage_kept": {
             str(s): int(sum(len(r.kept_indices) for r in report.stage_records
                             if r.stage == s))

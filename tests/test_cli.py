@@ -123,8 +123,25 @@ class TestFit:
             assert (out / name).exists()
         fit_info = json.loads((out / "fit.json").read_text())
         assert fit_info["converged"] is True
+        assert 0 <= fit_info["kkt_max_rel"] <= fit_info["kkt_slack"] + 1e-12
+        assert (fit_info["nonzero_rows"] <= fit_info["working_set_size"]
+                <= 30)
         header = (out / "directions.tsv").read_text().splitlines()[0]
         assert header == "feature_id\tdir1"
+
+    def test_r_positive_reports_no_kkt_figure(self, tmp_path):
+        # at r > 0 the zero-row test certifies nothing: every column is in
+        # the working set and no KKT figure is reported
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, FIT_CFG + "penalty.r = 0.5\n"
+                                               "solver.outer_max_iter = 3\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        fit_info = json.loads((out / "fit.json").read_text())
+        assert fit_info["kkt_max_rel"] is None
+        assert fit_info["kkt_slack"] is None
+        assert fit_info["working_set_size"] == 30
 
     def test_missing_y_usage_error(self, tmp_path, capsys):
         xp, _, _ = write_dataset(tmp_path)
@@ -236,6 +253,9 @@ class TestScreen:
         assert rc == 0
         summary = json.loads((out / "selection.json").read_text())
         assert summary["survivors"] == 20
+        assert summary["converged"] is True
+        assert 0 <= summary["kkt_max_rel"] <= summary["kkt_slack"] + 1e-12
+        assert len(summary["selected"]) <= summary["working_set_size"] <= 20
         tsv = (out / "selection.tsv").read_text()
         assert tsv.splitlines()[0] == "feature_id\trow_norm\tstage\tpartition"
 

@@ -46,6 +46,15 @@ class TestLoadPredictors:
         with pytest.raises(ParseError, match="'1.5x' at line 3, column 'f2'"):
             load_predictors(p, "tsv")
 
+    @pytest.mark.parametrize("last, message", [
+        ("s2\t1\tx", "non-numeric cell 'x' at line 6, column 'b'"),
+        ("s2\t1", "ragged row at line 6"),
+    ])
+    def test_line_numbers_count_blank_lines(self, tmp_path, last, message):
+        p = write(tmp_path, "x.tsv", f"id\ta\tb\n\ns1\t0\t1\n\n  \n{last}\n")
+        with pytest.raises(ParseError, match=message):
+            load_predictors(p, "tsv")
+
     def test_padding_blank_lines_and_crlf(self, tmp_path):
         cells = [" 1 ", "\t2.5", "-3e-2 ", "1_000", " +.5", "7."]
         text = ("id, a , b ,c\r\n\r\n s1 ," + ",".join(cells[:3])

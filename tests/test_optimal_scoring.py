@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sparsesdr.admm import PenaltyParams
+from sparsesdr.admm import PenaltyParams, solve_step_a, step_a_objective
 from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
                                make_phenotype, simulate)
 from sparsesdr.errors import NumericError, ValidationError
@@ -26,6 +26,44 @@ def three_class_instance(seed=0, n=300, p=6):
     labels[X[:, 0] > 0.4] = 1
     labels[X[:, 1] > 0.4] = 2
     return center(matrix(X)), make_phenotype(labels)
+
+
+def genotype_instance(n, p, seed):
+    x, y, _ = simulate(SyntheticSpec(
+        n_samples=n, n_features=p, maf_range=(0.1, 0.4),
+        support=[(j, 1.5) for j in range(6)], link="logistic", seed=seed))
+    return center(x), y
+
+
+def suppressor_instance():
+    # f0 = s + e carries the class signal s; f1 = e is orthogonal to s, so
+    # its KKT score is 0 at B = 0, yet it cancels f0's noise once f0 is in
+    rng = np.random.default_rng(0)
+    labels = rng.permutation(np.repeat([0, 1], 100))
+    s = labels - 0.5
+    e = rng.standard_normal(200)
+    e -= e.mean()
+    e -= (e @ s) / (s @ s) * s
+    X = np.column_stack([s + e, e, rng.standard_normal((200, 8))])
+    return center(matrix(X)), make_phenotype(labels)
+
+
+def record_calls(monkeypatch, *names):
+    """Wrap optimal_scoring's `names`; returns the (name, args, kwargs,
+    result) list of their calls, in order."""
+    from sparsesdr import optimal_scoring
+    calls = []
+
+    def wrap(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args, kwargs, fn(*args, **kwargs)))
+            return calls[-1][3]
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(optimal_scoring, name,
+                            wrap(name, getattr(optimal_scoring, name)))
+    return calls
 
 
 class TestSolverConfig:
@@ -176,24 +214,26 @@ class TestFit:
             assert b <= a + 10 * cfg.inner_tol
 
     def test_binary_second_step_a_resumes_at_its_answer(self, monkeypatch):
-        # with two classes the score cannot move, so the warm-started second
-        # ADMM call starts at its own converged answer
-        from sparsesdr import optimal_scoring
-        solve = optimal_scoring.solve_step_a
-        calls = []
-
-        def recording(*args, **kwargs):
-            calls.append(solve(*args, **kwargs))
-            return calls[-1]
-
-        monkeypatch.setattr(optimal_scoring, "solve_step_a", recording)
+        # with two classes the score cannot move, so the second outer
+        # iteration's step A starts at the first one's converged answer: it
+        # adds no column and its one ADMM solve stops after one iteration
+        calls = record_calls(monkeypatch, "solve_step_a", "theta_step")
         x, y, _ = simulate(SyntheticSpec(
             n_samples=200, n_features=60, maf_range=(0.1, 0.4),
             support=[(j, 1.5) for j in range(5)], link="logistic", seed=4))
         cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=20.0, rho=2.0))
         ds = fit(center(x), build_design(y), cfg)
         assert ds.converged and ds.inner_converged and ds.outer_iters == 2
-        assert calls[0].n_iter > 1 and calls[1].n_iter == 1
+        # the solves of each outer iteration, which one score step ends
+        per_outer = [[]]
+        for name, _, _, result in calls:
+            if name == "solve_step_a":
+                per_outer[-1].append(result)
+            else:
+                per_outer.append([])
+        first, second = per_outer[:2]
+        assert first[0].n_iter > 1 and all(r.converged for r in first)
+        assert len(second) == 1 and second[0].n_iter == 1
 
     def test_sign_canonicalization(self):
         x, y = three_class_instance(8)
@@ -218,3 +258,108 @@ class TestFit:
                                                           r=0.1, rho=2.0))
             ds = fit(x, design, cfg)
             check_theta_invariants(ds.Theta, design.D, ds.Q[:, 0])
+
+
+class TestWorkingSet:
+    """`fit` solves each step A on a KKT-checked working set of columns;
+    the oracle is `admm.solve_step_a` on every column at the fit's scores."""
+
+    @pytest.mark.parametrize("case", ["p>n", "p<n", "d=2", "delta=0.7"])
+    def test_matches_full_column_solve(self, case):
+        (x, y), d, pen = {
+            "p>n": (genotype_instance(120, 300, 1), 1,
+                    PenaltyParams(lam=20.0, rho=2.0)),
+            "p<n": (genotype_instance(300, 60, 2), 1,
+                    PenaltyParams(lam=20.0, rho=2.0)),
+            "d=2": (three_class_instance(3, n=300, p=40), 2,
+                    PenaltyParams(lam=60.0, rho=2.0)),
+            "delta=0.7": (genotype_instance(200, 150, 4), 1,
+                          PenaltyParams(lam=20.0, delta=0.7, rho=2.0)),
+        }[case]
+        design = build_design(y)
+        ds = fit(x, design, SolverConfig(d=d, penalty=pen))
+        assert ds.converged and ds.inner_converged
+        assert 0 < ds.working_set_size < x.n_features
+        assert ds.kkt_max_rel <= ds.kkt_slack + 1e-12
+        X, Ztheta = x.values, design.Z @ ds.Theta
+        oracle = solve_step_a(X, Ztheta, pen, tol=1e-10, max_iter=50000)
+        assert oracle.converged
+        assert np.array_equal(np.flatnonzero(ds.row_norms()),
+                              np.flatnonzero(np.linalg.norm(oracle.B, axis=1)))
+        got = step_a_objective(X, Ztheta, ds.B, pen)
+        want = step_a_objective(X, Ztheta, oracle.B, pen)
+        assert abs(got - want) <= 1e-9 * want
+
+    def test_suppressor_is_added_by_the_kkt_pass(self, monkeypatch):
+        x, y = suppressor_instance()
+        design = build_design(y)
+        pen = PenaltyParams(lam=40.0, rho=2.0)
+        calls = record_calls(monkeypatch, "solve_step_a", "theta_step")
+        ds = fit(x, design, SolverConfig(penalty=pen))
+        names = [c[0] for c in calls]
+        first_outer = calls[:names.index("theta_step")]
+        # f0 alone, then f1 added by the pass after the first solve
+        assert [c[1][0].shape[1] for c in first_outer] == [1, 2]
+        assert np.flatnonzero(ds.row_norms()).tolist() == [0, 1]
+        oracle = solve_step_a(x.values, design.Z @ ds.Theta, pen, tol=1e-10,
+                              max_iter=50000)
+        assert np.flatnonzero(
+            np.linalg.norm(oracle.B, axis=1)).tolist() == [0, 1]
+        assert ds.kkt_max_rel <= ds.kkt_slack + 1e-12
+
+    def test_no_signal_needs_no_solve(self, monkeypatch):
+        x, y = three_class_instance(6)
+        calls = record_calls(monkeypatch, "solve_step_a", "GramSolver")
+        ds = fit(x, build_design(y), SolverConfig(
+            d=2, penalty=PenaltyParams(lam=1e9, rho=2.0)))
+        assert calls == [] and ds.working_set_size == 0
+        assert ds.converged and ds.kkt_max_rel == 0 and ds.kkt_slack == 0
+
+    def test_capped_solve_ends_the_step(self, monkeypatch):
+        # a capped solve certifies nothing: no KKT pass follows it, so each
+        # outer iteration runs one solve and the fit is reported unconverged
+        x, y = genotype_instance(120, 300, 1)
+        calls = record_calls(monkeypatch, "solve_step_a")
+        ds = fit(x, build_design(y), SolverConfig(
+            penalty=PenaltyParams(lam=0.5, rho=2.0), inner_max_iter=1,
+            outer_max_iter=3))
+        assert not ds.inner_converged
+        assert len(calls) == ds.outer_iters
+        assert not any(c[3].converged for c in calls)
+
+    def test_partition_fit_factors_narrow_grams(self, monkeypatch):
+        # a sparse 400 x 500 partition fit (the README screen's first stage)
+        # factors no Gram wider than 50 columns, where a full-column solve
+        # factors a 400 x 400 one; X_W and its GramSolver are kept while W
+        # is unchanged, so each factorization is of a larger W than the last
+        x, y, _ = simulate(SyntheticSpec(
+            n_samples=400, n_features=500, maf_range=(0.1, 0.4),
+            support=[(j, 1.8) for j in range(10)], link="logistic", seed=3))
+        calls = record_calls(monkeypatch, "GramSolver")
+        ds = fit(center(x), build_design(y), SolverConfig(
+            penalty=PenaltyParams(lam=70.0, rho=2.0)))
+        widths = [c[1][0].shape[1] for c in calls]
+        assert ds.converged and ds.inner_converged
+        assert 0 < max(widths) <= 50
+        assert widths == sorted(set(widths))
+
+    def test_r_positive_solves_on_every_column(self, monkeypatch):
+        # no KKT pass and no column subset: one solve per outer iteration on
+        # X itself, warm from the one before: the full-column path
+        x, y = three_class_instance(10)
+        calls = record_calls(monkeypatch, "solve_step_a", "GramSolver")
+        ds = fit(x, build_design(y), SolverConfig(
+            d=2, penalty=PenaltyParams(lam=0.5, delta=0.9, r=0.5, rho=2.0),
+            outer_max_iter=4))
+        gram, solves = calls[0], calls[1:]
+        assert gram[0] == "GramSolver" and len(solves) == ds.outer_iters
+        X = gram[1][0]
+        assert np.array_equal(X, x.values)
+        assert all(c[0] == "solve_step_a" and c[1][0] is X
+                   and c[2]["gram"] is gram[3] for c in solves)
+        warm = [c[2]["warm"] for c in solves]
+        assert warm[0] is None
+        assert all(w is c[3] for w, c in zip(warm[1:], solves))
+        assert np.array_equal(np.abs(ds.B), np.abs(solves[-1][3].B))
+        assert ds.kkt_max_rel is None and ds.kkt_slack is None
+        assert ds.working_set_size == x.n_features
