@@ -32,7 +32,8 @@ design = build_design(y)   # binary response -> 2 slices
 # ------------------------------------------------------------ sparse fit
 cfg = SolverConfig(
     d=1,
-    penalty=PenaltyParams(lam=40.0, delta=1.0, r=0.0, rho=2.0),
+    penalty=PenaltyParams(lam=40.0, delta=1.0, r=0.0),
+    rho=2.0,
 )
 directions = fit(xc, design, cfg)
 selected = np.flatnonzero(directions.row_norms() > 1e-10)
@@ -44,9 +45,9 @@ print(f"true positives: {len(set(selected.tolist()) & truth)} / {len(truth)}")
 # --------------------------------------- sanity check against eigenroute
 # With the penalty switched off the alternating solver spans the same
 # subspace as the generalized eigenproblem on the slice-mean covariance.
-plain = fit(xc, design, SolverConfig(d=1, penalty=PenaltyParams(lam=0.0,
-                                                                rho=2.0),
-                                     outer_tol=1e-8, outer_max_iter=300))
+plain = fit(xc, design, SolverConfig(d=1, penalty=PenaltyParams(lam=0.0),
+                                     rho=2.0, outer_tol=1e-8,
+                                     outer_max_iter=300))
 eig = sir_eigen(xc, design, 1)
 angle = principal_angle(plain.B, eig.basis)
 print(f"\nunpenalized fit vs eigen solution: principal angle = {angle:.2e}")

@@ -28,8 +28,8 @@ plan = ScreeningPlan(
         (10, 50),   # stage 1: 10 partitions of 500, keep top 50 each
         (2, 100),   # stage 2: 2 partitions of 250, keep top 100 each
     ],
-    final_fit=SolverConfig(d=1, penalty=PenaltyParams(lam=70.0, delta=1.0,
-                                                      rho=2.0)),
+    final_fit=SolverConfig(d=1, penalty=PenaltyParams(lam=70.0, delta=1.0),
+                           rho=2.0),
 )
 
 report = run_plan(x, y, plan, seed=7, n_workers=4)

@@ -24,8 +24,8 @@ print(f"cohort: {x.n_samples} x {x.n_features}")
 
 plan = ScreeningPlan(
     stages=[(3, 60)],
-    final_fit=SolverConfig(d=1, penalty=PenaltyParams(lam=25.0, delta=1.0,
-                                                      rho=2.0)),
+    final_fit=SolverConfig(d=1, penalty=PenaltyParams(lam=25.0, delta=1.0),
+                           rho=2.0),
 )
 
 print("\n--- sparse dimension reduction + nearest centroid ---")

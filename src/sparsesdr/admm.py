@@ -11,7 +11,7 @@ solve, a closed-form row-wise group shrinkage and a scaled dual update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class PenaltyParams:
     lam: float = 0.0
     delta: float = 1.0
     r: float = 0.0
-    rho: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:
@@ -37,8 +36,6 @@ class PenaltyParams:
             raise ValidationError("delta must be in [0, 1]")
         if not 0 <= self.r < 1:
             raise ValidationError("r must be in [0, 1)")
-        if not 0 < self.rho < np.inf:
-            raise ValidationError("rho must be finite and > 0")
 
 
 @dataclass
@@ -52,14 +49,15 @@ class StepAResult:
     rho: float       # final step parameter
 
 
-def shrink_rows(V: np.ndarray, params: PenaltyParams) -> np.ndarray:
-    """Row-wise group shrinkage: each row is scaled toward zero, exactly
-    zeroed when its norm falls below the penalty threshold.
+def shrink_rows(V: np.ndarray, params: PenaltyParams,
+                rho: float) -> np.ndarray:
+    """Row-wise group shrinkage at ADMM step rho: each row is scaled toward
+    zero, exactly zeroed when its norm falls below the penalty threshold.
 
     Exact proximal map at r = 0; for r > 0 it is the first-order closed form
     (the small approximation is quantified by the oracle tests).
     """
-    lam, delta, r, rho = params.lam, params.delta, params.r, params.rho
+    lam, delta, r = params.lam, params.delta, params.r
     norms = np.linalg.norm(V, axis=1)
     thresh = lam * delta * (1 - r * r) / rho
     denom = 1 + 2 * lam * (1 - delta) * (1 + r) / rho
@@ -71,10 +69,11 @@ def shrink_rows(V: np.ndarray, params: PenaltyParams) -> np.ndarray:
     return V * factor[:, None]
 
 
-def group_shrink(v: np.ndarray, params: PenaltyParams) -> np.ndarray:
+def group_shrink(v: np.ndarray, params: PenaltyParams,
+                 rho: float) -> np.ndarray:
     """Shrink a single length-d row vector (see shrink_rows)."""
     v = np.asarray(v, dtype=float)
-    return shrink_rows(v[None, :], params)[0]
+    return shrink_rows(v[None, :], params, rho)[0]
 
 
 class GramSolver:
@@ -117,7 +116,7 @@ def step_a_objective(X: np.ndarray, Ztheta: np.ndarray, B: np.ndarray,
 
 
 def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
-                 tol: float = 1e-6, max_iter: int = 1000,
+                 rho: float, tol: float = 1e-6, max_iter: int = 1000,
                  gram: GramSolver | None = None,
                  warm: StepAResult | None = None) -> StepAResult:
     """Run ADMM to convergence on the row-sparse subproblem.
@@ -125,11 +124,12 @@ def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
     X is the n x p centered predictor matrix, Ztheta the n x d matrix of
     current response scores. Stops on the primal (B - alpha) and dual
     (rho times the change of alpha) residual tests of Boyd et al. (2011,
-    sec. 3.3.1) with eps_abs = eps_rel = tol. params.rho is the starting
-    step, balanced against the residuals at r = 0 (sec. 3.4.1) without
-    moving the optimum; at r > 0 the shrinkage is approximate, its fixed
-    point depends on rho, and rho is held. `warm`, an earlier result on the
-    same X, is resumed: its B (alpha), u and rho. Returns alpha as B.
+    sec. 3.3.1) with eps_abs = eps_rel = tol. `rho` is the starting step,
+    balanced against the residuals at r = 0 (sec. 3.4.1) without moving
+    the optimum; at r > 0 the shrinkage is approximate, its fixed point
+    depends on rho, and rho is held. `warm`, an earlier result on the same
+    X, is resumed: its B (alpha), u and rho, in place of `rho`. Returns
+    alpha as B.
 
     This solves on every column of the X it is given. `optimal_scoring.fit`
     gives it the working set's columns X_W: at r = 0 a KKT pass over the
@@ -142,15 +142,14 @@ def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
         gram = GramSolver(X)
     xtz_theta = X.T @ Ztheta
     if warm is None:  # cold start: the ridge solution with a zero dual
-        alpha = gram.solve(xtz_theta, params.rho / 2.0)
-        warm = StepAResult(alpha, 0, False, 0.0, 0.0, 0 * alpha, params.rho)
+        alpha = gram.solve(xtz_theta, rho / 2.0)
+        warm = StepAResult(alpha, 0, False, 0.0, 0.0, 0 * alpha, rho)
     alpha, u, rho = warm.B, warm.u, warm.rho
-    shrink = replace(params, rho=rho)
     eps_abs = np.sqrt(alpha.size) * tol
 
     for n_iter in range(1, max_iter + 1):
         B = beta_update(gram, xtz_theta, alpha, u, rho)
-        alpha_new = shrink_rows(B + u, shrink)
+        alpha_new = shrink_rows(B + u, params, rho)
         r = B - alpha_new
         u = u + r
         r_norm = float(np.linalg.norm(r))
@@ -166,7 +165,6 @@ def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
                 and max(pri, dual) > _MU * min(pri, dual)):
             scale = _TAU if pri > dual else 1.0 / _TAU
             rho, u = rho * scale, u / scale
-            shrink = replace(shrink, rho=rho)
 
     return StepAResult(B=alpha, n_iter=n_iter, converged=converged, u=u,
                        rho=rho, primal_residual=r_norm, dual_residual=s_norm)

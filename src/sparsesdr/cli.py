@@ -21,7 +21,7 @@ from .dataset import (Phenotype, PredictorMatrix, SyntheticSpec,
 from .errors import ParseError, SparseSdrError, ValidationError
 from .evaluation import (chi2_rank, cross_validate, cv_report_to_json,
                          cv_report_to_tsv, fit_classifier, fit_model,
-                         load_model, predict, save_model)
+                         load_model, model_to_json, predict)
 # bench/tracer.py hooks `build_design` and `fit_classifier` here by name
 from .scoring import build_design
 from .screening import (PARTITION_BLAS_THREADS, report_summary,
@@ -68,7 +68,7 @@ def _manifest(args, inputs: list) -> dict:
     }
 
 
-def _write_outputs(args, inputs: list, files: dict) -> Path:
+def _write_outputs(args, inputs: list, files: dict) -> None:
     """Make the output directory and write `files` (name -> text, or a dict
     written as JSON) and manifest.json, which digests `inputs`."""
     outdir = Path(args.out)
@@ -78,12 +78,16 @@ def _write_outputs(args, inputs: list, files: dict) -> Path:
         if isinstance(content, dict):
             content = json.dumps(content, indent=2, sort_keys=True) + "\n"
         (outdir / name).write_text(content, encoding="utf-8")
-    return outdir
+
+
+def _load_x(path) -> PredictorMatrix:
+    """The predictors at `path`: CSV if it ends in `.csv`, else TSV."""
+    fmt = "csv" if str(path).endswith(".csv") else "tsv"
+    return load_predictors(path, fmt)
 
 
 def _load_inputs(args) -> tuple[PredictorMatrix, Phenotype]:
-    fmt = "csv" if str(args.x).endswith(".csv") else "tsv"
-    x = load_predictors(args.x, fmt)
+    x = _load_x(args.x)
     sample_ids, labels = load_phenotype(args.y)
     return x, make_phenotype(align_phenotype(x, sample_ids, labels))
 
@@ -111,7 +115,7 @@ def cmd_fit(args) -> None:
     ds, summary = report.final_directions, report_summary(report)
     B = np.zeros((x.n_features, ds.B.shape[1]))
     B[report.survivors] = ds.B
-    outdir = _write_outputs(args, [args.x, args.y], {
+    _write_outputs(args, [args.x, args.y], {
         "directions.tsv": _matrix_tsv(B, x.feature_ids),
         "theta.tsv": _matrix_tsv(ds.Theta),
         "fit.json": {
@@ -124,8 +128,8 @@ def cmd_fit(args) -> None:
             "objective": ds.objective_history,
             "nonzero_rows": len(report.selected_indices),
         },
+        "model.json": model_to_json(clf),
     })
-    save_model(clf, outdir / "model.json")
 
 
 def cmd_screen(args) -> None:
@@ -187,8 +191,7 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    fmt = "csv" if str(args.x).endswith(".csv") else "tsv"
-    x = load_predictors(args.x, fmt)
+    x = _load_x(args.x)
     model = Path(args.model) / "model.json"
     clf = load_model(model)
     labels, scores = predict(clf, x)

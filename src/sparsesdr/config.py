@@ -24,18 +24,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get(raw: dict, key: str, cast, default):
-    """Pop `key` from `raw` and cast its value; keys never popped are
-    unknown to the loader."""
-    if key not in raw:
-        return default
-    value = raw.pop(key)
-    try:
-        return cast(value)
-    except ValueError:
-        raise ValidationError(f"config key {key!r}: bad value {value!r}")
-
-
 def _parse_stages(text: str) -> list[Stage]:
     """Stage list as `n_partitions:keep` pairs, comma separated,
     e.g. `20:2000, 4:1500`."""
@@ -76,39 +64,54 @@ class RunConfig:
         return ScreeningPlan(self.stages, self.solver)
 
 
+# Each accepted key -> (section, field, cast). Only the keys a file sets are
+# passed on, so every default lives in its dataclass.
+_KEYS = {
+    "penalty.lambda": ("penalty", "lam", float),
+    "penalty.delta": ("penalty", "delta", float),
+    "penalty.r": ("penalty", "r", float),
+    "penalty.rho": ("solver", "rho", float),
+    "solver.d": ("solver", "d", int),
+    "solver.outer_tol": ("solver", "outer_tol", float),
+    "solver.outer_max_iter": ("solver", "outer_max_iter", int),
+    "solver.inner_tol": ("solver", "inner_tol", float),
+    "solver.inner_max_iter": ("solver", "inner_max_iter", int),
+    "screen.stages": ("run", "stages", _parse_stages),
+    "cv.folds": ("run", "cv_folds", int),
+    "cv.method": ("run", "cv_method", str),
+    "cv.top_m": ("run", "top_m", int),
+    "cv.knn_k": ("run", "knn_k", int),
+    "design.h": ("run", "h", int),
+    "simulate.n": ("run", "sim_n", int),
+    "simulate.p": ("run", "sim_p", int),
+    "simulate.maf_low": ("run", "sim_maf_low", float),
+    "simulate.maf_high": ("run", "sim_maf_high", float),
+    "simulate.support": ("run", "sim_support", int),
+    "simulate.effect": ("run", "sim_effect", float),
+    "simulate.link": ("run", "sim_link", str),
+}
+
+
+def _take(raw: dict, section: str) -> dict:
+    """Pop the keys `raw` sets for `section` and cast each to its field."""
+    out = {}
+    for key, (sec, name, cast) in _KEYS.items():
+        if sec == section and key in raw:
+            value = raw.pop(key)
+            try:
+                out[name] = cast(value)
+            except ValueError:
+                raise ValidationError(
+                    f"config key {key!r}: bad value {value!r}")
+    return out
+
+
 def load_run_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_config_text(fh.read())
-    penalty = PenaltyParams(
-        lam=_get(raw, "penalty.lambda", float, 0.0),
-        delta=_get(raw, "penalty.delta", float, 1.0),
-        r=_get(raw, "penalty.r", float, 0.0),
-        rho=_get(raw, "penalty.rho", float, 1.0),
-    )
-    solver = SolverConfig(
-        d=_get(raw, "solver.d", int, 1),
-        penalty=penalty,
-        outer_tol=_get(raw, "solver.outer_tol", float, 1e-5),
-        outer_max_iter=_get(raw, "solver.outer_max_iter", int, 100),
-        inner_tol=_get(raw, "solver.inner_tol", float, 1e-6),
-        inner_max_iter=_get(raw, "solver.inner_max_iter", int, 1000),
-    )
-    cfg = RunConfig(
-        solver=solver,
-        stages=_get(raw, "screen.stages", _parse_stages, []),
-        cv_folds=_get(raw, "cv.folds", int, 5),
-        cv_method=_get(raw, "cv.method", str, "sparse_sdr"),
-        top_m=_get(raw, "cv.top_m", int, None),
-        knn_k=_get(raw, "cv.knn_k", int, None),
-        h=_get(raw, "design.h", int, None),
-        sim_n=_get(raw, "simulate.n", int, 200),
-        sim_p=_get(raw, "simulate.p", int, 100),
-        sim_maf_low=_get(raw, "simulate.maf_low", float, 0.05),
-        sim_maf_high=_get(raw, "simulate.maf_high", float, 0.5),
-        sim_support=_get(raw, "simulate.support", int, 0),
-        sim_effect=_get(raw, "simulate.effect", float, 1.0),
-        sim_link=_get(raw, "simulate.link", str, "logistic"),
-    )
+    solver = SolverConfig(penalty=PenaltyParams(**_take(raw, "penalty")),
+                          **_take(raw, "solver"))
+    cfg = RunConfig(solver=solver, **_take(raw, "run"))
     if raw:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(raw))}")
     return cfg

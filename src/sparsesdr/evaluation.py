@@ -75,9 +75,9 @@ def fit_model(x_centered: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
                                   y, report.final_directions.B[keep])
 
 
-def save_model(clf: ProjectionClassifier, path) -> None:
-    """Write the classifier as JSON; `load_model` reads it back."""
-    model = {
+def model_to_json(clf: ProjectionClassifier) -> dict:
+    """The classifier as a JSON-ready dict; `load_model` reads it back."""
+    return {
         "feature_ids": clf.feature_ids,
         "column_means": clf.column_means.tolist(),
         "B_kept": clf.B_kept.tolist(),
@@ -86,22 +86,14 @@ def save_model(clf: ProjectionClassifier, path) -> None:
         "class_priors": clf.class_priors.tolist(),
         "degenerate": clf.degenerate,
     }
-    Path(path).write_text(json.dumps(model, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 def load_model(path) -> ProjectionClassifier:
-    """Read a classifier written by `save_model`."""
+    """Read a classifier written as `model_to_json`'s dict."""
     m = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ProjectionClassifier(
-        B_kept=np.array(m["B_kept"]),
-        feature_ids=m["feature_ids"],
-        column_means=np.array(m["column_means"]),
-        class_labels=m["class_labels"],
-        class_centroids=np.array(m["class_centroids"]),
-        class_priors=np.array(m["class_priors"]),
-        degenerate=m["degenerate"],
-    )
+    for name in ("B_kept", "column_means", "class_centroids", "class_priors"):
+        m[name] = np.array(m[name])
+    return ProjectionClassifier(**m)
 
 
 def predict(clf: ProjectionClassifier, x_test_raw: PredictorMatrix):
@@ -353,7 +345,8 @@ def _neighbour_order(d2: np.ndarray) -> np.ndarray:
 def _knn_vote(order: np.ndarray, labels: np.ndarray, k: int):
     """`knn_predict`'s vote over the first k columns of each row of `order`
     (from `_neighbour_order`); one order serves every k."""
-    classes = np.unique(labels)
+    ordered = np.sort(labels)   # np.unique would import numpy.ma
+    classes = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
     if len(classes) == 2 and k % 2 == 0:
         raise ValidationError("k must be odd for binary labels")
     votes = np.searchsorted(classes, labels)[order[:, :k]]

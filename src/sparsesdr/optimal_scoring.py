@@ -21,12 +21,15 @@ _ZERO_BETA = 1e-14
 class SolverConfig:
     d: int = 1
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
+    rho: float = 1.0   # starting ADMM step of each coefficient step
     outer_tol: float = 1e-5
     outer_max_iter: int = 100
     inner_tol: float = 1e-6
     inner_max_iter: int = 1000
 
     def __post_init__(self):
+        if not 0 < self.rho < np.inf:
+            raise ValidationError("rho must be finite and > 0")
         if self.d < 1:
             raise ValidationError("d must be >= 1")
         if not all(0 < t < np.inf for t in (self.outer_tol, self.inner_tol)):
@@ -39,7 +42,6 @@ class SolverConfig:
 class DirectionSet:
     B: np.ndarray          # p x d coefficient matrix, rows exactly sparse
     Theta: np.ndarray      # h x d score coefficients, D-orthonormal
-    Q: np.ndarray          # h x (d+1); first column deflates the constant score
     converged: bool
     outer_iters: int
     objective_history: list[float] = field(default_factory=list)
@@ -147,9 +149,9 @@ class _WorkingSet:
                 return res
             if self.gram is None:
                 self.gram = GramSolver(self.X_W)
-            res = solve_step_a(self.X_W, Ztheta, pen, tol=cfg.inner_tol,
-                               max_iter=cfg.inner_max_iter, gram=self.gram,
-                               warm=res)
+            res = solve_step_a(self.X_W, Ztheta, pen, cfg.rho,
+                               tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
+                               gram=self.gram, warm=res)
             solved = True
             if pen.r > 0 or not res.converged:
                 return res
@@ -295,7 +297,7 @@ def fit(x: PredictorMatrix, design: ScoringDesign, cfg: SolverConfig,
                           for i in range(d))
         beta_moved = max(float(np.linalg.norm(B_new[:, i] - B[:, i]))
                          for i in range(d))
-        Theta, Q, B = Theta_new, Qi, B_new
+        Theta, B = Theta_new, B_new
         if theta_moved < cfg.outer_tol and beta_moved < cfg.outer_tol:
             converged = True
             break
@@ -309,8 +311,7 @@ def fit(x: PredictorMatrix, design: ScoringDesign, cfg: SolverConfig,
             * res.primal_residual) / pen.lam
     signs = column_signs(Theta)
     B, Theta = B * signs, Theta * signs
-    Q = np.column_stack([Q[:, :1], Theta])
-    return DirectionSet(B=B, Theta=Theta, Q=Q, converged=converged,
+    return DirectionSet(B=B, Theta=Theta, converged=converged,
                         outer_iters=outer, objective_history=history,
                         inner_converged=inner_ok, kkt_max_rel=kkt,
                         kkt_slack=slack, working_set_size=len(ws.cols))

@@ -50,7 +50,6 @@ class StageRecord:
     partition: int
     kept_indices: np.ndarray   # original feature indices
     kept_norms: np.ndarray
-    no_signal: bool
     converged: bool         # outer loop and every inner solve converged
     inner_converged: bool   # every inner solve converged
 
@@ -88,13 +87,13 @@ def partition_features(p: int, k: int) -> list[tuple[int, int]]:
 
 def rank_and_keep(ds: DirectionSet, k: int):
     """Top-k row positions by coefficient row norm, ties broken by index
-    ascending. Returns (positions, norms, no_signal flag)."""
+    ascending. Returns (positions, norms)."""
     norms = ds.row_norms()
     if k > len(norms):
         raise ValidationError(f"keep={k} exceeds {len(norms)} features")
     order = np.lexsort((np.arange(len(norms)), -norms))
     kept = order[:k]
-    return kept, norms[kept], bool(np.all(norms[kept] <= _NONZERO_ROW))
+    return kept, norms[kept]
 
 
 def _partition_seed(seed: int, stage: int, part: int) -> int:
@@ -126,10 +125,9 @@ def _screen(x: PredictorMatrix, design: ScoringDesign, plan: ScreeningPlan,
             except SparseSdrError as exc:
                 raise type(exc)(
                     f"stage {stage_no}, partition {part_no}: {exc}") from exc
-            kept_pos, norms, no_signal = rank_and_keep(
-                ds, stage.keep_per_partition)
+            kept_pos, norms = rank_and_keep(ds, stage.keep_per_partition)
             return StageRecord(stage_no, part_no, cols[kept_pos], norms,
-                               no_signal, ds.converged and ds.inner_converged,
+                               ds.converged and ds.inner_converged,
                                ds.inner_converged)
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

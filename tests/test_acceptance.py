@@ -53,7 +53,7 @@ def unpenalized_fits():
     for seed in range(20):
         x, y = three_class_instance(seed)
         design = build_design(y, 3)
-        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.0, rho=2.0),
+        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.0), rho=2.0,
                            outer_tol=1e-8, outer_max_iter=300,
                            inner_tol=1e-9, inner_max_iter=5000)
         t0 = time.monotonic()
@@ -126,8 +126,8 @@ def test_criterion_2_admm_vs_proximal_gradient():
             X -= X.mean(axis=0)
             z = rng.standard_normal(n)
             lam = float(rng.uniform(0.05, 2.0))
-            params = PenaltyParams(lam=lam, delta=1.0, r=0.0, rho=2.0)
-            res = solve_step_a(X, z[:, None], params, tol=1e-9,
+            params = PenaltyParams(lam=lam, delta=1.0, r=0.0)
+            res = solve_step_a(X, z[:, None], params, 2.0, tol=1e-9,
                                max_iter=20000)
             oracle = fista_group_lasso(X, z, lam, n_steps=5000)
             gap = (step_a_objective(X, z[:, None], res.B, params)
@@ -139,8 +139,8 @@ def test_criterion_2_admm_vs_proximal_gradient():
             X -= X.mean(axis=0)
             z = rng2.standard_normal(15)
             lam = float(rng2.uniform(0.02, 0.1))
-            params = PenaltyParams(lam=lam, delta=1.0, r=0.5, rho=2.0)
-            res = solve_step_a(X, z[:, None], params, tol=1e-10,
+            params = PenaltyParams(lam=lam, delta=1.0, r=0.5)
+            res = solve_step_a(X, z[:, None], params, 2.0, tol=1e-10,
                                max_iter=20000)
             oracle = prox_grad_r_half(X, z, lam)
             gap = (step_a_objective(X, z[:, None], res.B, params)
@@ -154,9 +154,8 @@ def test_criterion_3_shrinkage_oracle():
                       "minimization on a parameter grid (1e-4 / 1e-2)"):
         direction = np.array([0.6, -0.8])
 
-        def numeric_argmin(norm_v, params):
-            lam, delta, r, rho = (params.lam, params.delta, params.r,
-                                  params.rho)
+        def numeric_argmin(norm_v, params, rho):
+            lam, delta, r = params.lam, params.delta, params.r
 
             def h(s):
                 return (lam * (1 - delta) * s ** 2
@@ -175,8 +174,7 @@ def test_criterion_3_shrinkage_oracle():
                 lam = ratio * rho
                 for delta in (0.5, 0.8, 1.0):
                     for r in (0.0, 0.1, 0.3, 0.5):
-                        params = PenaltyParams(lam=lam, delta=delta, r=r,
-                                               rho=rho)
+                        params = PenaltyParams(lam=lam, delta=delta, r=r)
                         T = lam * delta * (1 - r * r) / rho
                         edge = T ** (1 / (1 + r))
                         norms = [0.3 * edge, 0.7 * edge, 0.5, 1.0, 2.0, 4.0]
@@ -184,9 +182,10 @@ def test_criterion_3_shrinkage_oracle():
                             if norm_v <= 0:
                                 continue
                             n_points += 1
-                            got = group_shrink(norm_v * direction, params)
+                            got = group_shrink(norm_v * direction, params,
+                                               rho)
                             got_norm = float(np.linalg.norm(got))
-                            want = numeric_argmin(norm_v, params)
+                            want = numeric_argmin(norm_v, params, rho)
                             tol = 1e-4 if r == 0 else 1e-2
                             assert abs(got_norm - want) <= tol
                             if r == 0 and norm_v ** (1 + r) <= T:
@@ -198,15 +197,17 @@ def test_criterion_4_theta_invariants(unpenalized_fits):
     with criterion(4, "score vectors stay D-orthonormal and deflated "
                       "(1e-8) after every fit"):
         for x, y, design, cfg, ds, _ in unpenalized_fits:
-            check_theta_invariants(ds.Theta, design.D, ds.Q[:, 0], tol=1e-8)
+            check_theta_invariants(ds.Theta, design.D, np.eye(design.h)[0],
+                                   tol=1e-8)
         # penalized fits too
         for seed in (0, 1, 2):
             x, y = three_class_instance(seed)
             design = build_design(y, 3)
             cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=2.0, delta=0.9,
-                                                          r=0.2, rho=2.0))
+                                                          r=0.2), rho=2.0)
             ds = fit(x, design, cfg)
-            check_theta_invariants(ds.Theta, design.D, ds.Q[:, 0], tol=1e-8)
+            check_theta_invariants(ds.Theta, design.D, np.eye(design.h)[0],
+                                   tol=1e-8)
 
 
 def test_criterion_5_objective_descent(unpenalized_fits):
@@ -219,7 +220,7 @@ def test_criterion_5_objective_descent(unpenalized_fits):
             x, y = three_class_instance(30 + seed)
             design = build_design(y, 3)
             cfg = SolverConfig(d=2, penalty=PenaltyParams(
-                lam=float(rng.uniform(0.1, 3.0)), delta=1.0, rho=2.0),
+                lam=float(rng.uniform(0.1, 3.0)), delta=1.0), rho=2.0,
                 inner_tol=1e-8, inner_max_iter=5000)
             ds = fit(x, design, cfg)
             histories.append((cfg, ds.objective_history))
@@ -238,8 +239,8 @@ def test_criterion_6_split_and_conquer_equivalence():
             support=[(j, 1.8) for j in range(110, 120)], link="logistic",
             seed=11)
         x, y, truth = simulate(spec)
-        solver = SolverConfig(d=1, penalty=PenaltyParams(lam=100.0, delta=1.0,
-                                                         rho=2.0))
+        solver = SolverConfig(d=1, penalty=PenaltyParams(lam=100.0, delta=1.0),
+                              rho=2.0)
         split = run_plan(x, y, ScreeningPlan(stages=[(4, 100)],
                                              final_fit=solver), seed=5)
         whole = run_plan(x, y, ScreeningPlan(stages=[(1, 400)],
@@ -272,7 +273,7 @@ def test_criterion_7_support_recovery_bands():
         plan = ScreeningPlan(
             stages=[(4, 100)],
             final_fit=SolverConfig(d=1, penalty=PenaltyParams(
-                lam=32.0, delta=1.0, rho=2.0)))
+                lam=32.0, delta=1.0), rho=2.0))
         report = cross_validate(x, y, 5, "sparse_sdr", seed=7, plan=plan)
         truth_ids = {x.feature_ids[j] for j in truth}
         good_folds = sum(
@@ -421,9 +422,8 @@ def test_criterion_10_protocol_shape_fidelity():
                              support=[(j, 2.0) for j in range(5)],
                              link="logistic", seed=1)
         x, y, _ = simulate(spec)
-        cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=0.5, delta=1.0,
-                                                      rho=2.0),
-                           inner_max_iter=30, outer_max_iter=2,
+        cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=0.5, delta=1.0),
+                           rho=2.0, inner_max_iter=30, outer_max_iter=2,
                            outer_tol=1e-3)
         wide = run_plan(x, y, ScreeningPlan(stages=[(20, 2000), (4, 1500)],
                                             final_fit=cfg),

@@ -17,20 +17,18 @@ def random_problem(seed, n, p, d):
 
 class TestPenaltyParams:
     def test_valid(self):
-        PenaltyParams(lam=1.0, delta=0.5, r=0.3, rho=2.0)
+        PenaltyParams(lam=1.0, delta=0.5, r=0.3)
 
     @pytest.mark.parametrize("kwargs", [
         dict(lam=-1), dict(delta=1.5), dict(delta=-0.1),
-        dict(r=1.0), dict(r=-0.2), dict(rho=0.0),
+        dict(r=1.0), dict(r=-0.2),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValidationError):
             PenaltyParams(**kwargs)
 
-
     @pytest.mark.parametrize("kwargs", [
         dict(lam=float("nan")), dict(lam=float("inf")),
-        dict(rho=float("nan")), dict(rho=float("inf")),
     ])
     def test_non_finite_refused(self, kwargs):
         with pytest.raises(ValidationError, match="must be finite"):
@@ -39,27 +37,28 @@ class TestPenaltyParams:
 
 class TestGroupShrink:
     def test_zero_vector_stays_zero(self):
-        params = PenaltyParams(lam=1.0, delta=1.0, r=0.0, rho=2.0)
-        assert np.all(group_shrink(np.zeros(3), params) == 0)
+        params = PenaltyParams(lam=1.0, delta=1.0, r=0.0)
+        assert np.all(group_shrink(np.zeros(3), params, 2.0) == 0)
 
     def test_soft_threshold_example(self):
         # r=0, delta=1: plain group soft-threshold with T = lam/rho = 0.5,
         # so a row of norm 2 contracts by the factor (2 - 0.5)/2 = 0.75
-        params = PenaltyParams(lam=1.0, delta=1.0, r=0.0, rho=2.0)
+        params = PenaltyParams(lam=1.0, delta=1.0, r=0.0)
         v = np.array([1.2, -1.6])  # norm 2
-        assert np.allclose(group_shrink(v, params), 0.75 * v, atol=1e-12)
+        assert np.allclose(group_shrink(v, params, 2.0), 0.75 * v,
+                           atol=1e-12)
 
     def test_below_threshold_zeroed(self):
-        params = PenaltyParams(lam=1.0, delta=1.0, r=0.0, rho=2.0)
+        params = PenaltyParams(lam=1.0, delta=1.0, r=0.0)
         v = np.array([0.24, 0.32])  # norm 0.4 < T = 0.5
-        assert np.all(group_shrink(v, params) == 0)
+        assert np.all(group_shrink(v, params, 2.0) == 0)
 
     def test_output_collinear_and_contractive(self):
         rng = np.random.default_rng(0)
-        params = PenaltyParams(lam=0.3, delta=0.7, r=0.4, rho=3.0)
+        params = PenaltyParams(lam=0.3, delta=0.7, r=0.4)
         for _ in range(20):
             v = rng.standard_normal(4) * rng.uniform(0.1, 5)
-            out = g = group_shrink(v, params)
+            out = g = group_shrink(v, params, 3.0)
             gn, vn = np.linalg.norm(g), np.linalg.norm(v)
             assert gn <= vn + 1e-12
             if gn > 0:
@@ -70,17 +69,17 @@ class TestGroupShrink:
         v = np.array([2.0, 1.0, -1.0])
         prev = np.linalg.norm(v)
         for lam in [0.0, 0.5, 1.0, 2.0, 4.0]:
-            params = PenaltyParams(lam=lam, delta=0.8, r=0.2, rho=2.0)
-            cur = np.linalg.norm(group_shrink(v, params))
+            params = PenaltyParams(lam=lam, delta=0.8, r=0.2)
+            cur = np.linalg.norm(group_shrink(v, params, 2.0))
             assert cur <= prev + 1e-12
             prev = cur
 
     def test_rowwise_matches_vector_version(self):
         rng = np.random.default_rng(2)
         V = rng.standard_normal((6, 3))
-        params = PenaltyParams(lam=0.4, delta=0.9, r=0.1, rho=1.5)
-        rows = np.stack([group_shrink(V[i], params) for i in range(6)])
-        assert np.allclose(shrink_rows(V, params), rows, atol=1e-14)
+        params = PenaltyParams(lam=0.4, delta=0.9, r=0.1)
+        rows = np.stack([group_shrink(V[i], params, 1.5) for i in range(6)])
+        assert np.allclose(shrink_rows(V, params, 1.5), rows, atol=1e-14)
 
 
 class TestBetaUpdate:
@@ -136,23 +135,23 @@ class TestBetaUpdate:
 class TestSolveStepA:
     def test_unpenalized_matches_least_squares(self):
         X, Ztheta = random_problem(10, 40, 8, 2)
-        params = PenaltyParams(lam=0.0, rho=2.0)
-        res = solve_step_a(X, Ztheta, params, tol=1e-9, max_iter=5000)
+        params = PenaltyParams(lam=0.0)
+        res = solve_step_a(X, Ztheta, params, 2.0, tol=1e-9, max_iter=5000)
         assert res.converged
         ls, *_ = np.linalg.lstsq(X, Ztheta, rcond=None)
         assert np.max(np.abs(res.B - ls)) < 1e-6
 
     def test_huge_lambda_gives_zero(self):
         X, Ztheta = random_problem(11, 30, 10, 2)
-        params = PenaltyParams(lam=1e9, delta=1.0, rho=2.0)
-        res = solve_step_a(X, Ztheta, params)
+        params = PenaltyParams(lam=1e9, delta=1.0)
+        res = solve_step_a(X, Ztheta, params, 2.0)
         assert res.converged
         assert np.all(res.B == 0)
 
     def test_row_sparsity_is_all_or_nothing(self):
         X, Ztheta = random_problem(12, 50, 20, 3)
-        params = PenaltyParams(lam=5.0, delta=1.0, rho=2.0)
-        res = solve_step_a(X, Ztheta, params, tol=1e-8, max_iter=5000)
+        params = PenaltyParams(lam=5.0, delta=1.0)
+        res = solve_step_a(X, Ztheta, params, 2.0, tol=1e-8, max_iter=5000)
         norms = np.linalg.norm(res.B, axis=1)
         for l in range(20):
             if norms[l] <= 1e-14:
@@ -164,23 +163,23 @@ class TestSolveStepA:
 
     def test_score_column_permutation_equivariance(self):
         X, Ztheta = random_problem(13, 40, 12, 3)
-        params = PenaltyParams(lam=2.0, delta=0.8, r=0.2, rho=2.0)
-        a = solve_step_a(X, Ztheta, params, tol=1e-10, max_iter=5000)
-        b = solve_step_a(X, Ztheta[:, [2, 0, 1]], params, tol=1e-10,
+        params = PenaltyParams(lam=2.0, delta=0.8, r=0.2)
+        a = solve_step_a(X, Ztheta, params, 2.0, tol=1e-10, max_iter=5000)
+        b = solve_step_a(X, Ztheta[:, [2, 0, 1]], params, 2.0, tol=1e-10,
                          max_iter=5000)
         assert np.max(np.abs(a.B[:, [2, 0, 1]] - b.B)) <= 1e-8
 
     def test_primal_residual_small_at_convergence(self):
         X, Ztheta = random_problem(14, 30, 15, 2)
-        params = PenaltyParams(lam=1.0, delta=1.0, rho=2.0)
-        res = solve_step_a(X, Ztheta, params, tol=1e-8, max_iter=5000)
+        params = PenaltyParams(lam=1.0, delta=1.0)
+        res = solve_step_a(X, Ztheta, params, 2.0, tol=1e-8, max_iter=5000)
         assert res.converged
         assert res.primal_residual <= 1e-7
 
     def test_objective_not_worse_than_start(self):
         X, Ztheta = random_problem(15, 40, 10, 2)
-        params = PenaltyParams(lam=1.5, delta=1.0, rho=2.0)
-        res = solve_step_a(X, Ztheta, params, tol=1e-9, max_iter=5000)
+        params = PenaltyParams(lam=1.5, delta=1.0)
+        res = solve_step_a(X, Ztheta, params, 2.0, tol=1e-9, max_iter=5000)
         start = step_a_objective(X, Ztheta, np.zeros((10, 2)), params)
         assert step_a_objective(X, Ztheta, res.B, params) <= start + 1e-9
 
@@ -188,8 +187,8 @@ class TestSolveStepA:
         # independent first-order method on the same convex (r=0) objective
         X, Ztheta = random_problem(16, 30, 12, 2)
         lam = 0.8
-        params = PenaltyParams(lam=lam, delta=1.0, r=0.0, rho=2.0)
-        res = solve_step_a(X, Ztheta, params, tol=1e-10, max_iter=10000)
+        params = PenaltyParams(lam=lam, delta=1.0, r=0.0)
+        res = solve_step_a(X, Ztheta, params, 2.0, tol=1e-10, max_iter=10000)
 
         L = 2 * np.linalg.eigvalsh(X.T @ X).max()
         B = np.zeros((12, 2))
@@ -207,7 +206,7 @@ class TestSolveStepA:
     def test_bad_max_iter(self):
         X, Ztheta = random_problem(17, 10, 4, 1)
         with pytest.raises(ValidationError):
-            solve_step_a(X, Ztheta, PenaltyParams(), max_iter=0)
+            solve_step_a(X, Ztheta, PenaltyParams(), 1.0, max_iter=0)
 
 
 class TestStepAOptimality:
@@ -220,8 +219,8 @@ class TestStepAOptimality:
     @pytest.mark.parametrize("seed, n, p, d, lam, delta", PROBLEMS)
     def test_kkt_conditions(self, seed, n, p, d, lam, delta):
         X, Ztheta = random_problem(seed, n, p, d)
-        params = PenaltyParams(lam=lam, delta=delta, r=0.0, rho=2.0)
-        res = solve_step_a(X, Ztheta, params, tol=1e-10, max_iter=5000)
+        params = PenaltyParams(lam=lam, delta=delta, r=0.0)
+        res = solve_step_a(X, Ztheta, params, 2.0, tol=1e-10, max_iter=5000)
         assert res.converged
         B = res.B
         grad = 2 * X.T @ (Ztheta - X @ B)     # minus the smooth gradient
@@ -241,9 +240,10 @@ class TestStepAOptimality:
                                                  delta):
         X, Ztheta = random_problem(seed, n, p, d)
         answers = []
+        params = PenaltyParams(lam=lam, delta=delta, r=0.0)
         for rho in (0.02, 2.0, 200.0):
-            params = PenaltyParams(lam=lam, delta=delta, r=0.0, rho=rho)
-            res = solve_step_a(X, Ztheta, params, tol=1e-10, max_iter=5000)
+            res = solve_step_a(X, Ztheta, params, rho, tol=1e-10,
+                               max_iter=5000)
             assert res.converged
             answers.append(res.B)
         for other in answers[1:]:
@@ -254,10 +254,10 @@ class TestStepAOptimality:
     @pytest.mark.parametrize("r", [0.0, 0.3])
     def test_warm_restart_from_converged_result(self, r):
         X, Ztheta = random_problem(24, 40, 80, 2)
-        params = PenaltyParams(lam=4.0, delta=0.8, r=r, rho=2.0)
-        first = solve_step_a(X, Ztheta, params, tol=1e-8, max_iter=5000)
+        params = PenaltyParams(lam=4.0, delta=0.8, r=r)
+        first = solve_step_a(X, Ztheta, params, 2.0, tol=1e-8, max_iter=5000)
         assert first.converged and first.n_iter > 1
-        again = solve_step_a(X, Ztheta, params, tol=1e-8, max_iter=5000,
+        again = solve_step_a(X, Ztheta, params, 2.0, tol=1e-8, max_iter=5000,
                              warm=first)
         assert again.converged and again.n_iter == 1
         assert again.rho == first.rho

@@ -613,12 +613,13 @@ simulate.maf_high = 0.4
         assert man["blas_threads_per_worker"] is None
 
 
-def scipy_modules_after(code, *args):
+def modules_after(package, code, *args):
     """Run `code` in a fresh interpreter (argv[1:] = args) that imports
-    sparsesdr from this checkout; return the scipy modules it loaded."""
+    sparsesdr from this checkout; return the modules of `package` (e.g.
+    "scipy" or "numpy.ma") it loaded."""
     src = str(Path(sparsesdr.__file__).resolve().parent.parent)
     report = ("\nimport json\nprint(json.dumps(sorted(m for m in sys.modules"
-              " if m == 'scipy' or m.startswith('scipy.'))))")
+              f" if m == {package!r} or m.startswith({package + '.'!r}))))")
     out = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
          + code + report, *map(str, args)],
@@ -631,7 +632,7 @@ class TestStartup:
     inside the SIR oracle."""
 
     def test_cli_import_loads_no_scipy(self):
-        assert scipy_modules_after("import sparsesdr.cli") == []
+        assert modules_after("scipy", "import sparsesdr.cli") == []
 
     def test_fit_then_predict_load_no_scipy(self, tmp_path):
         xp, yp, _ = write_dataset(tmp_path)
@@ -643,7 +644,7 @@ assert main(["fit", "--x", x, "--y", y, "--config", cfg,
              "--out", out + "/fit"]) == 0
 assert main(["predict", "--x", x, "--model", out + "/fit",
              "--out", out + "/pred"]) == 0"""
-        assert scipy_modules_after(code, xp, yp, cfg, tmp_path) == []
+        assert modules_after("scipy", code, xp, yp, cfg, tmp_path) == []
         assert (tmp_path / "pred" / "predictions.tsv").exists()
 
     def test_assoc_and_pvalue_rank_cv_load_no_scipy(self, tmp_path):
@@ -655,6 +656,17 @@ x, y, cfg, out = sys.argv[1:]
 assert main(["assoc", "--x", x, "--y", y, "--out", out + "/assoc"]) == 0
 assert main(["cv", "--x", x, "--y", y, "--config", cfg,
              "--out", out + "/cv"]) == 0"""
-        assert scipy_modules_after(code, xp, yp, cfg, tmp_path) == []
+        assert modules_after("scipy", code, xp, yp, cfg, tmp_path) == []
         assert (tmp_path / "assoc" / "assoc.tsv").exists()
         assert (tmp_path / "cv" / "cv_report.tsv").exists()
+
+    def test_pvalue_rank_cv_loads_no_numpy_ma(self, tmp_path):
+        # np.unique's first call imports numpy.ma, ~10-20 ms per process
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, "cv.folds = 3\ncv.method = pvalue_rank\n")
+        code = """
+from sparsesdr.cli import main
+x, y, cfg, out = sys.argv[1:]
+assert main(["cv", "--x", x, "--y", y, "--config", cfg, "--out", out]) == 0"""
+        assert modules_after("numpy.ma", code, xp, yp, cfg, tmp_path) == []
+        assert (tmp_path / "cv_report.tsv").exists()

@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from sparsesdr.evaluation import (CvReport, MetricBundle, _average_ranks,
                                   chi2_rank, cross_validate,
                                   cv_report_to_json, cv_report_to_tsv,
                                   fit_classifier, fit_model, knn_predict,
-                                  load_model, metrics, predict, save_model,
+                                  load_model, metrics, model_to_json, predict,
                                   stratified_folds)
 from sparsesdr.optimal_scoring import SolverConfig, fit
 from sparsesdr.scoring import build_design
@@ -471,11 +473,11 @@ class TestClassifier:
         labels[X[:, 0] > 0.4] = 1
         labels[X[:, 1] > 0.4] = 2
         x, y = center(matrix(X)), make_phenotype(labels)
-        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.5, rho=2.0))
+        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.5), rho=2.0)
         ds = fit(x, build_design(y), cfg)
         clf = fit_classifier(x, y, ds.B)
         raw = matrix(rng.standard_normal((40, 6)))
-        save_model(clf, tmp_path / "model.json")
+        (tmp_path / "model.json").write_text(json.dumps(model_to_json(clf)))
         before = predict(clf, raw)
         after = predict(load_model(tmp_path / "model.json"), raw)
         assert np.array_equal(before[0], after[0])
@@ -494,7 +496,7 @@ class TestFitModel:
 
     def plan(self, lam):
         return ScreeningPlan(stages=[(2, 10)], final_fit=SolverConfig(
-            d=1, penalty=PenaltyParams(lam=lam, delta=1.0, rho=2.0)))
+            d=1, penalty=PenaltyParams(lam=lam, delta=1.0), rho=2.0))
 
     def test_classifier_uses_selected_rows(self):
         x, y = self.instance()
@@ -546,7 +548,7 @@ class TestCrossValidate:
         return ScreeningPlan(
             stages=[(2, 10)],
             final_fit=SolverConfig(d=1, penalty=PenaltyParams(
-                lam=lam, delta=1.0, rho=2.0)))
+                lam=lam, delta=1.0), rho=2.0))
 
     def test_sparse_sdr_deterministic(self):
         x, y, _ = self.cv_instance()

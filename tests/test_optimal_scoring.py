@@ -83,6 +83,12 @@ class TestSolverConfig:
         with pytest.raises(ValidationError, match="iteration caps"):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_rho_refused(self, rho):
+        with pytest.raises(ValidationError,
+                           match=r"rho must be finite and > 0"):
+            SolverConfig(rho=rho)
+
 
 class TestInitTheta:
     def test_invariants_hold(self):
@@ -167,7 +173,7 @@ class TestFit:
         # eigenproblem span the same subspace
         x, y = three_class_instance(5, n=400, p=5)
         design = build_design(y)
-        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.0, rho=2.0),
+        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.0), rho=2.0,
                            outer_tol=1e-8, outer_max_iter=300,
                            inner_tol=1e-9, inner_max_iter=5000)
         ds = fit(x, design, cfg)
@@ -178,8 +184,8 @@ class TestFit:
     def test_huge_lambda_zero_solution(self):
         x, y = three_class_instance(6)
         design = build_design(y)
-        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=1e9, delta=1.0,
-                                                      rho=2.0))
+        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=1e9, delta=1.0),
+                           rho=2.0)
         ds = fit(x, design, cfg)
         assert ds.converged
         assert ds.outer_iters <= 2
@@ -193,9 +199,8 @@ class TestFit:
         x, y, truth = simulate(spec)
         xc = center(x)
         design = build_design(y)
-        cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=50.0, delta=1.0,
-                                                      rho=2.0),
-                           outer_max_iter=50)
+        cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=50.0, delta=1.0),
+                           rho=2.0, outer_max_iter=50)
         ds = fit(xc, design, cfg)
         selected = set(np.flatnonzero(ds.row_norms() > 1e-10))
         assert len(selected & truth) >= 8
@@ -204,9 +209,8 @@ class TestFit:
     def test_objective_history_descends(self):
         x, y = three_class_instance(7)
         design = build_design(y)
-        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.5, delta=1.0,
-                                                      rho=2.0),
-                           inner_tol=1e-8, inner_max_iter=5000,
+        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.5, delta=1.0),
+                           rho=2.0, inner_tol=1e-8, inner_max_iter=5000,
                            outer_tol=1e-7, outer_max_iter=200)
         ds = fit(x, design, cfg)
         h = ds.objective_history
@@ -221,7 +225,7 @@ class TestFit:
         x, y, _ = simulate(SyntheticSpec(
             n_samples=200, n_features=60, maf_range=(0.1, 0.4),
             support=[(j, 1.5) for j in range(5)], link="logistic", seed=4))
-        cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=20.0, rho=2.0))
+        cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=20.0), rho=2.0)
         ds = fit(center(x), build_design(y), cfg)
         assert ds.converged and ds.inner_converged and ds.outer_iters == 2
         # the solves of each outer iteration, which one score step ends
@@ -238,7 +242,7 @@ class TestFit:
     def test_sign_canonicalization(self):
         x, y = three_class_instance(8)
         design = build_design(y)
-        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.2, rho=2.0))
+        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.2), rho=2.0)
         ds = fit(x, design, cfg)
         for i in range(2):
             k = np.argmax(np.abs(ds.Theta[:, i]))
@@ -255,9 +259,9 @@ class TestFit:
         design = build_design(y)
         for lam in [0.0, 0.5, 5.0]:
             cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=lam, delta=0.9,
-                                                          r=0.1, rho=2.0))
+                                                          r=0.1), rho=2.0)
             ds = fit(x, design, cfg)
-            check_theta_invariants(ds.Theta, design.D, ds.Q[:, 0])
+            check_theta_invariants(ds.Theta, design.D, np.eye(design.h)[0])
 
 
 class TestWorkingSet:
@@ -268,21 +272,21 @@ class TestWorkingSet:
     def test_matches_full_column_solve(self, case):
         (x, y), d, pen = {
             "p>n": (genotype_instance(120, 300, 1), 1,
-                    PenaltyParams(lam=20.0, rho=2.0)),
+                    PenaltyParams(lam=20.0)),
             "p<n": (genotype_instance(300, 60, 2), 1,
-                    PenaltyParams(lam=20.0, rho=2.0)),
+                    PenaltyParams(lam=20.0)),
             "d=2": (three_class_instance(3, n=300, p=40), 2,
-                    PenaltyParams(lam=60.0, rho=2.0)),
+                    PenaltyParams(lam=60.0)),
             "delta=0.7": (genotype_instance(200, 150, 4), 1,
-                          PenaltyParams(lam=20.0, delta=0.7, rho=2.0)),
+                          PenaltyParams(lam=20.0, delta=0.7)),
         }[case]
         design = build_design(y)
-        ds = fit(x, design, SolverConfig(d=d, penalty=pen))
+        ds = fit(x, design, SolverConfig(d=d, penalty=pen, rho=2.0))
         assert ds.converged and ds.inner_converged
         assert 0 < ds.working_set_size < x.n_features
         assert ds.kkt_max_rel <= ds.kkt_slack + 1e-12
         X, Ztheta = x.values, design.Z @ ds.Theta
-        oracle = solve_step_a(X, Ztheta, pen, tol=1e-10, max_iter=50000)
+        oracle = solve_step_a(X, Ztheta, pen, 2.0, tol=1e-10, max_iter=50000)
         assert oracle.converged
         assert np.array_equal(np.flatnonzero(ds.row_norms()),
                               np.flatnonzero(np.linalg.norm(oracle.B, axis=1)))
@@ -293,16 +297,16 @@ class TestWorkingSet:
     def test_suppressor_is_added_by_the_kkt_pass(self, monkeypatch):
         x, y = suppressor_instance()
         design = build_design(y)
-        pen = PenaltyParams(lam=40.0, rho=2.0)
+        pen = PenaltyParams(lam=40.0)
         calls = record_calls(monkeypatch, "solve_step_a", "theta_step")
-        ds = fit(x, design, SolverConfig(penalty=pen))
+        ds = fit(x, design, SolverConfig(penalty=pen, rho=2.0))
         names = [c[0] for c in calls]
         first_outer = calls[:names.index("theta_step")]
         # f0 alone, then f1 added by the pass after the first solve
         assert [c[1][0].shape[1] for c in first_outer] == [1, 2]
         assert np.flatnonzero(ds.row_norms()).tolist() == [0, 1]
-        oracle = solve_step_a(x.values, design.Z @ ds.Theta, pen, tol=1e-10,
-                              max_iter=50000)
+        oracle = solve_step_a(x.values, design.Z @ ds.Theta, pen, 2.0,
+                              tol=1e-10, max_iter=50000)
         assert np.flatnonzero(
             np.linalg.norm(oracle.B, axis=1)).tolist() == [0, 1]
         assert ds.kkt_max_rel <= ds.kkt_slack + 1e-12
@@ -311,7 +315,7 @@ class TestWorkingSet:
         x, y = three_class_instance(6)
         calls = record_calls(monkeypatch, "solve_step_a", "GramSolver")
         ds = fit(x, build_design(y), SolverConfig(
-            d=2, penalty=PenaltyParams(lam=1e9, rho=2.0)))
+            d=2, penalty=PenaltyParams(lam=1e9), rho=2.0))
         assert calls == [] and ds.working_set_size == 0
         assert ds.converged and ds.kkt_max_rel == 0 and ds.kkt_slack == 0
 
@@ -321,7 +325,7 @@ class TestWorkingSet:
         x, y = genotype_instance(120, 300, 1)
         calls = record_calls(monkeypatch, "solve_step_a")
         ds = fit(x, build_design(y), SolverConfig(
-            penalty=PenaltyParams(lam=0.5, rho=2.0), inner_max_iter=1,
+            penalty=PenaltyParams(lam=0.5), rho=2.0, inner_max_iter=1,
             outer_max_iter=3))
         assert not ds.inner_converged
         assert len(calls) == ds.outer_iters
@@ -337,7 +341,7 @@ class TestWorkingSet:
             support=[(j, 1.8) for j in range(10)], link="logistic", seed=3))
         calls = record_calls(monkeypatch, "GramSolver")
         ds = fit(center(x), build_design(y), SolverConfig(
-            penalty=PenaltyParams(lam=70.0, rho=2.0)))
+            penalty=PenaltyParams(lam=70.0), rho=2.0))
         widths = [c[1][0].shape[1] for c in calls]
         assert ds.converged and ds.inner_converged
         assert 0 < max(widths) <= 50
@@ -349,7 +353,7 @@ class TestWorkingSet:
         x, y = three_class_instance(10)
         calls = record_calls(monkeypatch, "solve_step_a", "GramSolver")
         ds = fit(x, build_design(y), SolverConfig(
-            d=2, penalty=PenaltyParams(lam=0.5, delta=0.9, r=0.5, rho=2.0),
+            d=2, penalty=PenaltyParams(lam=0.5, delta=0.9, r=0.5), rho=2.0,
             outer_max_iter=4))
         gram, solves = calls[0], calls[1:]
         assert gram[0] == "GramSolver" and len(solves) == ds.outer_iters

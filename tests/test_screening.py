@@ -15,8 +15,8 @@ from sparsesdr.screening import (ScreeningPlan, Stage, partition_features,
 
 
 def solver(lam, **kw):
-    return SolverConfig(d=1, penalty=PenaltyParams(lam=lam, delta=1.0,
-                                                   rho=2.0), **kw)
+    return SolverConfig(d=1, penalty=PenaltyParams(lam=lam, delta=1.0),
+                        rho=2.0, **kw)
 
 
 def signal_instance(seed=13, n=400, p=100):
@@ -54,23 +54,20 @@ class TestRankAndKeep:
         from sparsesdr.optimal_scoring import DirectionSet
         B = np.asarray(norms, dtype=float)[:, None]
         K = 2
-        return DirectionSet(B=B, Theta=np.zeros((K, 1)),
-                            Q=np.zeros((K, 2)), converged=True, outer_iters=1)
+        return DirectionSet(B=B, Theta=np.zeros((K, 1)), converged=True,
+                            outer_iters=1)
 
     def test_top_k_order(self):
-        kept, norms, flag = rank_and_keep(self.make_ds([0.1, 0.9, 0.5, 0.7]), 2)
+        kept, norms = rank_and_keep(self.make_ds([0.1, 0.9, 0.5, 0.7]), 2)
         assert kept.tolist() == [1, 3]
         assert norms.tolist() == [0.9, 0.7]
-        assert not flag
 
     def test_tie_break_by_index(self):
-        kept, _, _ = rank_and_keep(self.make_ds([0.5, 0.5, 0.5]), 2)
+        kept, _ = rank_and_keep(self.make_ds([0.5, 0.5, 0.5]), 2)
         assert kept.tolist() == [0, 1]
-
-    def test_no_signal_flag(self):
-        kept, _, flag = rank_and_keep(self.make_ds([0.0, 0.0, 0.0]), 2)
-        assert flag
-        assert kept.tolist() == [0, 1]
+        # all-zero rows (no signal) tie the same way
+        kept, norms = rank_and_keep(self.make_ds([0.0, 0.0, 0.0]), 2)
+        assert kept.tolist() == [0, 1] and norms.tolist() == [0.0, 0.0]
 
     def test_keep_too_many(self):
         with pytest.raises(ValidationError):
