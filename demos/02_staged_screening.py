@@ -1,10 +1,9 @@
 """Split-and-conquer screening on a matrix too wide to fit in one shot.
 
 The feature axis is partitioned into contiguous chunks, each chunk is fit
-independently (optionally in parallel threads), the top-ranked rows survive
-to the next stage, and a final fit on the merged survivors produces the
-selection set. Results are deterministic for a fixed seed regardless of the
-worker count.
+independently, one after another, the top-ranked rows survive to the next
+stage, and a final fit on the merged survivors produces the selection set.
+Results are deterministic for a fixed seed.
 """
 
 from sparsesdr import (PenaltyParams, ScreeningPlan, SolverConfig,
@@ -32,7 +31,7 @@ plan = ScreeningPlan(
                            rho=2.0),
 )
 
-report = run_plan(x, y, plan, seed=7, n_workers=4)
+report = run_plan(x, y, plan, seed=7)
 print(f"\nstage survivors entering the final fit: {len(report.survivors)}")
 print(f"selected features: {sorted(int(j) for j in report.selected_indices)}")
 print(f"true positives: "

@@ -24,8 +24,7 @@ from .evaluation import (chi2_rank, cross_validate, cv_report_to_json,
                          load_model, model_to_json, predict)
 # bench/tracer.py hooks `build_design` and `fit_classifier` here by name
 from .scoring import build_design
-from .screening import (PARTITION_BLAS_THREADS, report_summary,
-                        report_to_tsv, run_plan)
+from .screening import report_summary, report_to_tsv, run_plan
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,14 +50,11 @@ def _blas_build() -> dict | None:
 
 
 def _manifest(args, inputs: list) -> dict:
-    threads = blas.get_threads()   # None unless OpenBLAS's calls resolved
     return {
         "version": __version__,
         "numpy": np.__version__,
         "blas": _blas_build(),
-        "blas_threads": threads,
-        "blas_threads_per_worker": (None if threads is None
-                                    else PARTITION_BLAS_THREADS),
+        "blas_threads": blas.get_threads(),   # None for a non-OpenBLAS
         "seed": args.seed,
         "threads": args.threads,
         "command": args.command,
@@ -111,7 +107,7 @@ def cmd_fit(args) -> None:
     x, y = _load_inputs(args)
     cfg = _load_config(args)
     report, clf = fit_model(center(x), y, cfg.plan(), seed=args.seed,
-                            n_workers=args.threads, h=cfg.h)
+                            h=cfg.h)
     ds, summary = report.final_directions, report_summary(report)
     B = np.zeros((x.n_features, ds.B.shape[1]))
     B[report.survivors] = ds.B
@@ -135,8 +131,7 @@ def cmd_fit(args) -> None:
 def cmd_screen(args) -> None:
     x, y = _load_inputs(args)
     cfg = _load_config(args)
-    report = run_plan(x, y, cfg.plan(), seed=args.seed,
-                      n_workers=args.threads, h=cfg.h)
+    report = run_plan(x, y, cfg.plan(), seed=args.seed, h=cfg.h)
     _write_outputs(args, [args.x, args.y], {
         "selection.tsv": report_to_tsv(report),
         "selection.json": report_summary(report),
@@ -149,7 +144,7 @@ def cmd_cv(args) -> None:
     report = cross_validate(
         x, y, folds=cfg.cv_folds, method=cfg.cv_method, seed=args.seed,
         plan=cfg.plan() if cfg.cv_method == "sparse_sdr" else None,
-        top_m=cfg.top_m, knn_k=cfg.knn_k, n_workers=args.threads)
+        top_m=cfg.top_m, knn_k=cfg.knn_k)
     _write_outputs(args, [args.x, args.y], {
         "cv_report.tsv": cv_report_to_tsv(report),
         "cv_report.json": cv_report_to_json(report),
@@ -202,7 +197,7 @@ def cmd_predict(args) -> None:
                    {"predictions.tsv": "\n".join(lines) + "\n"})
 
 
-def _worker_count(text: str) -> int:
+def _thread_count(text: str) -> int:
     """argparse type for --threads: an integer >= 1."""
     try:
         value = int(text)
@@ -233,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="directory holding model.json from `fit`")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=_worker_count, default=1)
+        p.add_argument("--threads", type=_thread_count, default=1,
+                       help="recorded in manifest.json; does not change "
+                            "the run")
 
     add_common(sub.add_parser("fit"), config=True)
     add_common(sub.add_parser("screen"), config=True)

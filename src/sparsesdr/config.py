@@ -11,16 +11,22 @@ from .screening import ScreeningPlan, Stage
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+    """Parse `key = value` lines; '#' starts a comment, blank lines ignored.
+    A key set on two lines is refused, naming both."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}   # key -> line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ValidationError(f"config line {lineno}: expected key = value")
-        key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in seen:
+            raise ValidationError(f"config key {key!r} set twice, at lines "
+                                  f"{seen[key]} and {lineno}")
+        seen[key] = lineno
+        out[key] = value
     return out
 
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Phenotype, PredictorMatrix, center
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ParseError, ValidationError
 from .screening import ScreeningPlan, SelectionReport, run_plan
 
 
@@ -63,11 +63,11 @@ def fit_classifier(x_train: PredictorMatrix, y: Phenotype,
 
 
 def fit_model(x_centered: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
-              seed: int = 0, n_workers: int = 1, h: int | None = None
+              seed: int = 0, h: int | None = None
               ) -> tuple[SelectionReport, ProjectionClassifier]:
     """Screen with `plan` (see `run_plan`), then fit the classifier on the
     selected features, or on every survivor when none is selected."""
-    report = run_plan(x_centered, y, plan, seed=seed, n_workers=n_workers, h=h)
+    report = run_plan(x_centered, y, plan, seed=seed, h=h)
     keep = np.isin(report.survivors, report.selected_indices)
     if not keep.any():
         keep[:] = True
@@ -89,10 +89,45 @@ def model_to_json(clf: ProjectionClassifier) -> dict:
 
 
 def load_model(path) -> ProjectionClassifier:
-    """Read a classifier written as `model_to_json`'s dict."""
-    m = json.loads(Path(path).read_text(encoding="utf-8"))
-    for name in ("B_kept", "column_means", "class_centroids", "class_priors"):
-        m[name] = np.array(m[name])
+    """Read a classifier written as `model_to_json`'s dict. A file that is
+    not JSON, has other keys or values of another type, or whose arrays do
+    not fit `feature_ids` and `class_labels` is refused with a ParseError
+    naming it."""
+    try:
+        m = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:   # undecodable bytes or invalid JSON
+        raise ParseError(f"{path}: not a JSON model: {exc}") from None
+    keys = sorted(f.name for f in fields(ProjectionClassifier))
+    if not isinstance(m, dict) or sorted(m) != keys:
+        raise ParseError(f"{path}: a model holds exactly the keys {keys}")
+    try:
+        for name in ("B_kept", "column_means", "class_centroids",
+                     "class_priors"):
+            m[name] = np.array(m[name], dtype=float)
+        m["class_labels"] = [float(c) for c in m["class_labels"]]
+        p, k = len(m["feature_ids"]), len(m["class_labels"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed model: {exc}") from None
+    B = m["B_kept"]
+    if B.ndim != 2 or B.shape[0] != p or min(B.shape) < 1:
+        raise ParseError(f"{path}: B_kept must be a matrix with one row per "
+                         f"feature id")
+    d = B.shape[1]
+    ids = m["feature_ids"]
+    for ok, what in ((isinstance(ids, list)
+                      and all(isinstance(f, str) for f in ids),
+                      "feature_ids must be a list of strings"),
+                     (m["column_means"].shape == (p,),
+                      "column_means must have one entry per feature id"),
+                     (k >= 2, "class_labels must name at least two classes"),
+                     (m["class_centroids"].shape == (k, d),
+                      f"class_centroids must be {k} x {d}"),
+                     (m["class_priors"].shape == (k,),
+                      f"class_priors must have {k} entries"),
+                     (isinstance(m["degenerate"], bool),
+                      "degenerate must be true or false")):
+        if not ok:
+            raise ParseError(f"{path}: {what}")
     return ProjectionClassifier(**m)
 
 
@@ -404,8 +439,8 @@ def stratified_folds(labels, n_folds: int, seed: int):
 def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
                    method: str, seed: int = 0,
                    plan: ScreeningPlan | None = None,
-                   top_m: int | None = None, knn_k: int | None = None,
-                   n_workers: int = 1) -> CvReport:
+                   top_m: int | None = None, knn_k: int | None = None
+                   ) -> CvReport:
     """Stratified k-fold CV; selection and model fitting see training rows
     only, test rows are centered with training means at prediction time.
 
@@ -458,7 +493,7 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
         if method == "sparse_sdr":
             x_train_raw = x.take_rows(train_rows)
             _, clf = fit_model(center(x_train_raw), y_train, plan,
-                               seed=seed * 1000 + fold, n_workers=n_workers)
+                               seed=seed * 1000 + fold)
             tr_labels, tr_scores = predict(clf, x_train_raw)
             te_labels, te_scores = predict(clf, x.take_rows(test_rows))
             selected_ids = clf.feature_ids

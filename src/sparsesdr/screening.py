@@ -3,20 +3,17 @@ partition, keep the top rows by coefficient norm, merge and repeat."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blas, optimal_scoring
+from . import optimal_scoring
 from .dataset import Phenotype, PredictorMatrix, center
 from .errors import SparseSdrError, ValidationError
 from .optimal_scoring import DirectionSet, SolverConfig
-from .scoring import ScoringDesign, build_design
+from .scoring import build_design
 
 _NONZERO_ROW = 1e-10
-# OpenBLAS threads each partition fit runs on (see run_plan).
-PARTITION_BLAS_THREADS = 1
 
 
 @dataclass
@@ -100,19 +97,35 @@ def _partition_seed(seed: int, stage: int, part: int) -> int:
     return int(np.random.SeedSequence((seed, stage, part)).generate_state(1)[0])
 
 
-def _screen(x: PredictorMatrix, design: ScoringDesign, plan: ScreeningPlan,
-            seed: int, n_workers: int):
-    """Run `plan`'s stages on the centered `x`; return the survivors'
-    column indices, the stage records and each survivor's provenance."""
+def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
+             seed: int = 0, h: int | None = None) -> SelectionReport:
+    """Execute the staged screening plan and the final fit.
+
+    `x` is centered once up front (`center` computes the column means and
+    shares the raw cells), and each partition fit centers only its own
+    columns, in float64, with those global means: no fit holds a float copy
+    of every column unless the plan has no stages. `h` is the slice count
+    passed to `build_design` (required for a continuous response).
+
+    Each stage fits its partitions one after another on the calling thread,
+    in index order, each seeded from (`seed`, stage, partition), so the
+    answer is deterministic for a fixed seed. The final fit is seeded with
+    `seed`, so a plan with no stages is `optimal_scoring.fit` on every
+    feature. Every fit uses OpenBLAS's thread count as found
+    (`OPENBLAS_NUM_THREADS` respected); the last bits of a wide fit can
+    depend on that count.
+    """
+    if not x.centered:
+        x = center(x)
+    design = build_design(y, h)
     current = np.arange(x.n_features)
     records: list[StageRecord] = []
     provenance: dict[int, list[tuple[int, int]]] = {}
 
     for stage_no, stage in enumerate(plan.stages, start=1):
-        ranges = partition_features(len(current), stage.n_partitions)
-
-        def fit_partition(item):
-            part_no, (lo, hi) = item
+        merged: list[int] = []
+        for part_no, (lo, hi) in enumerate(
+                partition_features(len(current), stage.n_partitions)):
             cols = current[lo:hi]
             if stage.keep_per_partition > len(cols):
                 raise ValidationError(
@@ -126,58 +139,14 @@ def _screen(x: PredictorMatrix, design: ScoringDesign, plan: ScreeningPlan,
                 raise type(exc)(
                     f"stage {stage_no}, partition {part_no}: {exc}") from exc
             kept_pos, norms = rank_and_keep(ds, stage.keep_per_partition)
-            return StageRecord(stage_no, part_no, cols[kept_pos], norms,
-                               ds.converged and ds.inner_converged,
-                               ds.inner_converged)
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            stage_out = list(pool.map(fit_partition, enumerate(ranges)))
-
-        merged: list[int] = []
-        for rec in stage_out:
-            records.append(rec)
-            for j in rec.kept_indices:
-                provenance.setdefault(int(j), []).append(
-                    (rec.stage, rec.partition))
-            merged.extend(int(j) for j in rec.kept_indices)
+            kept = cols[kept_pos]
+            records.append(StageRecord(stage_no, part_no, kept, norms,
+                                       ds.converged and ds.inner_converged,
+                                       ds.inner_converged))
+            for j in kept:
+                provenance.setdefault(int(j), []).append((stage_no, part_no))
+            merged.extend(int(j) for j in kept)
         current = np.array(sorted(merged))
-    return current, records, provenance
-
-
-def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
-             seed: int = 0, n_workers: int = 1,
-             h: int | None = None) -> SelectionReport:
-    """Execute the staged screening plan and the final fit.
-
-    `x` is centered once up front (`center` computes the column means and
-    shares the raw cells), and each partition fit centers only its own
-    columns, in float64, with those global means: no fit holds a float copy
-    of every column unless the plan has no stages. `h` is the slice count
-    passed to `build_design` (required for a continuous response).
-    Deterministic for a fixed seed regardless of worker count (partitions
-    are merged in index order). The final fit is seeded with `seed`, so a
-    plan with no stages is `optimal_scoring.fit` on every feature.
-
-    Every partition fit runs on `PARTITION_BLAS_THREADS` (one) OpenBLAS
-    thread, whatever `n_workers` is, so `n_workers` concurrent fits ask for
-    `n_workers` BLAS threads, not `n_workers` times OpenBLAS's count. As
-    OpenBLAS's last bits can change with its thread count, one count for
-    every partition fit also keeps the answer independent of `n_workers`.
-    The count found is put back before the final fit, which runs alone on
-    the calling thread with every BLAS thread (`OPENBLAS_NUM_THREADS`
-    respected). Any other BLAS is left as found.
-    """
-    if n_workers < 1:
-        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
-    if not x.centered:
-        x = center(x)
-    design = build_design(y, h)
-    found_threads = blas.set_threads(PARTITION_BLAS_THREADS)
-    try:
-        current, records, provenance = _screen(x, design, plan, seed,
-                                               n_workers)
-    finally:
-        blas.set_threads(found_threads)
 
     final_x = x.restrict(current) if plan.stages else x
     final_ds = optimal_scoring.fit(final_x, design, plan.final_fit,

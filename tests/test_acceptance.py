@@ -427,12 +427,12 @@ def test_criterion_10_protocol_shape_fidelity():
                            outer_tol=1e-3)
         wide = run_plan(x, y, ScreeningPlan(stages=[(20, 2000), (4, 1500)],
                                             final_fit=cfg),
-                        seed=3, n_workers=4)
+                        seed=3)
         stage1 = sum(len(r.kept_indices) for r in wide.stage_records
                      if r.stage == 1)
         assert stage1 == 40000
         narrow = run_plan(x, y, ScreeningPlan(stages=[(25, 2000), (4, 1500)],
                                               final_fit=cfg),
-                          seed=3, n_workers=4)
+                          seed=3)
         assert len(narrow.survivors) == 6000
         assert time.monotonic() - t0 < 300

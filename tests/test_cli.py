@@ -109,6 +109,18 @@ class TestConfig:
         assert line.split(" ")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_key_set_twice_refused(self, tmp_path, capsys):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, "penalty.lambda = -3\n"
+                                     "penalty.rho = 2\npenalty.lambda = 8\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "sparsesdr fit: config key 'penalty.lambda' set twice, at lines "
+            "1 and 3\n")
+        assert not out.exists()
+
 
 class TestFit:
     def test_writes_outputs(self, tmp_path):
@@ -235,7 +247,9 @@ class TestFit:
     def test_bad_solver_setting_refused(self, tmp_path, capsys, line,
                                         message):
         xp, yp, _ = write_dataset(tmp_path)
-        cfg = write_config(tmp_path, FIT_CFG + line + "\n")
+        key = line.split(" ")[0]   # replaces FIT_CFG's line for `key`
+        kept = [l for l in FIT_CFG.splitlines() if not l.startswith(key)]
+        cfg = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
         out = tmp_path / "out"
         assert main(["fit", "--x", str(xp), "--y", str(yp),
                      "--config", str(cfg), "--out", str(out)]) == 2
@@ -601,16 +615,69 @@ simulate.maf_high = 0.4
         man = json.loads((tmp_path / "a" / "manifest.json").read_text())
         dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert man["blas"] == {"name": dep["name"], "version": dep["version"]}
-        threads = blas.get_threads()
-        assert man["blas_threads"] == threads
-        assert man["blas_threads_per_worker"] == (None if threads is None
-                                                  else 1)
-        # a BLAS without the OpenBLAS thread calls records null
+        assert man["blas_threads"] == blas.get_threads()
+        # a BLAS without the OpenBLAS thread-count call records null
         monkeypatch.setattr(blas, "_get_threads", None)
         assert main(argv + ["--out", str(tmp_path / "b")]) == 0
         man = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert man["blas_threads"] is None
-        assert man["blas_threads_per_worker"] is None
+
+
+# A hand-written two-feature binary model, valid as it stands.
+TWO_FEATURE_MODEL = {
+    "feature_ids": ["f0", "f1"], "column_means": [0.5, 0.25],
+    "B_kept": [[1.0], [0.0]], "class_labels": [0.0, 1.0],
+    "class_centroids": [[-1.0], [1.0]], "class_priors": [0.5, 0.5],
+    "degenerate": False,
+}
+
+
+class TestPredict:
+    def run_predict(self, tmp_path, model_text):
+        xp, _, _ = write_dataset(tmp_path, p=2, support=1)
+        model_dir = tmp_path / "model"
+        model_dir.mkdir()
+        (model_dir / "model.json").write_text(model_text)
+        out = tmp_path / "out"
+        rc = main(["predict", "--x", str(xp), "--model", str(model_dir),
+                   "--out", str(out)])
+        return rc, out
+
+    def test_valid_hand_written_model(self, tmp_path):
+        rc, out = self.run_predict(tmp_path, json.dumps(TWO_FEATURE_MODEL))
+        assert rc == 0
+        assert (out / "predictions.tsv").exists()
+
+    @pytest.mark.parametrize("model_text, message", [
+        ("{not json", "not a JSON model"),
+        ('{"feature_ids": []}', "a model holds exactly the keys"),
+        (json.dumps({**TWO_FEATURE_MODEL, "column_means": [0.5]}),
+         "column_means must have one entry per feature id"),
+        (json.dumps({**TWO_FEATURE_MODEL, "B_kept": [[1.0]]}),
+         "B_kept must be a matrix with one row per feature id"),
+        (json.dumps({**TWO_FEATURE_MODEL, "class_labels": [1.0],
+                     "class_centroids": [[1.0]], "class_priors": [1.0]}),
+         "class_labels must name at least two classes"),
+        (json.dumps({**TWO_FEATURE_MODEL, "class_centroids": [[-1.0, 0.0],
+                                                             [1.0, 0.0]]}),
+         "class_centroids must be 2 x 1"),
+        (json.dumps({**TWO_FEATURE_MODEL, "class_priors": [1.0]}),
+         "class_priors must have 2 entries"),
+        (json.dumps({**TWO_FEATURE_MODEL, "feature_ids": "ab"}),
+         "feature_ids must be a list of strings"),
+        (json.dumps({**TWO_FEATURE_MODEL, "degenerate": "false"}),
+         "degenerate must be true or false"),
+    ], ids=["not_json", "missing_keys", "short_column_means", "short_B_kept",
+            "one_class", "wide_centroids", "short_priors", "string_ids",
+            "string_degenerate"])
+    def test_malformed_model_refused(self, tmp_path, capsys, model_text,
+                                     message):
+        rc, out = self.run_predict(tmp_path, model_text)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "model.json: " + message in err
+        assert not out.exists()
 
 
 def modules_after(package, code, *args):
@@ -633,6 +700,19 @@ class TestStartup:
 
     def test_cli_import_loads_no_scipy(self):
         assert modules_after("scipy", "import sparsesdr.cli") == []
+
+    def test_import_and_staged_screen_load_no_concurrent(self, tmp_path):
+        # the screening stages fit their partitions on the calling thread
+        assert modules_after("concurrent", "import sparsesdr.cli") == []
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, SCREEN_CFG)
+        code = """
+from sparsesdr.cli import main
+x, y, cfg, out = sys.argv[1:]
+assert main(["screen", "--x", x, "--y", y, "--config", cfg,
+             "--out", out]) == 0"""
+        assert modules_after("concurrent", code, xp, yp, cfg, tmp_path) == []
+        assert (tmp_path / "selection.tsv").exists()
 
     def test_fit_then_predict_load_no_scipy(self, tmp_path):
         xp, yp, _ = write_dataset(tmp_path)

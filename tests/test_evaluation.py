@@ -553,8 +553,7 @@ class TestCrossValidate:
     def test_sparse_sdr_deterministic(self):
         x, y, _ = self.cv_instance()
         a = cross_validate(x, y, 4, "sparse_sdr", seed=3, plan=self.plan())
-        b = cross_validate(x, y, 4, "sparse_sdr", seed=3, plan=self.plan(),
-                           n_workers=3)
+        b = cross_validate(x, y, 4, "sparse_sdr", seed=3, plan=self.plan())
         assert cv_report_to_tsv(a) == cv_report_to_tsv(b)
 
     def test_sparse_sdr_beats_chance(self):
@@ -681,10 +680,9 @@ class TestCrossValidate:
         seen = []
         original = ev.run_plan
 
-        def spy(x_train, y_train, plan, seed=0, n_workers=1, h=None):
+        def spy(x_train, y_train, plan, seed=0, h=None):
             seen.append(x_train.n_samples)
-            return original(x_train, y_train, plan, seed=seed,
-                           n_workers=n_workers, h=h)
+            return original(x_train, y_train, plan, seed=seed, h=h)
 
         monkeypatch.setattr(ev, "run_plan", spy)
         cross_validate(x, y, 4, "sparse_sdr", seed=3, plan=self.plan())

@@ -111,28 +111,38 @@ class TestRunPlan:
         assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
         assert report_summary(report)["n_stages"] == 0
 
-    @pytest.mark.parametrize("n_workers", [0, -1])
-    def test_worker_count_below_one_refused(self, n_workers):
-        x, y, _ = signal_instance()
-        plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
-        with pytest.raises(ValidationError, match="n_workers"):
-            run_plan(x, y, plan, n_workers=n_workers)
-
     def test_recovers_planted_support(self):
         x, y, truth = signal_instance()
         plan = ScreeningPlan(stages=[(4, 25)], final_fit=solver(60.0))
         report = run_plan(x, y, plan, seed=5)
         assert set(int(j) for j in report.selected_indices) == truth
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_on_rerun(self):
         x, y, _ = signal_instance()
         plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
-        a = run_plan(x, y, plan, seed=3, n_workers=1)
-        b = run_plan(x, y, plan, seed=3, n_workers=4)
+        a = run_plan(x, y, plan, seed=3)
+        b = run_plan(x, y, plan, seed=3)
         assert report_to_tsv(a) == report_to_tsv(b)
         assert report_summary(a) == report_summary(b)
         assert np.array_equal(a.survivors, b.survivors)
         assert np.array_equal(a.selected_indices, b.selected_indices)
+
+    def test_every_fit_on_calling_thread_with_blas_count_found(
+            self, monkeypatch):
+        seen = []   # (on the calling thread, OpenBLAS count) per fit
+        real_fit = screening.optimal_scoring.fit
+
+        def spy(*args, **kwargs):
+            seen.append((threading.get_ident() == caller, blas.get_threads()))
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(screening.optimal_scoring, "fit", spy)
+        caller, found = threading.get_ident(), blas.get_threads()
+        x, y, _ = signal_instance()
+        plan = ScreeningPlan(stages=[(4, 10), (2, 10)], final_fit=solver(30.0))
+        run_plan(x, y, plan, seed=3)
+        # 4 + 2 partition fits, then the final fit
+        assert seen == [(True, found)] * 7
 
     def test_summary_reports_convergence_of_every_fit(self):
         x, y, _ = signal_instance()
@@ -207,99 +217,3 @@ class TestRunPlan:
                                              final_fit=solver(60.0)), seed=5)
         assert set(split.selected_ids) == set(whole.selected_ids)
         assert set(int(j) for j in split.selected_indices) == truth
-
-
-@pytest.fixture
-def blas_budget():
-    """OpenBLAS set to 4 threads for the test, whatever the core count, so
-    that the final fit's count differs from a partition fit's. The count
-    found is put back afterwards."""
-    found = blas.set_threads(4)
-    if found is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread setter")
-    try:
-        yield 4
-    finally:
-        blas.set_threads(found)
-
-
-def fits_with_blas_threads(monkeypatch, n_workers, read_threads):
-    """Run a two-stage plan, recording for each optimal_scoring.fit call
-    whether it ran on the calling thread and the BLAS count it saw."""
-    seen = []
-    real_fit = screening.optimal_scoring.fit
-
-    def spy(*args, **kwargs):
-        seen.append((threading.get_ident() == caller, read_threads()))
-        return real_fit(*args, **kwargs)
-
-    monkeypatch.setattr(screening.optimal_scoring, "fit", spy)
-    caller = threading.get_ident()
-    x, y, _ = signal_instance()
-    plan = ScreeningPlan(stages=[(4, 10), (2, 10)], final_fit=solver(30.0))
-    report = run_plan(x, y, plan, seed=3, n_workers=n_workers)
-    return report, seen
-
-
-class TestBlasThreads:
-    @pytest.mark.parametrize("n_workers", [1, 2, 3])
-    def test_partition_fits_on_one_thread(self, monkeypatch, blas_budget,
-                                          n_workers):
-        _, seen = fits_with_blas_threads(monkeypatch, n_workers,
-                                         blas.get_threads)
-        assert [t for on_caller, t in seen if not on_caller] == [1] * 6
-        # the final fit runs on the calling thread with every BLAS thread
-        assert [t for on_caller, t in seen if on_caller] == [blas_budget]
-        assert blas.get_threads() == blas_budget
-
-    def test_count_put_back_when_a_partition_fails(self, blas_budget):
-        x, y, _ = signal_instance()
-        plan = ScreeningPlan(stages=[(4, 30)], final_fit=solver(30.0))
-        with pytest.raises(ValidationError, match="exceeds 25 features"):
-            run_plan(x, y, plan, seed=3, n_workers=2)
-        assert blas.get_threads() == blas_budget
-
-    def test_without_setter_blas_left_as_found(self, monkeypatch,
-                                                blas_budget):
-        read_threads = blas._get_threads   # kept when the calls are gone
-        capped, _ = fits_with_blas_threads(monkeypatch, 2, read_threads)
-        monkeypatch.setattr(blas, "_get_threads", None)
-        found, seen = fits_with_blas_threads(monkeypatch, 2, read_threads)
-        assert [t for _, t in seen] == [blas_budget] * 7
-        assert blas.set_threads(1) is None
-        assert read_threads() == blas_budget
-        assert np.array_equal(found.final_directions.B,
-                              capped.final_directions.B)
-        assert report_to_tsv(found) == report_to_tsv(capped)
-
-    def test_raw_answer_independent_of_workers_where_blas_threads(
-            self, monkeypatch, blas_budget):
-        # 400 x 800 partitions are well above the sizes at which OpenBLAS
-        # splits its work over threads; with 4 BLAS threads, fits run on a
-        # share of 4 // n_workers differed in their last bits between 1, 2
-        # and 4 workers
-        spec = SyntheticSpec(n_samples=400, n_features=1600,
-                             maf_range=(0.1, 0.4),
-                             support=[(j, 1.8) for j in range(10)],
-                             link="logistic", seed=12)
-        x, y, _ = simulate(spec)
-        plan = ScreeningPlan(stages=[(2, 50)], final_fit=solver(70.0))
-        real_fit = screening.optimal_scoring.fit
-
-        def run(n_workers):
-            fits = {}   # seed -> B of every fit, partitions and final
-
-            def spy(*args, seed, **kwargs):
-                ds = real_fit(*args, seed=seed, **kwargs)
-                fits[seed] = ds.B
-                return ds
-
-            monkeypatch.setattr(screening.optimal_scoring, "fit", spy)
-            run_plan(x, y, plan, seed=4, n_workers=n_workers)
-            return fits
-
-        runs = [run(n) for n in (1, 2, 4)]
-        assert len(runs[0]) == 3
-        for other in runs[1:]:
-            assert runs[0].keys() == other.keys()
-            assert all(np.array_equal(runs[0][k], other[k]) for k in other)
