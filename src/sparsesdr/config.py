@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .admm import PenaltyParams
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .optimal_scoring import SolverConfig
 from .screening import ScreeningPlan, Stage
 
@@ -113,8 +113,19 @@ def _take(raw: dict, section: str) -> dict:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_config_text(fh.read())
+    """The settings of the config file at `path`. A file that is not UTF-8
+    is refused, naming the line `parse_config_text` would give its first
+    bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the "?" stands for the bad byte, so that its own line counts
+        head = data[:exc.start].decode("utf-8") + "?"
+        raise ParseError(f"{path}: invalid UTF-8 at line "
+                         f"{len(head.splitlines())}") from None
+    raw = parse_config_text(text)
     solver = SolverConfig(penalty=PenaltyParams(**_take(raw, "penalty")),
                           **_take(raw, "solver"))
     cfg = RunConfig(solver=solver, **_take(raw, "run"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -161,97 +162,194 @@ def make_phenotype(labels, kind: str | None = None) -> Phenotype:
 
 
 def _split_line(line: str, delim: str) -> list[str]:
-    return [c.strip() for c in line.rstrip("\n").split(delim)]
+    return [c.strip() for c in line.split(delim)]
 
 
-def _digit_cells(tail: str, delim: int, p: int) -> np.ndarray | None:
-    """The p values of `tail` (a row from its first delimiter on) when every
-    cell is one ASCII digit: 2p characters, `delim` at each even offset and a
-    digit at each odd one. None for any other row, non-ASCII ones included:
-    their UTF-8 bytes are all >= 0x80, neither a digit nor a delimiter."""
-    if len(tail) != 2 * p:
-        return None
-    raw = np.frombuffer(tail.encode(), dtype=np.uint8)
-    digits = raw[1::2] - ord("0")  # bytes below '0' wrap past 9
-    if digits.max() > 9 or np.any(raw[0::2] != delim):
-        return None
-    return digits
+_READ_BYTES = 1 << 20   # bytes per read of an input file
+_BLOCK_BYTES = 1 << 20  # dosage-row bytes checked at once
 
 
-def _nonblank_lines(fh):
-    """(line number, line) for each line of `fh` that holds more than
-    whitespace, without its line end, split where `str.splitlines` splits.
-    The numbers count the file's lines from 1, blank ones included, as
-    `load_phenotype`'s do."""
-    for lineno, chunk in enumerate(fh, start=1):
-        for line in chunk.splitlines():
-            if line.strip() != "":
-                yield lineno, line
+def _file_lines(fh):
+    """(line number, bytes) for each line of the binary file `fh`, without
+    its line end. Lines end at b"\n", b"\r\n" or a lone b"\r", as in text
+    mode, and are numbered from 1, blank ones included. The file is read
+    `_READ_BYTES` at a time; only a line that spans reads is carried over."""
+    lineno, rest = 0, b""
+    for chunk in iter(lambda: fh.read(_READ_BYTES), b""):
+        if b"\r" in chunk or rest.endswith(b"\r"):
+            # each line end as b"\n", but a last b"\r", which may be the
+            # first half of a b"\r\n", is carried over as it is
+            chunk, rest = rest + chunk, b""
+            last = chunk.endswith(b"\r")
+            chunk = (chunk[:len(chunk) - last].replace(b"\r\n", b"\n")
+                     .replace(b"\r", b"\n") + b"\r" * last)
+        # `find` scans with memchr; `split` tests byte by byte, 25x slower
+        start, end = 0, chunk.find(b"\n")
+        while end >= 0:
+            lineno += 1
+            yield lineno, rest + chunk[start:end]
+            rest, start, end = b"", end + 1, chunk.find(b"\n", end + 1)
+        rest += chunk[start:]
+    if rest:
+        yield lineno + 1, rest.rstrip(b"\r")
 
 
-def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
-    """Load a predictor file: header row of feature ids, first column sample id.
+def _decode(path, lineno: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: invalid UTF-8 at line {lineno}") from None
 
-    The file is read one line at a time. A row whose cells are all single
-    ASCII digits (a dosage row) is decoded from its bytes as uint8. Any
-    other row is converted by numpy's string-to-float cast, which accepts
-    and rejects the same cells (surrounding whitespace included) as
-    `float()`. The rows are stacked once at the end: the matrix is uint8
-    when every row is a dosage row, else float64. Single digits are exact,
-    so both give the values `float()` gives. Line numbers in errors count
-    every line of the file from 1, blank lines included.
-    """
-    if format not in ("tsv", "csv"):
-        raise ValidationError(f"unknown format {format!r}")
-    delim = "\t" if format == "tsv" else ","
-    rows: list[np.ndarray] = []
-    sample_ids: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _nonblank_lines(fh)
-        first = next(lines, None)
-        if first is None:
-            raise ParseError(f"{path}: empty file")
-        header = _split_line(first[1], delim)
-        if len(header) < 2:
-            raise ParseError(
-                f"{path}: header needs a sample-id column plus features")
-        feature_ids = header[1:]
-        p = len(feature_ids)
-        for lineno, line in lines:
-            cut = line.find(delim)
-            digits = (None if cut < 0
-                      else _digit_cells(line[cut:], ord(delim), p))
-            if digits is not None:
-                sample_ids.append(line[:cut].strip())
-                rows.append(digits)
+
+class _PredictorRows:
+    """The rows of a predictor file below its header, in file order.
+
+    A line that may be a dosage row (its bytes from the first delimiter on
+    are 2p long, and the sample id before them is one line of UTF-8) is
+    copied into a block of rows, with a delimiter after its last cell. A
+    full block is checked at once: as little-endian uint16, each (cell,
+    delimiter) byte pair less (delimiter, '0') is the cell's value when it
+    is one ASCII digit, and above 9 otherwise. A row that fails, and every
+    other line, is decoded and read as text: split where `str.splitlines`
+    splits, each part that holds more than whitespace taken as a row, and
+    each cell converted by numpy's string-to-float cast. The block is
+    checked before any line after it is read as text, so errors come in
+    line order."""
+
+    def __init__(self, path, delim: str, header: list[str]):
+        self.path, self.delim, self.header = path, delim, header
+        self.sep = delim.encode()
+        self.p = len(header) - 1
+        self.sample_ids: list[str] = []
+        self.rows: list[np.ndarray] = []  # uint8 dosage and float64 rows
+        self.block = np.empty((max(1, _BLOCK_BYTES // (2 * self.p)),
+                               2 * self.p), dtype=np.uint8)
+        self.block[:, -1] = ord(delim)
+        self.queued: list[tuple[int, str, bytes]] = []  # line, id, bytes
+        self.base = ord(delim) << 8 | ord("0")
+
+    def add(self, lineno: int, raw: bytes) -> None:
+        """Take one line of the file, without its line end."""
+        if not self._queue(lineno, raw):
+            self._text(lineno, raw)
+
+    def _queue(self, lineno: int, raw: bytes) -> bool:
+        cut = raw.find(self.sep)
+        if cut < 0 or len(raw) - cut != 2 * self.p:
+            return False
+        try:
+            sid = raw[:cut].decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+        if "".join(sid.splitlines()) != sid:  # a line break within the id
+            return False
+        self.block[len(self.queued), :-1] = np.frombuffer(
+            raw, dtype=np.uint8, offset=cut + 1)
+        self.queued.append((lineno, sid, raw))
+        if len(self.queued) == len(self.block):
+            self._check_block()
+        return True
+
+    def _check_block(self) -> None:
+        queued, self.queued = self.queued, []
+        if not queued:
+            return
+        cells = self.block[:len(queued)].view("<u2") - self.base
+        failed = np.flatnonzero(cells.max(axis=1) > 9).tolist()
+        start = 0
+        for i in failed + [len(queued)]:
+            if start < i:
+                self.rows.append(cells[start:i].astype(np.uint8))
+                self.sample_ids.extend(sid.strip()
+                                       for _, sid, _ in queued[start:i])
+            if i < len(queued):
+                lineno, _, raw = queued[i]
+                self._text(lineno, raw)
+                self._check_block()
+            start = i + 1
+
+    def _text(self, lineno: int, raw: bytes) -> None:
+        """Read a line that was not queued, or failed its block, as text. A
+        part of it is queued only if the line splits."""
+        self._check_block()
+        text = _decode(self.path, lineno, raw)
+        for line in text.splitlines():
+            if line.strip() == "" or (line != text
+                                      and self._queue(lineno, line.encode())):
                 continue
-            cells = line.split(delim)
-            if len(cells) != p + 1:
+            self._check_block()
+            cells = line.split(self.delim)
+            if len(cells) != self.p + 1:
                 raise ParseError(
-                    f"{path}: ragged row at line {lineno}: expected {p + 1} "
-                    f"cells, got {len(cells)}")
-            sample_ids.append(cells[0].strip())
+                    f"{self.path}: ragged row at line {lineno}: expected "
+                    f"{self.p + 1} cells, got {len(cells)}")
             try:
-                rows.append(np.array(cells[1:], dtype=float))
+                self.rows.append(np.array(cells[1:], dtype=float)[None])
             except ValueError:
                 for j, cell in enumerate(cells[1:], start=1):
                     try:
                         float(cell)
                     except ValueError:
                         raise ParseError(
-                            f"{path}: non-numeric cell {cell.strip()!r} at "
-                            f"line {lineno}, column {header[j]!r}") from None
+                            f"{self.path}: non-numeric cell "
+                            f"{cell.strip()!r} at line {lineno}, column "
+                            f"{self.header[j]!r}") from None
                 raise
-    if not rows:
-        raise ValidationError(f"{path}: zero samples (header only)")
-    return PredictorMatrix(np.stack(rows), feature_ids, sample_ids)
+            self.sample_ids.append(cells[0].strip())
+
+    def matrix(self) -> PredictorMatrix:
+        self._check_block()
+        if not self.rows:
+            raise ValidationError(f"{self.path}: zero samples (header only)")
+        return PredictorMatrix(np.concatenate(self.rows), self.header[1:],
+                               self.sample_ids)
+
+
+def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
+    """Load a predictor file: header row of feature ids, first column sample id.
+
+    The file is read in binary, a line at a time. A row whose cells are all
+    single ASCII digits (a dosage row) is decoded from its bytes as uint8, a
+    block of rows at once. Any other row is decoded as UTF-8 and converted
+    by numpy's string-to-float cast, which accepts and rejects the same
+    cells (surrounding whitespace included) as `float()`. The matrix is
+    uint8 when every row is a dosage row, else float64. Single digits are
+    exact, so both give the values `float()` gives. Line numbers in errors
+    count every line of the file from 1, blank lines included, and a line
+    that is not UTF-8 is refused with its number.
+    """
+    if format not in ("tsv", "csv"):
+        raise ValidationError(f"unknown format {format!r}")
+    delim = "\t" if format == "tsv" else ","
+    with open(path, "rb") as fh:
+        lines = _file_lines(fh)
+        for lineno, raw in lines:
+            parts = [line for line in _decode(path, lineno, raw).splitlines()
+                     if line.strip() != ""]
+            if parts:
+                break
+        else:
+            raise ParseError(f"{path}: empty file")
+        header = _split_line(parts[0], delim)
+        if len(header) < 2:
+            raise ParseError(
+                f"{path}: header needs a sample-id column plus features")
+        rows = _PredictorRows(path, delim, header)
+        for line in parts[1:]:
+            rows.add(lineno, line.encode())
+        for lineno, raw in lines:
+            rows.add(lineno, raw)
+    return rows.matrix()
 
 
 def load_phenotype(path) -> tuple[list[str], np.ndarray]:
-    """Load a two-column (sample id, label) tab-separated file, no header."""
+    """Load a two-column (sample id, label) tab-separated file, no header.
+    A label that `float()` rejects or gives as nan or +-inf is refused with
+    its line number, and so is a line that is not UTF-8."""
     sample_ids, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in _file_lines(fh):
+            line = _decode(path, lineno, raw)
             if line.strip() == "":
                 continue
             cells = _split_line(line, "\t")
@@ -261,15 +359,22 @@ def load_phenotype(path) -> tuple[list[str], np.ndarray]:
                     f"got {len(cells)}")
             sample_ids.append(cells[0])
             try:
-                labels.append(float(cells[1]))
+                label = float(cells[1])
             except ValueError:
                 raise ParseError(
                     f"{path}: non-numeric label {cells[1]!r} at line "
                     f"{lineno}") from None
+            if not math.isfinite(label):
+                raise ParseError(
+                    f"{path}: non-finite label {cells[1]!r} at line {lineno}")
+            labels.append(label)
     if not sample_ids:
         raise ValidationError(f"{path}: zero samples")
     labels_arr = np.array(labels)
-    if np.all(labels_arr == labels_arr.astype(int)):
+    # whole labels within int64 become ints; the range test keeps the cast
+    # from overflowing
+    if np.all((labels_arr == np.floor(labels_arr))
+              & (np.abs(labels_arr) < 2.0 ** 63)):
         labels_arr = labels_arr.astype(int)
     return sample_ids, labels_arr
 

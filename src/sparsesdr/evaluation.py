@@ -270,13 +270,21 @@ def _chi2_sf(stat: np.ndarray, df: np.ndarray) -> np.ndarray:
 
 
 def _check_dosages(x: PredictorMatrix) -> None:
-    """Refuse a matrix with any cell outside {0, 1, 2}, naming the first."""
-    bad = ~np.isin(x.values, (0.0, 1.0, 2.0))
+    """Refuse a matrix with any cell outside {0, 1, 2}, naming the first. A
+    uint8 matrix is decided by its maximum; its cells are searched only to
+    name a bad one."""
+    values = x.values
+    if values.dtype == np.uint8:
+        if values.max(initial=0) <= 2:
+            return
+        bad = values > 2
+    else:
+        bad = ~np.isin(values, (0.0, 1.0, 2.0))
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise ValidationError(
             f"chi-square ranking requires dosages in {{0, 1, 2}}, got "
-            f"{x.values[i, j]:g} at sample {x.sample_ids[i]!r}, feature "
+            f"{values[i, j]:g} at sample {x.sample_ids[i]!r}, feature "
             f"{x.feature_ids[j]!r}")
 
 
@@ -361,7 +369,8 @@ def knn_predict(x_train: np.ndarray, labels, x_test: np.ndarray, k: int):
         raise ValidationError("k must be >= 1")
     if k > n_train:
         raise ValidationError(f"k={k} exceeds {n_train} training samples")
-    return _knn_vote(_neighbour_order(_sq_dists(x_test, x_train)), labels, k)
+    return _knn_vote(_neighbour_order(_sq_dists(x_test, x_train), k),
+                     labels, k)
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -372,14 +381,26 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             - 2 * a @ b.T)
 
 
-def _neighbour_order(d2: np.ndarray) -> np.ndarray:
-    """Columns of each row of d2, nearest first (ties in column order)."""
-    return np.argsort(d2, axis=1, kind="stable")
+def _neighbour_order(d2: np.ndarray, k: int) -> np.ndarray:
+    """The k nearest columns of each row of d2 (no NaN), nearest first, ties
+    in column order: the first k columns of the row's stable argsort.
+
+    Only the cells at or below each row's k-th smallest value can be among
+    them. Their flat indices, in row-major order, are sorted by (row, value)
+    in one `np.lexsort`, which is stable, so tied values keep column order;
+    each row's first k are then read at its offset."""
+    n = d2.shape[1]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    near = d2 <= kth[:, None]
+    flat = np.flatnonzero(near)
+    flat = flat[np.lexsort((d2.ravel()[flat], flat // n))]
+    counts = np.count_nonzero(near, axis=1)
+    return flat[(np.cumsum(counts) - counts)[:, None] + np.arange(k)] % n
 
 
 def _knn_vote(order: np.ndarray, labels: np.ndarray, k: int):
     """`knn_predict`'s vote over the first k columns of each row of `order`
-    (from `_neighbour_order`); one order serves every k."""
+    (from `_neighbour_order` at this k or a larger one)."""
     ordered = np.sort(labels)   # np.unique would import numpy.ma
     classes = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
     if len(classes) == 2 and k % 2 == 0:
@@ -500,22 +521,21 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
         else:
             ranked, _, _, _ = _chi2_ranking(all_rows - counts[fold])
             m_grid = [top_m] if top_m is not None else [10, 25, 50]
-            k_grid = [knn_k] if knn_k is not None else [1, 3, 5]
+            k_grid = [k for k in ([knn_k] if knn_k is not None else [1, 3, 5])
+                      if k < len(train_rows)]
+            if not k_grid:
+                raise ValidationError("no valid (top_m, k) combination")
             best = None
             for m in m_grid:
                 tr = x.values[np.ix_(train_rows, ranked[:m])]
                 d2 = _sq_dists(tr, tr)
                 np.fill_diagonal(d2, np.inf)  # a row never votes on itself
-                order = _neighbour_order(d2)
+                order = _neighbour_order(d2, max(k_grid))  # serves every k
                 for k in k_grid:
-                    if k >= len(train_rows):
-                        continue
                     pred_tr, _ = _knn_vote(order, y_train.labels, k)
                     acc = float(np.mean(pred_tr == y_train.labels))
                     if best is None or acc > best[0]:
                         best = (acc, m, k)
-            if best is None:
-                raise ValidationError("no valid (top_m, k) combination")
             _, m, k = best
             cols = ranked[:m]
             tr = x.values[np.ix_(train_rows, cols)]

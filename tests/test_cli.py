@@ -488,6 +488,42 @@ class TestAssoc:
         assert not out.exists()
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 is refused with exit 2, naming the file and
+    the line, before anything is written."""
+
+    def run(self, capsys, tmp_path, command, xp, yp, cfg=None):
+        out = tmp_path / "out"
+        argv = [command, "--x", str(xp), "--y", str(yp), "--out", str(out)]
+        if cfg is not None:
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_predictor_sample_id(self, tmp_path, capsys):
+        xp, yp, _ = write_dataset(tmp_path)
+        data = xp.read_bytes().split(b"\n")
+        data[4] = data[4].replace(b"s3", b"s\xe9")
+        xp.write_bytes(b"\n".join(data))
+        err = self.run(capsys, tmp_path, "assoc", xp, yp)
+        assert f"{xp}: invalid UTF-8 at line 5" in err
+
+    def test_phenotype_label(self, tmp_path, capsys):
+        xp, yp, _ = write_dataset(tmp_path)
+        yp.write_bytes(yp.read_bytes().replace(b"s7\t", b"s7\t\xff", 1))
+        err = self.run(capsys, tmp_path, "screen", xp, yp,
+                       write_config(tmp_path, SCREEN_CFG))
+        assert f"{yp}: invalid UTF-8 at line 8" in err
+
+    def test_config_comment(self, tmp_path, capsys):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(SCREEN_CFG.encode() + b"# caf\xe9\n")
+        err = self.run(capsys, tmp_path, "screen", xp, yp, cfg)
+        assert f"{cfg}: invalid UTF-8 at line 6" in err
+
+
 class TestSimulate:
     @pytest.mark.parametrize("lines, message", [
         ("simulate.p = 10\nsimulate.support = 11\n",

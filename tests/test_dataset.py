@@ -5,8 +5,8 @@ import sparsesdr.cli
 import sparsesdr.dataset
 from sparsesdr.cli import main
 from sparsesdr.dataset import (Phenotype, PredictorMatrix, SyntheticSpec,
-                               _digit_cells, align_phenotype, center,
-                               load_phenotype, load_predictors, simulate)
+                               align_phenotype, center, load_phenotype,
+                               load_predictors, simulate)
 from sparsesdr.errors import ParseError, ValidationError
 
 
@@ -142,11 +142,23 @@ class TestDosageRows:
         ("\t1,1\t2", False),      # delimiter out of place
         ("\t1\t2", False),        # p - 1 cells
     ])
-    def test_byte_path_takes_only_single_digit_rows(self, tail, fast):
-        got = _digit_cells(tail, ord("\t"), 3)
-        assert (got is not None) == fast
-        if fast:
-            assert got.tolist() == [float(c) for c in tail.split("\t")[1:]]
+    def test_byte_path_takes_only_single_digit_rows(self, tmp_path, tail,
+                                                    fast):
+        # a one-row file is uint8 only when the row is single ASCII digits;
+        # any other row is read as `float()` reads its cells, or refused
+        p = write(tmp_path, "x.tsv", "id\ta\tb\tc\ns1" + tail + "\n")
+        cells = tail.split("\t")[1:]
+        try:
+            want = [float(c) for c in cells]
+        except ValueError:
+            want = None
+        if want is None or len(cells) != 3:
+            with pytest.raises(ParseError, match="at line 2"):
+                load_predictors(p, "tsv")
+            return
+        m = load_predictors(p, "tsv")
+        assert (m.values.dtype == np.uint8) == fast
+        assert m.values.tolist() == [want]
 
     @pytest.mark.parametrize("format, delim", [("tsv", "\t"), ("csv", ",")])
     def test_mixed_rows_match_float_per_cell(self, tmp_path, format, delim):
@@ -205,6 +217,93 @@ class TestDosageRows:
         assert m.values.dtype == x.values.dtype == np.uint8
         assert_same_bits(m.values.astype(np.float64),
                          x.values.astype(np.float64))
+
+
+class TestBlockReader:
+    """Dosage rows are checked a block of rows at a time; a row that fails
+    its block, and every other line, is read as text in line order."""
+
+    P = 5
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # 4 rows per block, and reads of 7 bytes, so lines span reads
+        monkeypatch.setattr(sparsesdr.dataset, "_BLOCK_BYTES", 8 * self.P)
+        monkeypatch.setattr(sparsesdr.dataset, "_READ_BYTES", 7)
+
+    def lines(self, n_rows, seed=0):
+        v = np.random.default_rng(seed).binomial(2, 0.4, size=(n_rows, self.P))
+        return dosage_text(v, str).splitlines()
+
+    def test_dosage_rows_past_one_block(self, tmp_path, small_blocks):
+        text = "\n".join(self.lines(11)) + "\n"
+        m = load_predictors(write(tmp_path, "x.tsv", text), "tsv")
+        ids, want = float_oracle(text, "\t")
+        assert m.sample_ids == ids
+        assert m.values.dtype == np.uint8
+        assert_same_bits(m.values.astype(np.float64), want)
+
+    # rows 1-4 fill the first block, 5-8 the second
+    @pytest.mark.parametrize("row", [2, 4, 5, 11])
+    @pytest.mark.parametrize("spell", [lambda c: f" {c}", lambda c: f"{c}.0"],
+                             ids=["padded", "decimal"])
+    def test_other_row_inside_or_at_edge_of_block(self, tmp_path,
+                                                  small_blocks, row, spell):
+        lines = self.lines(11)
+        sid, *cells = lines[row].split("\t")
+        lines[row] = "\t".join([sid] + [spell(c) for c in cells])
+        text = "\n".join(lines) + "\n"
+        m = load_predictors(write(tmp_path, "x.tsv", text), "tsv")
+        ids, want = float_oracle(text, "\t")
+        assert m.sample_ids == ids
+        assert m.values.dtype == np.float64
+        assert_same_bits(m.values, want)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("s9\t1\t0", "ragged row at line 12: expected 6 cells, got 3$"),
+        ("s9\t1\t0\tx\t2\t1", "non-numeric cell 'x' at line 12, column 'f2'$"),
+        ("s9\t1\t0\t/\t2\t1", "non-numeric cell '/' at line 12, column 'f2'$"),
+    ], ids=["ragged", "non_numeric", "digit_width"])
+    def test_bad_row_after_first_block(self, tmp_path, small_blocks, bad,
+                                       message):
+        # two blank lines before the bad row, which is the 9th data row; a
+        # bad row after it must not be the one named
+        lines = self.lines(12)
+        lines[4:4] = ["", "  "]
+        lines[11] = bad
+        lines[13] = "s11\tx"
+        p = write(tmp_path, "x.tsv", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message):
+            load_predictors(p, "tsv")
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["lone_cr", "crlf"])
+    def test_line_ends(self, tmp_path, small_blocks, end):
+        lines = self.lines(9)
+        text = end.join(lines) + end
+        p = tmp_path / "x.tsv"
+        p.write_bytes(text.encode())
+        m = load_predictors(p, "tsv")
+        ids, want = float_oracle(text, "\t")
+        assert m.sample_ids == ids and len(ids) == 9
+        assert m.values.dtype == np.uint8
+        assert_same_bits(m.values.astype(np.float64), want)
+        lines[7] = lines[7] + "\t1"
+        p.write_bytes((end.join(lines) + end + end).encode())
+        with pytest.raises(ParseError, match="ragged row at line 8:"):
+            load_predictors(p, "tsv")
+
+    @pytest.mark.parametrize("line, at", [
+        (b"s\xe9\t0\t1", 3),       # in a sample id
+        (b"s2\t0\t\xe9", 3),       # in a dosage-row-wide cell
+        (b"s2\t0\t1.\xff5", 3),    # in a decimal row
+        (b"\xff", 3),
+    ])
+    def test_invalid_utf8_names_line(self, tmp_path, line, at):
+        p = tmp_path / "x.tsv"
+        p.write_bytes(b"id\ta\tb\ns1\t0\t1\n" + line + b"\ns3\t1\tx\n")
+        with pytest.raises(ParseError,
+                           match=f"x.tsv: invalid UTF-8 at line {at}$"):
+            load_predictors(p, "tsv")
 
 
 def dosage_text(v, spell):
@@ -303,6 +402,27 @@ class TestPhenotypeFile:
     def test_bad_column_count(self, tmp_path):
         p = write(tmp_path, "y.tsv", "s1\t0\t9\n")
         with pytest.raises(ParseError):
+            load_phenotype(p)
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_label_refused_without_warning(self, tmp_path, label):
+        # pytest turns numpy's cast warning into an error
+        p = write(tmp_path, "y.tsv", f"s1\t0\n\ns2\t{label}\ns3\t1\n")
+        with pytest.raises(ParseError,
+                           match=f"non-finite label '{label}' at line 3$"):
+            load_phenotype(p)
+
+    def test_labels_past_int64_stay_float(self, tmp_path):
+        p = write(tmp_path, "y.tsv", "s1\t0\ns2\t1e300\n")
+        ids, labels = load_phenotype(p)
+        assert labels.dtype == np.float64
+        assert labels.tolist() == [0.0, 1e300]
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        p = tmp_path / "y.tsv"
+        p.write_bytes(b"s1\t0\r\ns2\t1\rs\xff\t1\n")
+        with pytest.raises(ParseError,
+                           match="y.tsv: invalid UTF-8 at line 3$"):
             load_phenotype(p)
 
 

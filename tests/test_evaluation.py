@@ -11,7 +11,8 @@ from sparsesdr.dataset import (PredictorMatrix, Phenotype, SyntheticSpec,
                                center, make_phenotype, simulate)
 from sparsesdr.errors import NumericError, ValidationError
 from sparsesdr.evaluation import (CvReport, MetricBundle, _average_ranks,
-                                  _chi2_sf, _sq_dists, auc_mann_whitney,
+                                  _chi2_sf, _neighbour_order, _sq_dists,
+                                  auc_mann_whitney,
                                   chi2_rank, cross_validate,
                                   cv_report_to_json, cv_report_to_tsv,
                                   fit_classifier, fit_model, knn_predict,
@@ -367,6 +368,42 @@ class TestKnn:
         assert _sq_dists(twos, twos).tolist() == [[0.0] * 3] * 3
 
 
+def argsort_order(d2, k):
+    """The first k columns of each row's stable argsort: the reference for
+    `_neighbour_order`."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+class TestNeighbourOrder:
+    def assert_every_k(self, d2):
+        for k in range(1, d2.shape[1] + 1):
+            got = _neighbour_order(d2, k)
+            assert got.shape == (d2.shape[0], k)
+            assert np.array_equal(got, argsort_order(d2, k))
+
+    @pytest.mark.parametrize("levels", [2, 3, 6])
+    def test_integer_distances_with_many_ties(self, levels):
+        rng = np.random.default_rng(levels)
+        self.assert_every_k(rng.integers(0, levels, size=(30, 25))
+                            .astype(float))
+
+    def test_inf_diagonal(self):
+        # the leave-one-out distances of the CV grid: coarse dosages, a
+        # row's own distance +inf, and duplicated rows at distance 0
+        rng = np.random.default_rng(8)
+        x = rng.binomial(2, 0.15, size=(40, 6)).astype(float)
+        x[20:25] = x[3]
+        d2 = _sq_dists(x, x)
+        np.fill_diagonal(d2, np.inf)
+        assert np.sum(d2 == 0) >= 20
+        self.assert_every_k(d2)
+
+    def test_signed_zeros_and_one_column(self):
+        d2 = np.array([[0.0, -0.0, 1.0, -0.0], [2.0, 2.0, -1.0, 0.0]])
+        self.assert_every_k(d2)
+        self.assert_every_k(d2[:, :1])
+
+
 class TestClassifier:
     def separated_instance(self, seed=7, n=200):
         rng = np.random.default_rng(seed)
@@ -642,6 +679,27 @@ class TestCrossValidate:
             assert fold.selected_ids == [x.feature_ids[j]
                                          for j, *_ in want[:10]]
         assert col13_df == {1, 2}
+
+    @pytest.mark.parametrize("top_m, knn_k", [(None, None), (3, 5)])
+    def test_pvalue_rank_matches_argsort_reference(self, monkeypatch, top_m,
+                                                   knn_k):
+        # rare dosages on few columns: many rows repeat, so the k-NN
+        # distances tie often; the reference orders every column of each row
+        import sparsesdr.evaluation as ev
+        spec = SyntheticSpec(n_samples=150, n_features=30,
+                             maf_range=(0.02, 0.08),
+                             support=[(j, 2.0) for j in range(4)], seed=12)
+        x, y, _ = simulate(spec)
+        d2 = _sq_dists(x.values[:, :10], x.values[:, :10])
+        assert np.sum(d2 == 0) > 4 * 150
+        got = cross_validate(x, y, 4, "pvalue_rank", seed=2, top_m=top_m,
+                             knn_k=knn_k)
+        monkeypatch.setattr(ev, "_neighbour_order",
+                            lambda d2, k: np.argsort(d2, axis=1,
+                                                     kind="stable"))
+        want = cross_validate(x, y, 4, "pvalue_rank", seed=2, top_m=top_m,
+                              knn_k=knn_k)
+        assert cv_report_to_json(got) == cv_report_to_json(want)
 
     @pytest.mark.parametrize("top_m, knn_k", [(64, 3), (90, None)])
     def test_pvalue_rank_uint8_matches_float64(self, top_m, knn_k):
