@@ -375,10 +375,13 @@ def knn_predict(x_train: np.ndarray, labels, x_test: np.ndarray, k: int):
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a and of b, in
-    float64 whatever their dtype (uint8 products would wrap around)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return (np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :]
-            - 2 * a @ b.T)
+    float64 whatever their dtype (uint8 products would wrap around), with
+    one float copy when b is a."""
+    fa = np.asarray(a, dtype=float)
+    fb = fa if b is a else np.asarray(b, dtype=float)
+    d2 = np.sum(fa ** 2, axis=1)[:, None] + np.sum(fb ** 2, axis=1)[None, :]
+    d2 -= 2 * fa @ fb.T
+    return d2
 
 
 def _neighbour_order(d2: np.ndarray, k: int) -> np.ndarray:

@@ -14,7 +14,9 @@ from .errors import NumericError, ValidationError
 from .scoring import ScoringDesign
 from .sir import column_signs
 
-_ZERO_BETA = 1e-14
+# W has rank < d when its smallest singular value (in the D metric) is at
+# most this fraction of its largest
+_RANK_TOL = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -173,55 +175,46 @@ def check_theta_invariants(Theta: np.ndarray, D: np.ndarray,
                 raise NumericError(f"theta_{i} not D-orthogonal to theta_{j}")
 
 
-def _deflated_draw(rng: np.random.Generator, D: np.ndarray,
-                   Q: np.ndarray) -> np.ndarray:
-    """Random D-unit score D-orthogonal to every column of Q."""
-    for _ in range(10):
-        star = rng.standard_normal(D.shape[0])
-        tilde = star - Q @ (Q.T @ (D @ star))
-        norm2 = tilde @ D @ tilde
-        if norm2 > 1e-12:
-            return tilde / np.sqrt(norm2)
-    raise NumericError("degenerate random score draw")
+def _score_svd(ztxb: np.ndarray, D: np.ndarray):
+    """L with D = L L^T, and the thin SVD U s Vt of A = L^-1 ztxb less its
+    first row. Scores Theta = L^-T [0; P] are D-orthonormal and deflated
+    against the constant score q1 = e_1 exactly when P's columns are
+    orthonormal, and then tr(Theta^T ztxb) = tr(P^T A). A^T A = W^T D W,
+    for W = D^-1 ztxb deflated against q1."""
+    L = np.linalg.cholesky(D)
+    return (L, *np.linalg.svd(np.linalg.solve(L, ztxb)[1:],
+                              full_matrices=False))
 
 
-def init_theta(design: ScoringDesign, d: int, seed: int = 0):
-    """Random D-orthonormal initialization deflated against the constant
-    score. Returns (Theta: h x d, Q: h x (d+1))."""
-    h, D = design.h, design.D
+def _scores(L: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Theta = L^-T [0; P] (see `_score_svd`)."""
+    return np.linalg.solve(L.T, np.vstack([np.zeros((1, P.shape[1])), P]))
+
+
+def init_theta(design: ScoringDesign, d: int, seed: int = 0) -> np.ndarray:
+    """Random h x d D-orthonormal scores deflated against the constant
+    score, from the orthonormal factor of a Gaussian draw."""
+    h = design.h
     if d > h - 1:
         raise ValidationError(f"d={d} must be <= h-1={h - 1}")
     rng = np.random.default_rng(seed)
-    q1 = np.zeros(h)
-    q1[0] = 1.0
-    Q = q1[:, None]
-    Theta = np.zeros((h, d))
-    for i in range(d):
-        theta = _deflated_draw(rng, D, Q)
-        Theta[:, i] = theta
-        Q = np.column_stack([Q, theta])
-    return Theta, Q
+    P = np.linalg.qr(rng.standard_normal((h - 1, d)))[0]
+    return _scores(np.linalg.cholesky(design.D), P)
 
 
-def theta_step(xtz: np.ndarray, D: np.ndarray, beta: np.ndarray,
-               Q: np.ndarray) -> np.ndarray:
-    """Closed-form score update for one direction.
-
-    xtz is the precomputed p x h matrix X^T Z, beta the current length-p
-    coefficient vector, Q the h x i D-orthonormal deflation matrix (constant
-    score plus previously extracted scores). With v = Z^T X beta and w the
-    deflation of D^-1 v against Q, the score is theta = w / sqrt(w^T D w):
-    a D-unit vector D-orthogonal to every column of Q. Because
-    w^T v = w^T D w, theta^T v = sqrt(w^T D w) > 0, so no sign fix is needed.
-    """
-    v = xtz.T @ beta                       # Z^T X beta
-    w = np.linalg.solve(D, v)
-    w = w - Q @ (Q.T @ (D @ w))            # deflate against Q
-    wDw = w @ D @ w
-    if wDw <= 1e-24 or np.linalg.norm(v) < 1e-12:
-        raise NumericError("degenerate score/direction pairing: direction "
-                           "carries no signal for the score update")
-    return w / np.sqrt(wDw)
+def theta_step(ztxb: np.ndarray, D: np.ndarray,
+               Theta: np.ndarray) -> np.ndarray:
+    """The scores that minimize ||Z Theta - X B||^2 for ztxb = Z^T X B, by
+    maximizing tr(Theta^T ztxb): the D-metric polar factor
+    W (W^T D W)^(-1/2) of W = D^-1 ztxb deflated against the constant
+    score (Schoenemann 1966), as L^-T [0; U Vt] (see `_score_svd`), which
+    stays D-orthonormal however ill-conditioned W is. When W^T D W is
+    singular (B = 0 or of rank < d) the maximizer is not unique and
+    `Theta` is returned unchanged, which cannot raise the objective."""
+    L, U, s, Vt = _score_svd(ztxb, D)
+    if s[-1] <= _RANK_TOL * s[0]:
+        return Theta
+    return _scores(L, U @ Vt)
 
 
 def fit(x: PredictorMatrix, design: ScoringDesign, cfg: SolverConfig,
@@ -229,6 +222,13 @@ def fit(x: PredictorMatrix, design: ScoringDesign, cfg: SolverConfig,
     """Alternate the coefficient subproblem and the score step until both
     stop moving (or the outer iteration cap is hit). `seed` draws the
     starting scores.
+
+    Each score step is `theta_step`, exact over the scores. At d = h - 1
+    every start spans the same scores, so the loop stops at outer iteration
+    2. At the end (Theta, B) is rotated once, by the right singular vectors
+    of `_score_svd` at the last B, so that W's columns are D-orthogonal,
+    largest first: neither the objective nor B's row norms change, and fits
+    that reach one optimum from different seeds return the same answer.
 
     Each coefficient step is solved on a working set W of columns (see
     `_WorkingSet.solve`), so a sparse answer factors a |W| x |W| Gram
@@ -256,16 +256,13 @@ def fit(x: PredictorMatrix, design: ScoringDesign, cfg: SolverConfig,
 
     X, Z, D = x.values, design.Z, design.D
     d, pen = cfg.d, cfg.penalty
-    Theta, Q = init_theta(design, d, seed)
-    xtz = X.T @ Z
+    Theta = init_theta(design, d, seed)
     ws = _WorkingSet(X, every=pen.r > 0)
-    rng = np.random.default_rng(seed + 1)
 
     B = np.zeros((x.n_features, d))
     history: list[float] = []
     converged = False
     inner_ok = True
-    outer = 0
     res = None
     for outer in range(1, cfg.outer_max_iter + 1):
         Ztheta = Z @ Theta
@@ -273,32 +270,15 @@ def fit(x: PredictorMatrix, design: ScoringDesign, cfg: SolverConfig,
         inner_ok = inner_ok and (res is None or res.converged)
         B_W = np.zeros((0, d)) if res is None else res.B
         B_new = ws.full(B_W)
-
-        Theta_new = np.zeros_like(Theta)
-        Qi = Q[:, :1]
-        for i in range(d):
-            beta = B_new[:, i]
-            if np.linalg.norm(beta) <= _ZERO_BETA:
-                # no signal for this direction: keep the previous score,
-                # re-deflated against the refreshed earlier scores
-                tilde = Theta[:, i] - Qi @ (Qi.T @ (D @ Theta[:, i]))
-                norm2 = tilde @ D @ tilde
-                theta = (tilde / np.sqrt(norm2) if norm2 > 1e-12
-                         else _deflated_draw(rng, D, Qi))
-            else:
-                theta = theta_step(xtz, D, beta, Qi)
-            Theta_new[:, i] = theta
-            Qi = np.column_stack([Qi, theta])
-
-        check_theta_invariants(Theta_new, D, Q[:, 0])
+        ztxb = Z.T @ (ws.X_W @ B_W)
+        Theta_new = theta_step(ztxb, D, Theta)
+        check_theta_invariants(Theta_new, D, np.eye(design.h)[0])
         history.append(step_a_objective(ws.X_W, Z @ Theta_new, B_W, pen))
 
-        theta_moved = max(float(np.linalg.norm(Theta_new[:, i] - Theta[:, i]))
-                          for i in range(d))
-        beta_moved = max(float(np.linalg.norm(B_new[:, i] - B[:, i]))
-                         for i in range(d))
+        moved = max(np.linalg.norm(Theta_new - Theta, axis=0).max(),
+                    np.linalg.norm(B_new - B, axis=0).max())
         Theta, B = Theta_new, B_new
-        if theta_moved < cfg.outer_tol and beta_moved < cfg.outer_tol:
+        if moved < cfg.outer_tol:
             converged = True
             break
 
@@ -309,8 +289,9 @@ def fit(x: PredictorMatrix, design: ScoringDesign, cfg: SolverConfig,
         slack = 0.0 if res is None else float(
             res.dual_residual + 2 * ws.gram.s2.max(initial=0.0)
             * res.primal_residual) / pen.lam
-    signs = column_signs(Theta)
-    B, Theta = B * signs, Theta * signs
+    V = _score_svd(ztxb, D)[3].T   # the final rotation (see above)
+    V = V * column_signs(Theta @ V)
+    B, Theta = B @ V, Theta @ V
     return DirectionSet(B=B, Theta=Theta, converged=converged,
                         outer_iters=outer, objective_history=history,
                         inner_converged=inner_ok, kkt_max_rel=kkt,

@@ -57,7 +57,7 @@ def build_design(y: Phenotype, h: int | None = None) -> ScoringDesign:
             assign[np.asarray(y.labels) == code] = s
     else:
         if h is None or h < 2:
-            raise ValidationError("h must be at least 2")
+            raise ValidationError("a continuous response needs design.h >= 2")
         if n < h:
             raise ValidationError(f"need n >= h, got n={n}, h={h}")
         assign = _assign_continuous_slices(y.labels, h)

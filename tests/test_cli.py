@@ -155,6 +155,29 @@ class TestFit:
         assert fit_info["kkt_slack"] is None
         assert fit_info["working_set_size"] == 30
 
+    def test_two_directions_one_nonzero_row(self, tmp_path):
+        # a d = 2 fit whose B keeps one row has rank 1: the score step keeps
+        # the scores, and the fit writes its outputs
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((300, 6))
+        labels = np.zeros(300, dtype=int)
+        labels[X[:, 0] > 0.4] = 1
+        labels[X[:, 1] > 0.4] = 2
+        xp, yp = tmp_path / "x.tsv", tmp_path / "y.tsv"
+        ids = [f"s{i}" for i in range(300)]
+        xp.write_text("\t".join(["id"] + [f"f{j}" for j in range(6)]) + "\n"
+                      + "".join("\t".join([i] + [repr(v) for v in row]) + "\n"
+                                for i, row in zip(ids, X.tolist())))
+        yp.write_text("".join(f"{i}\t{v}\n" for i, v in zip(ids, labels)))
+        cfg = write_config(tmp_path, "penalty.lambda = 410\n"
+                                     "penalty.rho = 2\nsolver.d = 2\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "directions.tsv").read_text().splitlines()[1:]
+        assert sum(any(float(v) != 0 for v in r.split("\t")[1:])
+                   for r in rows) == 1
+
     def test_missing_y_usage_error(self, tmp_path, capsys):
         xp, _, _ = write_dataset(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -196,6 +219,19 @@ class TestFit:
         assert rc == 2
         assert not out.exists() or not any(out.iterdir())
 
+
+    @pytest.mark.parametrize("command", ["fit", "screen"])
+    def test_continuous_response_needs_design_h(self, tmp_path, capsys,
+                                                command):
+        xp, yp, _ = write_dataset(tmp_path)
+        write_continuous_phenotype(yp)
+        cfg = write_config(tmp_path, SCREEN_CFG)
+        out = tmp_path / "out"
+        assert main([command, "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("a continuous response needs design.h >= 2"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_staged_fit_selects_what_screen_selects(self, tmp_path):
         # `fit` runs the configured plan: every feature keeps its row, in

@@ -367,6 +367,21 @@ class TestKnn:
         assert d2.tolist() == [[800.0, 800.0]] * 3
         assert _sq_dists(twos, twos).tolist() == [[0.0] * 3] * 3
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_distances_match_the_plain_expression(self, dtype):
+        # one float conversion when both arguments are the same array, and
+        # the same values, bit for bit, as the expression written out
+        rng = np.random.default_rng(9)
+        a = rng.binomial(2, 0.3, size=(50, 40)).astype(dtype)
+        b = rng.binomial(2, 0.3, size=(30, 40)).astype(dtype)
+        if dtype == np.float64:
+            a, b = a + rng.uniform(size=a.shape), b + rng.uniform(size=b.shape)
+        for u, v in [(a, a), (a, b)]:
+            fu, fv = u.astype(float), v.astype(float)
+            plain = (np.sum(fu ** 2, axis=1)[:, None]
+                     + np.sum(fv ** 2, axis=1)[None, :] - 2 * fu @ fv.T)
+            assert np.array_equal(_sq_dists(u, v), plain)
+
 
 def argsort_order(d2, k):
     """The first k columns of each row's stable argsort: the reference for

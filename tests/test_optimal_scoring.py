@@ -5,7 +5,7 @@ import scipy.linalg
 from sparsesdr.admm import PenaltyParams, solve_step_a, step_a_objective
 from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
                                make_phenotype, simulate)
-from sparsesdr.errors import NumericError, ValidationError
+from sparsesdr.errors import ValidationError
 from sparsesdr.optimal_scoring import (SolverConfig, check_theta_invariants,
                                        fit, init_theta, theta_step)
 from sparsesdr.scoring import build_design
@@ -95,10 +95,9 @@ class TestInitTheta:
         _, y = three_class_instance()
         design = build_design(y)
         for seed in range(5):
-            Theta, Q = init_theta(design, 2, seed)
-            check_theta_invariants(Theta, design.D, Q[:, 0])
-            assert Q.shape == (design.h, 3)
-            assert Q[0, 0] == 1 and np.all(Q[1:, 0] == 0)
+            Theta = init_theta(design, 2, seed)
+            assert Theta.shape == (design.h, 2)
+            check_theta_invariants(Theta, design.D, np.eye(design.h)[0])
 
     def test_d_too_large(self):
         _, y = three_class_instance()
@@ -109,62 +108,83 @@ class TestInitTheta:
     def test_deterministic_per_seed(self):
         _, y = three_class_instance()
         design = build_design(y)
-        a, _ = init_theta(design, 2, 7)
-        b, _ = init_theta(design, 2, 7)
-        c, _ = init_theta(design, 2, 8)
+        a = init_theta(design, 2, 7)
+        b = init_theta(design, 2, 7)
+        c = init_theta(design, 2, 8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def categorical_design(K, rng):
+    labels = rng.integers(0, K, size=60)
+    labels[:K] = np.arange(K)
+    return build_design(make_phenotype(labels, "categorical"))
 
 
 class TestThetaStep:
     def setup_problem(self, seed=0):
         x, y = three_class_instance(seed)
         design = build_design(y)
-        xtz = x.values.T @ design.Z
-        q1 = np.zeros((design.h, 1))
-        q1[0, 0] = 1.0
-        return x, design, xtz, q1
+        B = np.random.default_rng(seed + 1).standard_normal((x.n_features, 2))
+        return design, design.Z.T @ (x.values @ B)
 
     def test_output_invariants(self):
-        x, design, xtz, q1 = self.setup_problem()
-        beta = np.random.default_rng(1).standard_normal(x.n_features)
-        theta = theta_step(xtz, design.D, beta, q1)
-        check_theta_invariants(theta[:, None], design.D, q1[:, 0])
-        assert theta @ (xtz.T @ beta) >= 0
+        design, ztxb = self.setup_problem()
+        Theta = theta_step(ztxb, design.D, None)
+        check_theta_invariants(Theta, design.D, np.eye(design.h)[0],
+                               tol=1e-12)
+        # a maximizer of tr(Theta^T ztxb) makes Theta^T ztxb symmetric and
+        # positive definite
+        S = Theta.T @ ztxb
+        assert np.allclose(S, S.T, atol=1e-10)
+        assert np.all(np.linalg.eigvalsh((S + S.T) / 2) > 0)
 
     def test_scale_invariance_in_beta(self):
-        x, design, xtz, q1 = self.setup_problem()
-        beta = np.random.default_rng(2).standard_normal(x.n_features)
-        t1 = theta_step(xtz, design.D, beta, q1)
-        t2 = theta_step(xtz, design.D, 10.0 * beta, q1)
-        assert np.allclose(t1, t2, atol=1e-9)
-
-    def test_zero_beta_degenerate(self):
-        x, design, xtz, q1 = self.setup_problem()
-        with pytest.raises(NumericError, match="degenerate"):
-            theta_step(xtz, design.D, np.zeros(x.n_features), q1)
+        design, ztxb = self.setup_problem()
+        t1 = theta_step(ztxb, design.D, None)
+        t2 = theta_step(10.0 * ztxb, design.D, None)
+        assert np.allclose(t1, t2, atol=1e-12)
 
     def test_matches_constrained_maximizer_oracle(self):
-        # theta maximizes theta^T v over D-unit vectors D-orthogonal to Q.
-        # Oracle: write theta = N a with N a basis of null(Q^T D); then
-        # a is proportional to (N^T D N)^-1 N^T v.
+        # Theta maximizes tr(Theta^T M) over D-orthonormal h x d scores
+        # D-orthogonal to q1 = e_1. Oracle: Theta = N L^-T P with N a basis
+        # of null(q1^T D), N^T D N = L L^T, and P = U V^T the polar factor
+        # of L^-1 N^T M = U S V^T
         rng = np.random.default_rng(11)
         for K in range(2, 7):
-            labels = rng.integers(0, K, size=60)
-            labels[:K] = np.arange(K)
-            design = build_design(make_phenotype(labels, "categorical"))
+            design = categorical_design(K, rng)
             D = design.D
-            for i in range(K - 1):
-                _, Q = init_theta(design, i, seed=K)  # 1 + i columns
-                xtz = rng.standard_normal((8, K))
-                beta = rng.standard_normal(8)
-                v = xtz.T @ beta
-                N = scipy.linalg.null_space(Q.T @ D)
-                oracle = N @ np.linalg.solve(N.T @ D @ N, N.T @ v)
-                oracle /= np.sqrt(oracle @ D @ oracle)
-                theta = theta_step(xtz, D, beta, Q)
-                assert np.max(np.abs(theta - oracle)) < 1e-10
-                assert theta @ v > 0
+            N = scipy.linalg.null_space(D[:1])
+            L = np.linalg.cholesky(N.T @ D @ N)
+            for d in range(1, K):
+                M = rng.standard_normal((K, d))
+                U, _, Vt = np.linalg.svd(np.linalg.solve(L, N.T @ M),
+                                         full_matrices=False)
+                oracle = N @ np.linalg.solve(L.T, U @ Vt)
+                Theta = theta_step(M, D, None)
+                assert np.max(np.abs(Theta - oracle)) < 1e-10
+                assert np.trace(Theta.T @ M) >= np.trace(oracle.T @ M) - 1e-10
+
+    def test_one_direction_is_normalized_w(self):
+        # at d = 1 the polar factor is w / sqrt(w^T D w), with w = D^-1 m
+        # deflated against q1
+        rng = np.random.default_rng(12)
+        for K in range(2, 7):
+            D = categorical_design(K, rng).D
+            m = rng.standard_normal(K)
+            w = np.linalg.solve(D, m)
+            w -= (D[0] @ w) * np.eye(K)[0]
+            theta = theta_step(m[:, None], D, None)[:, 0]
+            assert np.max(np.abs(theta - w / np.sqrt(w @ D @ w))) < 1e-12
+
+    def test_rank_deficient_returns_given_theta(self):
+        # B = 0, or B of rank 1 at d = 2: tr(Theta^T ztxb) has no unique
+        # maximizer, and the given scores come back as they are
+        design, ztxb = self.setup_problem()
+        Theta = init_theta(design, 2, 3)
+        rank_one = np.outer(ztxb[:, 0], [1.0, -2.0])
+        for M in (np.zeros_like(ztxb), rank_one):
+            assert theta_step(M, design.D, Theta) is Theta
 
 
 class TestFit:
@@ -216,6 +236,47 @@ class TestFit:
         h = ds.objective_history
         for a, b in zip(h, h[1:]):
             assert b <= a + 10 * cfg.inner_tol
+
+    def test_one_nonzero_row_at_two_directions(self):
+        # B = e_l b^T has rank 1 < d = 2: the score step keeps the scores
+        # instead of failing on a direction with no signal of its own
+        x, y = three_class_instance(0)
+        ds = fit(x, build_design(y), SolverConfig(
+            d=2, penalty=PenaltyParams(lam=410.0), rho=2.0))
+        assert ds.converged
+        assert np.count_nonzero(ds.row_norms()) == 1
+
+    def test_full_rank_scores_need_one_step_a(self):
+        # at d = h - 1 every start spans the same scores, so the first step
+        # A is the optimum: the loop stops at outer iteration 2, and the
+        # final rotation gives the same B from every seed
+        x, y = three_class_instance(3, n=300, p=40)
+        design = build_design(y)
+        cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=60.0), rho=2.0)
+        fits = [fit(x, design, cfg, seed=seed) for seed in range(4)]
+        assert all(ds.converged and ds.outer_iters <= 3 for ds in fits)
+        for ds in fits[1:]:
+            assert np.max(np.abs(ds.B - fits[0].B)) < 1e-9
+
+    @pytest.mark.parametrize("case", ["h=3,d=2", "h=5,d=2"])
+    def test_objective_never_exceeds_first_step_a(self, monkeypatch, case):
+        # each score step is the exact minimizer over the scores, so no
+        # recorded objective exceeds the first step A's, at the starting
+        # scores and the B it solved for
+        if case == "h=3,d=2":
+            x, y = three_class_instance(3, n=300, p=40)
+        else:
+            rng = np.random.default_rng(5)
+            X = rng.standard_normal((300, 30))
+            labels = np.digitize(X[:, :2] @ [1.0, 0.5], [-1.0, -0.3, 0.3, 1.0])
+            x, y = center(matrix(X)), make_phenotype(labels, "categorical")
+        pen = PenaltyParams(lam=20.0)
+        calls = record_calls(monkeypatch, "solve_step_a", "theta_step")
+        ds = fit(x, build_design(y), SolverConfig(d=2, penalty=pen, rho=2.0))
+        names = [c[0] for c in calls]
+        _, args, _, res = calls[names.index("theta_step") - 1]
+        first = step_a_objective(args[0], args[1], res.B, pen)
+        assert max(ds.objective_history) <= first * (1 + 1e-12)
 
     def test_binary_second_step_a_resumes_at_its_answer(self, monkeypatch):
         # with two classes the score cannot move, so the second outer
@@ -364,6 +425,9 @@ class TestWorkingSet:
         warm = [c[2]["warm"] for c in solves]
         assert warm[0] is None
         assert all(w is c[3] for w, c in zip(warm[1:], solves))
-        assert np.array_equal(np.abs(ds.B), np.abs(solves[-1][3].B))
+        # the final rotation mixes B's columns and keeps its row norms
+        assert np.allclose(ds.row_norms(),
+                           np.linalg.norm(solves[-1][3].B, axis=1),
+                           rtol=1e-12, atol=1e-14)
         assert ds.kkt_max_rel is None and ds.kkt_slack is None
         assert ds.working_set_size == x.n_features
