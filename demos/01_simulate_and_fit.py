@@ -36,7 +36,7 @@ cfg = SolverConfig(
     rho=2.0,
 )
 directions = fit(xc, design, cfg)
-selected = np.flatnonzero(directions.row_norms() > 1e-10)
+selected = np.flatnonzero(directions.row_norms() > 0)
 print(f"\npenalized fit converged in {directions.outer_iters} outer "
       f"iterations; {len(selected)} nonzero rows")
 print(f"selected features: {selected.tolist()}")

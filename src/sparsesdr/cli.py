@@ -197,16 +197,18 @@ def cmd_predict(args) -> None:
                    {"predictions.tsv": "\n".join(lines) + "\n"})
 
 
-def _thread_count(text: str) -> int:
-    """argparse type for --threads: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", required=True,
                            help="directory holding model.json from `fit`")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=_thread_count, default=1,
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
+        p.add_argument("--threads", type=_int_at_least(1), default=1,
                        help="recorded in manifest.json; does not change "
                             "the run")
 

@@ -5,17 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .admm import PenaltyParams
-from .errors import ParseError, ValidationError
+from .dataset import _decode, _file_lines
+from .errors import ValidationError
 from .optimal_scoring import SolverConfig
 from .screening import ScreeningPlan, Stage
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored.
-    A key set on two lines is refused, naming both."""
+    """Parse `key = value` lines, ended by line feeds alone; '#' starts a
+    comment, blank lines ignored. A key set on two lines is refused, naming
+    both."""
     out: dict[str, str] = {}
     seen: dict[str, int] = {}   # key -> line that set it
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -113,19 +115,12 @@ def _take(raw: dict, section: str) -> dict:
 
 
 def load_run_config(path) -> RunConfig:
-    """The settings of the config file at `path`. A file that is not UTF-8
-    is refused, naming the line `parse_config_text` would give its first
-    bad byte."""
+    """The settings of the config file at `path`, whose lines end as a data
+    file's do (`dataset._file_lines`). A line that is not UTF-8 is refused
+    with its number."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the "?" stands for the bad byte, so that its own line counts
-        head = data[:exc.start].decode("utf-8") + "?"
-        raise ParseError(f"{path}: invalid UTF-8 at line "
-                         f"{len(head.splitlines())}") from None
-    raw = parse_config_text(text)
+        raw = parse_config_text("\n".join(
+            _decode(path, lineno, line) for lineno, line in _file_lines(fh)))
     solver = SolverConfig(penalty=PenaltyParams(**_take(raw, "penalty")),
                           **_take(raw, "solver"))
     cfg = RunConfig(solver=solver, **_take(raw, "run"))

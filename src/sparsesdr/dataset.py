@@ -172,7 +172,8 @@ _BLOCK_BYTES = 1 << 20  # dosage-row bytes checked at once
 def _file_lines(fh):
     """(line number, bytes) for each line of the binary file `fh`, without
     its line end. Lines end at b"\n", b"\r\n" or a lone b"\r", as in text
-    mode, and are numbered from 1, blank ones included. The file is read
+    mode, and are numbered from 1, blank ones included; every input file is
+    split here, so no other character ends a line. The file is read
     `_READ_BYTES` at a time; only a line that spans reads is carried over."""
     lineno, rest = 0, b""
     for chunk in iter(lambda: fh.read(_READ_BYTES), b""):
@@ -205,16 +206,15 @@ class _PredictorRows:
     """The rows of a predictor file below its header, in file order.
 
     A line that may be a dosage row (its bytes from the first delimiter on
-    are 2p long, and the sample id before them is one line of UTF-8) is
-    copied into a block of rows, with a delimiter after its last cell. A
-    full block is checked at once: as little-endian uint16, each (cell,
-    delimiter) byte pair less (delimiter, '0') is the cell's value when it
-    is one ASCII digit, and above 9 otherwise. A row that fails, and every
-    other line, is decoded and read as text: split where `str.splitlines`
-    splits, each part that holds more than whitespace taken as a row, and
-    each cell converted by numpy's string-to-float cast. The block is
-    checked before any line after it is read as text, so errors come in
-    line order."""
+    are 2p long, and the sample id before them is UTF-8) is copied into a
+    block of rows, with a delimiter after its last cell. A full block is
+    checked at once: as little-endian uint16, each (cell, delimiter) byte
+    pair less (delimiter, '0') is the cell's value when it is one ASCII
+    digit, and above 9 otherwise. A row that fails, and every other line,
+    is decoded and read as text: skipped if it holds only whitespace, else
+    one row whose cells are converted by numpy's string-to-float cast. The
+    block is checked before any line after it is read as text, so errors
+    come in line order."""
 
     def __init__(self, path, delim: str, header: list[str]):
         self.path, self.delim, self.header = path, delim, header
@@ -231,6 +231,7 @@ class _PredictorRows:
     def add(self, lineno: int, raw: bytes) -> None:
         """Take one line of the file, without its line end."""
         if not self._queue(lineno, raw):
+            self._check_block()
             self._text(lineno, raw)
 
     def _queue(self, lineno: int, raw: bytes) -> bool:
@@ -240,8 +241,6 @@ class _PredictorRows:
         try:
             sid = raw[:cut].decode("utf-8")
         except UnicodeDecodeError:
-            return False
-        if "".join(sid.splitlines()) != sid:  # a line break within the id
             return False
         self.block[len(self.queued), :-1] = np.frombuffer(
             raw, dtype=np.uint8, offset=cut + 1)
@@ -265,37 +264,30 @@ class _PredictorRows:
             if i < len(queued):
                 lineno, _, raw = queued[i]
                 self._text(lineno, raw)
-                self._check_block()
             start = i + 1
 
     def _text(self, lineno: int, raw: bytes) -> None:
-        """Read a line that was not queued, or failed its block, as text. A
-        part of it is queued only if the line splits."""
-        self._check_block()
-        text = _decode(self.path, lineno, raw)
-        for line in text.splitlines():
-            if line.strip() == "" or (line != text
-                                      and self._queue(lineno, line.encode())):
-                continue
-            self._check_block()
-            cells = line.split(self.delim)
-            if len(cells) != self.p + 1:
-                raise ParseError(
-                    f"{self.path}: ragged row at line {lineno}: expected "
-                    f"{self.p + 1} cells, got {len(cells)}")
-            try:
-                self.rows.append(np.array(cells[1:], dtype=float)[None])
-            except ValueError:
-                for j, cell in enumerate(cells[1:], start=1):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{self.path}: non-numeric cell "
-                            f"{cell.strip()!r} at line {lineno}, column "
-                            f"{self.header[j]!r}") from None
-                raise
-            self.sample_ids.append(cells[0].strip())
+        """Read one line that was not queued, or failed its block, as text."""
+        line = _decode(self.path, lineno, raw)
+        if line.strip() == "":
+            return
+        cells = line.split(self.delim)
+        if len(cells) != self.p + 1:
+            raise ParseError(
+                f"{self.path}: ragged row at line {lineno}: expected "
+                f"{self.p + 1} cells, got {len(cells)}")
+        try:
+            self.rows.append(np.array(cells[1:], dtype=float)[None])
+        except ValueError:
+            for j, cell in enumerate(cells[1:], start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{self.path}: non-numeric cell {cell.strip()!r} at "
+                        f"line {lineno}, column {self.header[j]!r}") from None
+            raise
+        self.sample_ids.append(cells[0].strip())
 
     def matrix(self) -> PredictorMatrix:
         self._check_block()
@@ -308,15 +300,18 @@ class _PredictorRows:
 def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
     """Load a predictor file: header row of feature ids, first column sample id.
 
-    The file is read in binary, a line at a time. A row whose cells are all
-    single ASCII digits (a dosage row) is decoded from its bytes as uint8, a
-    block of rows at once. Any other row is decoded as UTF-8 and converted
-    by numpy's string-to-float cast, which accepts and rejects the same
-    cells (surrounding whitespace included) as `float()`. The matrix is
-    uint8 when every row is a dosage row, else float64. Single digits are
-    exact, so both give the values `float()` gives. Line numbers in errors
-    count every line of the file from 1, blank lines included, and a line
-    that is not UTF-8 is refused with its number.
+    The file is read in binary, a line at a time. Lines end where
+    `_file_lines` ends them, and no other character ends one. The header is
+    the first line that holds more than whitespace, and each later such
+    line is one row. A row whose cells are all single ASCII digits (a
+    dosage row) is decoded from its bytes as uint8, a block of rows at
+    once. Any other row is decoded as UTF-8 and converted by numpy's
+    string-to-float cast, which accepts and rejects the same cells
+    (surrounding whitespace included) as `float()`. The matrix is uint8
+    when every row is a dosage row, else float64. Single digits are exact,
+    so both give the values `float()` gives. Line numbers in errors count
+    every line of the file from 1, blank lines included, and a line that is
+    not UTF-8 is refused with its number.
     """
     if format not in ("tsv", "csv"):
         raise ValidationError(f"unknown format {format!r}")
@@ -324,19 +319,16 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
     with open(path, "rb") as fh:
         lines = _file_lines(fh)
         for lineno, raw in lines:
-            parts = [line for line in _decode(path, lineno, raw).splitlines()
-                     if line.strip() != ""]
-            if parts:
+            line = _decode(path, lineno, raw)
+            if line.strip() != "":
                 break
         else:
             raise ParseError(f"{path}: empty file")
-        header = _split_line(parts[0], delim)
+        header = _split_line(line, delim)
         if len(header) < 2:
             raise ParseError(
                 f"{path}: header needs a sample-id column plus features")
         rows = _PredictorRows(path, delim, header)
-        for line in parts[1:]:
-            rows.add(lineno, line.encode())
         for lineno, raw in lines:
             rows.add(lineno, raw)
     return rows.matrix()

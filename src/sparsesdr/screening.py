@@ -13,8 +13,6 @@ from .errors import SparseSdrError, ValidationError
 from .optimal_scoring import DirectionSet, SolverConfig
 from .scoring import build_design
 
-_NONZERO_ROW = 1e-10
-
 
 @dataclass
 class Stage:
@@ -151,8 +149,7 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     final_x = x.restrict(current) if plan.stages else x
     final_ds = optimal_scoring.fit(final_x, design, plan.final_fit,
                                    seed=seed)
-    nonzero = final_ds.row_norms() > _NONZERO_ROW
-    selected = current[nonzero]
+    selected = current[final_ds.row_norms() > 0]
     for j in selected:
         provenance.setdefault(int(j), []).append((0, 0))
 

@@ -39,14 +39,20 @@ def write_continuous_phenotype(yp, seed=0):
     yp.write_text("".join(f"{s}\t{v:.6f}\n" for s, v in zip(ids, values)))
 
 
-def assert_threads_refused(capsys, out, argv):
-    """The parser refuses `argv` (which sets --threads below 1) with exit 2,
-    names the flag and writes nothing to `out`."""
+def assert_parser_refuses(capsys, out, argv, message):
+    """The parser refuses `argv` with exit 2 and `message` on stderr, and
+    writes nothing to `out`."""
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
-    assert "argument --threads: must be >= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def assert_threads_refused(capsys, out, argv):
+    """The parser refuses `argv`, which sets --threads below 1."""
+    assert_parser_refuses(capsys, out, argv,
+                          "argument --threads: must be >= 1")
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -91,6 +97,28 @@ class TestConfig:
         assert cfg.cv_folds == 3
         assert [(s.n_partitions, s.keep_per_partition)
                 for s in cfg.stages] == [(2, 10)]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone_cr"])
+    def test_line_ends(self, tmp_path, end):
+        want = load_run_config(write_config(tmp_path, CV_CFG, name="lf.cfg"))
+        p = tmp_path / "run.cfg"
+        p.write_bytes(CV_CFG.replace("\n", end).encode())
+        assert load_run_config(p) == want
+        p.write_bytes(end.join(["penalty.lambda = 8", "", "# comment",
+                                "penalty.lambda = 9"]).encode())
+        with pytest.raises(ValidationError, match="at lines 1 and 4$"):
+            load_run_config(p)
+
+    def test_form_feed_does_not_end_a_line(self, tmp_path, capsys):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path,
+                           "penalty.lambda = 8\x0cpenalty.delta = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config key 'penalty.lambda': bad value"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_bad_stage_spec(self, tmp_path):
         p = write_config(tmp_path, "screen.stages = 2-10\n")
@@ -558,6 +586,25 @@ class TestUndecodableInput:
         cfg.write_bytes(SCREEN_CFG.encode() + b"# caf\xe9\n")
         err = self.run(capsys, tmp_path, "screen", xp, yp, cfg)
         assert f"{cfg}: invalid UTF-8 at line 6" in err
+
+    def test_config_line_after_form_feed(self, tmp_path, capsys):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"penalty.lambda = 8\n# a\x0cb\n# caf\xe9\n")
+        err = self.run(capsys, tmp_path, "screen", xp, yp, cfg)
+        assert f"{cfg}: invalid UTF-8 at line 3" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "screen", "cv", "assoc",
+                                     "simulate", "predict"])
+def test_negative_seed_refused(tmp_path, capsys, command):
+    xp, yp, _ = write_dataset(tmp_path)
+    inputs = {"simulate": [],
+              "predict": ["--x", str(xp), "--model", str(tmp_path)]}
+    argv = [command, *inputs.get(command, ["--x", str(xp), "--y", str(yp)]),
+            "--seed", "-1"]
+    assert_parser_refuses(capsys, tmp_path / "out", argv,
+                          "argument --seed: must be >= 0, got -1")
 
 
 class TestSimulate:

@@ -99,6 +99,25 @@ class TestLoadPredictors:
         p = write(tmp_path, "x.csv", "id,f1\ns1,3.5\n")
         assert load_predictors(p, "csv").values[0, 0] == 3.5
 
+    # every character besides \n and \r that `str.splitlines` breaks at
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d",
+                                      "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_line_ends_end_a_row(self, tmp_path, char):
+        p = write(tmp_path, "x.tsv", f"id\ta\tb\ns1\t1\t2{char}s2\t0\t1\n")
+        with pytest.raises(ParseError, match=(
+                "ragged row at line 2: expected 3 cells, got 5$")):
+            load_predictors(p, "tsv")
+
+    def test_header_and_ids_holding_other_breaks_are_one_line(self,
+                                                               tmp_path):
+        # the first row takes the dosage byte path, the second the text path
+        p = write(tmp_path, "x.tsv", "id\ta\tb\x0cc\ns\x0c1\t1\t2\n"
+                                     "s\u20282\t0.5\t1\n")
+        m = load_predictors(p, "tsv")
+        assert m.feature_ids == ["a", "b\x0cc"]
+        assert m.sample_ids == ["s\x0c1", "s\u20282"]
+        assert m.values.tolist() == [[1.0, 2.0], [0.5, 1.0]]
+
 
 def float_oracle(text, delim):
     """Per-cell `float()` parse of a predictor file's non-blank rows: the

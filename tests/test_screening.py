@@ -144,6 +144,26 @@ class TestRunPlan:
         # 4 + 2 partition fits, then the final fit
         assert seen == [(True, found)] * 7
 
+    def test_every_nonzero_final_row_is_selected(self, monkeypatch):
+        x, y, _ = signal_instance()
+        plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
+        want = run_plan(x, y, plan, seed=3).selected_indices
+        real_fit, calls = screening.optimal_scoring.fit, []
+
+        def spy(*args, **kwargs):
+            ds = real_fit(*args, **kwargs)
+            calls.append(ds)
+            if len(calls) == 5:   # the final fit: shrink one kept row
+                row = np.flatnonzero(ds.row_norms())[0]
+                ds.B[row] *= 1e-12 / np.linalg.norm(ds.B[row])
+            return ds
+
+        monkeypatch.setattr(screening.optimal_scoring, "fit", spy)
+        report = run_plan(x, y, plan, seed=3)
+        norms = report.final_directions.row_norms()
+        assert len(calls) == 5 and np.any((norms > 0) & (norms <= 1e-12))
+        assert np.array_equal(report.selected_indices, want)
+
     def test_summary_reports_convergence_of_every_fit(self):
         x, y, _ = signal_instance()
         stages = [(4, 10)]
