@@ -11,6 +11,7 @@ solve, a closed-form row-wise group shrinkage and a scaled dual update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ def shrink_rows(V: np.ndarray, params: PenaltyParams,
     (the small approximation is quantified by the oracle tests).
     """
     lam, delta, r = params.lam, params.delta, params.r
-    norms = np.linalg.norm(V, axis=1)
+    norms = np.sqrt(np.add.reduce(V * V, axis=1))   # np.linalg.norm's rows
     thresh = lam * delta * (1 - r * r) / rho
     denom = 1 + 2 * lam * (1 - delta) * (1 + r) / rho
     s = (norms ** (1 + r) - thresh) / denom
@@ -92,17 +93,19 @@ class GramSolver:
         keep = s2 > s2[-1] * max(n, p) * np.finfo(float).eps
         self.s2 = s2[keep]
         self.V = X.T @ (W[:, keep] / np.sqrt(self.s2)) if p > n else W[:, keep]
+        self._c, self._filter = None, None
 
     def solve(self, rhs: np.ndarray, c: float) -> np.ndarray:
-        """Solve (X^T X + c I) B = rhs for a p x m right-hand side."""
-        t = self.V.T @ rhs
-        return (rhs - self.V @ (t * (self.s2 / (self.s2 + c))[:, None])) / c
+        """Solve (X^T X + c I) B = rhs, keeping s2/(s2 + c) for the last c."""
+        if c != self._c:
+            self._c, self._filter = c, (self.s2 / (self.s2 + c))[:, None]
+        return (rhs - self.V @ ((self.V.T @ rhs) * self._filter)) / c
 
 
-def beta_update(gram: GramSolver, xtz_theta: np.ndarray, alpha: np.ndarray,
-                u: np.ndarray, rho: float) -> np.ndarray:
-    """Smooth step: B = (X^T X + (rho/2) I)^{-1} [X^T Z Theta + (rho/2)(alpha - u)]."""
-    return gram.solve(xtz_theta + rho / 2.0 * (alpha - u), rho / 2.0)
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a), by its own sum, without its argument dispatch."""
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 def step_a_objective(X: np.ndarray, Ztheta: np.ndarray, B: np.ndarray,
@@ -148,15 +151,16 @@ def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
     eps_abs = np.sqrt(alpha.size) * tol
 
     for n_iter in range(1, max_iter + 1):
-        B = beta_update(gram, xtz_theta, alpha, u, rho)
+        # smooth step: (X^T X + (rho/2) I) B = X^T Z Theta + (rho/2)(alpha - u)
+        B = gram.solve(xtz_theta + rho / 2.0 * (alpha - u), rho / 2.0)
         alpha_new = shrink_rows(B + u, params, rho)
         r = B - alpha_new
         u = u + r
-        r_norm = float(np.linalg.norm(r))
-        s_norm = rho * float(np.linalg.norm(alpha_new - alpha))
+        r_norm = _norm(r)
+        s_norm = rho * _norm(alpha_new - alpha)
         alpha = alpha_new
-        eps_pri = eps_abs + tol * max(np.linalg.norm(B), np.linalg.norm(alpha))
-        eps_dual = eps_abs + tol * rho * np.linalg.norm(u)
+        eps_pri = eps_abs + tol * max(_norm(B), _norm(alpha))
+        eps_dual = eps_abs + tol * rho * _norm(u)
         pri, dual = r_norm / eps_pri, s_norm / eps_dual
         converged = bool(pri <= 1 and dual <= 1)
         if converged:

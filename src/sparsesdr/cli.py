@@ -106,8 +106,7 @@ def _matrix_tsv(M, ids=None) -> str:
 def cmd_fit(args) -> None:
     x, y = _load_inputs(args)
     cfg = _load_config(args)
-    report, clf = fit_model(center(x), y, cfg.plan(), seed=args.seed,
-                            h=cfg.h)
+    report, clf = fit_model(center(x), y, cfg.plan(), h=cfg.h)
     ds, summary = report.final_directions, report_summary(report)
     B = np.zeros((x.n_features, ds.B.shape[1]))
     B[report.survivors] = ds.B
@@ -131,7 +130,7 @@ def cmd_fit(args) -> None:
 def cmd_screen(args) -> None:
     x, y = _load_inputs(args)
     cfg = _load_config(args)
-    report = run_plan(x, y, cfg.plan(), seed=args.seed, h=cfg.h)
+    report = run_plan(x, y, cfg.plan(), h=cfg.h)
     _write_outputs(args, [args.x, args.y], {
         "selection.tsv": report_to_tsv(report),
         "selection.json": report_summary(report),

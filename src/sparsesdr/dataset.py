@@ -145,15 +145,19 @@ class Phenotype:
         return Phenotype(self.labels[rows], self.kind, list(self.level_codes))
 
 
+MAX_INFERRED_LEVELS = 10   # more distinct integers (ages, say): continuous
+
+
 def make_phenotype(labels, kind: str | None = None) -> Phenotype:
-    """Build a Phenotype, inferring the kind when not given (2 distinct
-    values -> binary, few distinct integers -> categorical, else continuous)."""
+    """Build a Phenotype, inferring the kind when not given: 2 distinct
+    values -> binary, at most `MAX_INFERRED_LEVELS` distinct integers ->
+    categorical, else continuous."""
     labels = np.asarray(labels)
     if kind is None:
         distinct = set(labels.tolist())
         if len(distinct) == 2:
             kind = "binary"
-        elif labels.dtype.kind in "iub" or all(
+        elif len(distinct) <= MAX_INFERRED_LEVELS and all(
                 float(v).is_integer() for v in distinct):
             kind = "categorical"
         else:

@@ -63,11 +63,11 @@ def fit_classifier(x_train: PredictorMatrix, y: Phenotype,
 
 
 def fit_model(x_centered: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
-              seed: int = 0, h: int | None = None
+              h: int | None = None
               ) -> tuple[SelectionReport, ProjectionClassifier]:
     """Screen with `plan` (see `run_plan`), then fit the classifier on the
     selected features, or on every survivor when none is selected."""
-    report = run_plan(x_centered, y, plan, seed=seed, h=h)
+    report = run_plan(x_centered, y, plan, h=h)
     keep = np.isin(report.survivors, report.selected_indices)
     if not keep.any():
         keep[:] = True
@@ -516,8 +516,7 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
 
         if method == "sparse_sdr":
             x_train_raw = x.take_rows(train_rows)
-            _, clf = fit_model(center(x_train_raw), y_train, plan,
-                               seed=seed * 1000 + fold)
+            _, clf = fit_model(center(x_train_raw), y_train, plan)
             tr_labels, tr_scores = predict(clf, x_train_raw)
             te_labels, te_scores = predict(clf, x.take_rows(test_rows))
             selected_ids = clf.feature_ids

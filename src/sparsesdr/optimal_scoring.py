@@ -191,15 +191,17 @@ def _scores(L: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.vstack([np.zeros((1, P.shape[1])), P]))
 
 
-def init_theta(design: ScoringDesign, d: int, seed: int = 0) -> np.ndarray:
-    """Random h x d D-orthonormal scores deflated against the constant
-    score, from the orthonormal factor of a Gaussian draw."""
+def init_theta(design: ScoringDesign, X: np.ndarray, d: int) -> np.ndarray:
+    """The D-orthonormal scores deflated against the constant score that
+    maximize ||X^T Z Theta||_F: L^-T [0; P] (see `_score_svd`), P the top d
+    eigenvectors of L^-1 Z^T X X^T Z L^-T's trailing (h-1) x (h-1) block."""
     h = design.h
     if d > h - 1:
         raise ValidationError(f"d={d} must be <= h-1={h - 1}")
-    rng = np.random.default_rng(seed)
-    P = np.linalg.qr(rng.standard_normal((h - 1, d)))[0]
-    return _scores(np.linalg.cholesky(design.D), P)
+    L = np.linalg.cholesky(design.D)
+    K = np.linalg.solve(L, design.Z.T @ X)[1:]
+    P = np.linalg.eigh(K @ K.T)[1][:, ::-1][:, :d]
+    return _scores(L, P)
 
 
 def theta_step(ztxb: np.ndarray, D: np.ndarray,
@@ -217,18 +219,17 @@ def theta_step(ztxb: np.ndarray, D: np.ndarray,
     return _scores(L, U @ Vt)
 
 
-def fit(x: PredictorMatrix, design: ScoringDesign, cfg: SolverConfig,
-        seed: int = 0) -> DirectionSet:
+def fit(x: PredictorMatrix, design: ScoringDesign,
+        cfg: SolverConfig) -> DirectionSet:
     """Alternate the coefficient subproblem and the score step until both
-    stop moving (or the outer iteration cap is hit). `seed` draws the
-    starting scores.
+    stop moving (or the outer iteration cap is hit), starting at
+    `init_theta`'s scores, where the KKT pass's column scores at B = 0 peak.
 
     Each score step is `theta_step`, exact over the scores. At d = h - 1
     every start spans the same scores, so the loop stops at outer iteration
     2. At the end (Theta, B) is rotated once, by the right singular vectors
     of `_score_svd` at the last B, so that W's columns are D-orthogonal,
-    largest first: neither the objective nor B's row norms change, and fits
-    that reach one optimum from different seeds return the same answer.
+    largest first: neither the objective nor B's row norms change.
 
     Each coefficient step is solved on a working set W of columns (see
     `_WorkingSet.solve`), so a sparse answer factors a |W| x |W| Gram
@@ -256,7 +257,7 @@ def fit(x: PredictorMatrix, design: ScoringDesign, cfg: SolverConfig,
 
     X, Z, D = x.values, design.Z, design.D
     d, pen = cfg.d, cfg.penalty
-    Theta = init_theta(design, d, seed)
+    Theta = init_theta(design, X, d)
     ws = _WorkingSet(X, every=pen.r > 0)
 
     B = np.zeros((x.n_features, d))

@@ -91,12 +91,8 @@ def rank_and_keep(ds: DirectionSet, k: int):
     return kept, norms[kept]
 
 
-def _partition_seed(seed: int, stage: int, part: int) -> int:
-    return int(np.random.SeedSequence((seed, stage, part)).generate_state(1)[0])
-
-
 def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
-             seed: int = 0, h: int | None = None) -> SelectionReport:
+             h: int | None = None) -> SelectionReport:
     """Execute the staged screening plan and the final fit.
 
     `x` is centered once up front (`center` computes the column means and
@@ -105,11 +101,9 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     of every column unless the plan has no stages. `h` is the slice count
     passed to `build_design` (required for a continuous response).
 
-    Each stage fits its partitions one after another on the calling thread,
-    in index order, each seeded from (`seed`, stage, partition), so the
-    answer is deterministic for a fixed seed. The final fit is seeded with
-    `seed`, so a plan with no stages is `optimal_scoring.fit` on every
-    feature. Every fit uses OpenBLAS's thread count as found
+    Each stage fits its partitions in index order on the calling thread. No
+    fit is random, and a plan with no stages is `optimal_scoring.fit` on
+    every feature. Every fit uses OpenBLAS's thread count as found
     (`OPENBLAS_NUM_THREADS` respected); the last bits of a wide fit can
     depend on that count.
     """
@@ -130,9 +124,8 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
                     f"stage {stage_no} partition {part_no}: keep="
                     f"{stage.keep_per_partition} exceeds {len(cols)} features")
             try:
-                ds = optimal_scoring.fit(
-                    x.restrict(cols), design, plan.final_fit,
-                    seed=_partition_seed(seed, stage_no, part_no))
+                ds = optimal_scoring.fit(x.restrict(cols), design,
+                                         plan.final_fit)
             except SparseSdrError as exc:
                 raise type(exc)(
                     f"stage {stage_no}, partition {part_no}: {exc}") from exc
@@ -147,8 +140,7 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
         current = np.array(sorted(merged))
 
     final_x = x.restrict(current) if plan.stages else x
-    final_ds = optimal_scoring.fit(final_x, design, plan.final_fit,
-                                   seed=seed)
+    final_ds = optimal_scoring.fit(final_x, design, plan.final_fit)
     selected = current[final_ds.row_norms() > 0]
     for j in selected:
         provenance.setdefault(int(j), []).append((0, 0))

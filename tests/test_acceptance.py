@@ -242,9 +242,9 @@ def test_criterion_6_split_and_conquer_equivalence():
         solver = SolverConfig(d=1, penalty=PenaltyParams(lam=100.0, delta=1.0),
                               rho=2.0)
         split = run_plan(x, y, ScreeningPlan(stages=[(4, 100)],
-                                             final_fit=solver), seed=5)
+                                             final_fit=solver))
         whole = run_plan(x, y, ScreeningPlan(stages=[(1, 400)],
-                                             final_fit=solver), seed=5)
+                                             final_fit=solver))
         split_set = set(int(j) for j in split.selected_indices)
         whole_set = set(int(j) for j in whole.selected_indices)
         assert split_set == whole_set
@@ -426,13 +426,11 @@ def test_criterion_10_protocol_shape_fidelity():
                            rho=2.0, inner_max_iter=30, outer_max_iter=2,
                            outer_tol=1e-3)
         wide = run_plan(x, y, ScreeningPlan(stages=[(20, 2000), (4, 1500)],
-                                            final_fit=cfg),
-                        seed=3)
+                                            final_fit=cfg))
         stage1 = sum(len(r.kept_indices) for r in wide.stage_records
                      if r.stage == 1)
         assert stage1 == 40000
         narrow = run_plan(x, y, ScreeningPlan(stages=[(25, 2000), (4, 1500)],
-                                              final_fit=cfg),
-                          seed=3)
+                                              final_fit=cfg))
         assert len(narrow.survivors) == 6000
         assert time.monotonic() - t0 < 300

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from sparsesdr.admm import (GramSolver, PenaltyParams, beta_update,
-                            group_shrink, shrink_rows, solve_step_a,
-                            step_a_objective)
+from sparsesdr.admm import (GramSolver, PenaltyParams, group_shrink,
+                            shrink_rows, solve_step_a, step_a_objective)
 from sparsesdr.errors import ValidationError
 
 
@@ -88,7 +87,7 @@ class TestBetaUpdate:
         gram = GramSolver(X)
         alpha = np.ones((3, 2))
         u = 0.25 * np.ones((3, 2))
-        out = beta_update(gram, np.zeros((3, 2)), alpha, u, rho=2.0)
+        out = gram.solve(alpha - u, 1.0)   # rho = 2, X^T Z Theta = 0
         assert np.allclose(out, alpha - u, atol=1e-12)
 
     def test_huge_rho_pins_to_alpha_minus_u(self):
@@ -97,7 +96,7 @@ class TestBetaUpdate:
         rng = np.random.default_rng(3)
         alpha = rng.standard_normal((5, 2))
         u = rng.standard_normal((5, 2))
-        out = beta_update(gram, X.T @ Ztheta, alpha, u, rho=1e12)
+        out = gram.solve(X.T @ Ztheta + 0.5e12 * (alpha - u), 0.5e12)
         assert np.max(np.abs(out - (alpha - u))) < 1e-4
 
     def test_matches_dense_solve(self):
@@ -109,12 +108,11 @@ class TestBetaUpdate:
         u = rng.standard_normal((6, 2))
         rhs = X.T @ Ztheta + (rho / 2) * (alpha - u)
         expected = np.linalg.solve(X.T @ X + (rho / 2) * np.eye(6), rhs)
-        assert np.allclose(beta_update(gram, X.T @ Ztheta, alpha, u, rho),
-                           expected, atol=1e-8)
+        assert np.allclose(gram.solve(rhs, rho / 2), expected, atol=1e-8)
 
     @pytest.mark.parametrize("shape", ["wide", "tall", "rank_deficient"])
     def test_gram_solve_matches_dense_solve(self, shape):
-        # one factorization serves every shift c
+        # one factorization serves every shift c, a repeated one included
         rng = np.random.default_rng(6)
         if shape == "wide":
             X = rng.standard_normal((10, 40))
@@ -126,7 +124,7 @@ class TestBetaUpdate:
         p = X.shape[1]
         gram = GramSolver(X)
         rhs = rng.standard_normal((p, 3))
-        for c in (1e-3, 0.5, 1.0, 7.0, 1e4):
+        for c in (1e-3, 0.5, 0.5, 1.0, 7.0, 1e4, 1e-3):
             expected = np.linalg.solve(X.T @ X + c * np.eye(p), rhs)
             err = np.max(np.abs(gram.solve(rhs, c) - expected))
             assert err <= 1e-9 * np.max(np.abs(expected))

@@ -261,6 +261,23 @@ class TestFit:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_integer_ages_are_continuous(self, tmp_path, capsys):
+        # 60 distinct integer labels are a continuous response, not 60
+        # classes: `screen` needs design.h, and slices by it when given
+        xp, yp, _ = write_dataset(tmp_path)
+        ids = [line.split("\t")[0] for line in yp.read_text().splitlines()]
+        yp.write_text("".join(f"{s}\t{20 + i % 60}\n"
+                              for i, s in enumerate(ids)))
+        out = tmp_path / "out"
+        argv = ["screen", "--x", str(xp), "--y", str(yp), "--config"]
+        assert main(argv + [str(write_config(tmp_path, SCREEN_CFG)),
+                            "--out", str(out)]) == 2
+        assert ("a continuous response needs design.h >= 2"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        cfg = write_config(tmp_path, SCREEN_CFG + "design.h = 4\n", "h.cfg")
+        assert main(argv + [str(cfg), "--out", str(out)]) == 0
+
     def test_staged_fit_selects_what_screen_selects(self, tmp_path):
         # `fit` runs the configured plan: every feature keeps its row, in
         # input order, rows outside the final survivors are zero, and the

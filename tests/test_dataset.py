@@ -5,8 +5,9 @@ import sparsesdr.cli
 import sparsesdr.dataset
 from sparsesdr.cli import main
 from sparsesdr.dataset import (Phenotype, PredictorMatrix, SyntheticSpec,
-                               align_phenotype, center, load_phenotype,
-                               load_predictors, simulate)
+                               MAX_INFERRED_LEVELS, align_phenotype, center,
+                               load_phenotype, load_predictors,
+                               make_phenotype, simulate)
 from sparsesdr.errors import ParseError, ValidationError
 
 
@@ -483,6 +484,20 @@ class TestCenter:
                                    [f"f{j}" for j in range(8)],
                                    [f"s{i}" for i in range(50)]))
         assert np.abs(m.values.mean(axis=0)).max() < 1e-10 * 50
+
+
+class TestMakePhenotype:
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_integer_levels_capped(self, dtype):
+        # up to the cap, distinct integers are classes; past it (ages, say)
+        # the response is continuous
+        at_cap = np.arange(2 * MAX_INFERRED_LEVELS, dtype=dtype) % 10
+        y = make_phenotype(at_cap)
+        assert MAX_INFERRED_LEVELS == 10
+        assert y.kind == "categorical" and y.n_levels == 10
+        over = np.arange(2 * MAX_INFERRED_LEVELS + 2, dtype=dtype) % 11
+        assert make_phenotype(over).kind == "continuous"
+        assert make_phenotype(over, "categorical").n_levels == 11
 
 
 class TestValidation:

@@ -552,7 +552,7 @@ class TestFitModel:
 
     def test_classifier_uses_selected_rows(self):
         x, y = self.instance()
-        report, clf = fit_model(x, y, self.plan(15.0), seed=1)
+        report, clf = fit_model(x, y, self.plan(15.0))
         assert 0 < len(report.selected_indices) < len(report.survivors)
         assert clf.feature_ids == report.selected_ids
         pos = np.searchsorted(report.survivors, report.selected_indices)
@@ -562,7 +562,7 @@ class TestFitModel:
 
     def test_no_selection_keeps_every_survivor(self):
         x, y = self.instance()
-        report, clf = fit_model(x, y, self.plan(1e6), seed=1)
+        report, clf = fit_model(x, y, self.plan(1e6))
         assert len(report.selected_indices) == 0
         assert clf.feature_ids == [x.feature_ids[j] for j in report.survivors]
         assert np.array_equal(clf.B_kept, report.final_directions.B)
@@ -753,9 +753,9 @@ class TestCrossValidate:
         seen = []
         original = ev.run_plan
 
-        def spy(x_train, y_train, plan, seed=0, h=None):
+        def spy(x_train, y_train, plan, h=None):
             seen.append(x_train.n_samples)
-            return original(x_train, y_train, plan, seed=seed, h=h)
+            return original(x_train, y_train, plan, h=h)
 
         monkeypatch.setattr(ev, "run_plan", spy)
         cross_validate(x, y, 4, "sparse_sdr", seed=3, plan=self.plan())
@@ -771,7 +771,7 @@ class TestCrossValidate:
             train = np.flatnonzero(assign != f.fold)
             test = np.flatnonzero(assign == f.fold)
             _, clf = fit_model(center(x.take_rows(train)), y.take(train),
-                               self.plan(), seed=3 * 1000 + f.fold)
+                               self.plan())
             assert f.selected_ids == clf.feature_ids
             labels, scores = predict(clf, x.take_rows(test))
             assert f.test == metrics(y.labels[test], labels, scores, 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsesdr import blas, screening
+from sparsesdr.cli import main
 from sparsesdr.admm import PenaltyParams
 from sparsesdr.dataset import SyntheticSpec, center, simulate
 from sparsesdr.errors import ValidationError
@@ -96,16 +97,16 @@ class TestRunPlan:
         lam = 50.0
         plan = ScreeningPlan(stages=[(1, x.n_features)],
                              final_fit=solver(lam))
-        report = run_plan(xc, y, plan, seed=5)
-        direct = fit(xc, build_design(y), solver(lam), seed=5)
+        report = run_plan(xc, y, plan)
+        direct = fit(xc, build_design(y), solver(lam))
         assert np.array_equal(report.survivors, np.arange(x.n_features))
         assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
 
     def test_empty_plan_is_one_fit_on_every_feature(self):
         x, y, _ = signal_instance()
         xc = center(x)
-        report = run_plan(xc, y, ScreeningPlan([], solver(50.0)), seed=5)
-        direct = fit(xc, build_design(y), solver(50.0), seed=5)
+        report = run_plan(xc, y, ScreeningPlan([], solver(50.0)))
+        direct = fit(xc, build_design(y), solver(50.0))
         assert report.stage_records == []
         assert np.array_equal(report.survivors, np.arange(x.n_features))
         assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
@@ -114,14 +115,14 @@ class TestRunPlan:
     def test_recovers_planted_support(self):
         x, y, truth = signal_instance()
         plan = ScreeningPlan(stages=[(4, 25)], final_fit=solver(60.0))
-        report = run_plan(x, y, plan, seed=5)
+        report = run_plan(x, y, plan)
         assert set(int(j) for j in report.selected_indices) == truth
 
     def test_deterministic_on_rerun(self):
         x, y, _ = signal_instance()
         plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
-        a = run_plan(x, y, plan, seed=3)
-        b = run_plan(x, y, plan, seed=3)
+        a = run_plan(x, y, plan)
+        b = run_plan(x, y, plan)
         assert report_to_tsv(a) == report_to_tsv(b)
         assert report_summary(a) == report_summary(b)
         assert np.array_equal(a.survivors, b.survivors)
@@ -140,14 +141,14 @@ class TestRunPlan:
         caller, found = threading.get_ident(), blas.get_threads()
         x, y, _ = signal_instance()
         plan = ScreeningPlan(stages=[(4, 10), (2, 10)], final_fit=solver(30.0))
-        run_plan(x, y, plan, seed=3)
+        run_plan(x, y, plan)
         # 4 + 2 partition fits, then the final fit
         assert seen == [(True, found)] * 7
 
     def test_every_nonzero_final_row_is_selected(self, monkeypatch):
         x, y, _ = signal_instance()
         plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
-        want = run_plan(x, y, plan, seed=3).selected_indices
+        want = run_plan(x, y, plan).selected_indices
         real_fit, calls = screening.optimal_scoring.fit, []
 
         def spy(*args, **kwargs):
@@ -159,7 +160,7 @@ class TestRunPlan:
             return ds
 
         monkeypatch.setattr(screening.optimal_scoring, "fit", spy)
-        report = run_plan(x, y, plan, seed=3)
+        report = run_plan(x, y, plan)
         norms = report.final_directions.row_norms()
         assert len(calls) == 5 and np.any((norms > 0) & (norms <= 1e-12))
         assert np.array_equal(report.selected_indices, want)
@@ -167,36 +168,54 @@ class TestRunPlan:
     def test_summary_reports_convergence_of_every_fit(self):
         x, y, _ = signal_instance()
         stages = [(4, 10)]
-        ok = run_plan(x, y, ScreeningPlan(stages, solver(30.0)), seed=3)
+        ok = run_plan(x, y, ScreeningPlan(stages, solver(30.0)))
         assert all(r.converged and r.inner_converged
                    for r in ok.stage_records)
         summary = report_summary(ok)
         assert summary["converged"] and summary["inner_converged"]
         # an inner cap of one iteration stops every ADMM solve short
         capped = run_plan(x, y, ScreeningPlan(
-            stages, solver(30.0, inner_max_iter=1)), seed=3)
+            stages, solver(30.0, inner_max_iter=1)))
         assert not any(r.converged or r.inner_converged
                        for r in capped.stage_records)
         summary = report_summary(capped)
         assert not summary["converged"] and not summary["inner_converged"]
         # one outer iteration cannot show the outer loop has converged
         short = run_plan(x, y, ScreeningPlan(
-            stages, solver(30.0, outer_max_iter=1, outer_tol=1e-14)), seed=3)
+            stages, solver(30.0, outer_max_iter=1, outer_tol=1e-14)))
         summary = report_summary(short)
         assert not summary["converged"] and summary["inner_converged"]
 
-    def test_seed_changes_partition_fits(self):
-        x, y, _ = signal_instance()
-        plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
-        a = run_plan(x, y, plan, seed=3)
-        b = run_plan(x, y, plan, seed=4)
-        # random score initializations differ but selection is stable
-        assert set(a.selected_ids) == set(b.selected_ids)
+    def test_cli_fit_outputs_same_for_every_seed(self, tmp_path):
+        # five classes at d = 3 < h - 1, with a stage of two partitions:
+        # every fit starts from scores computed from the data, so `--seed`
+        # changes none of `fit`'s outputs
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((300, 20))
+        score = X[:, :3] @ [1.0, 0.7, 0.5]
+        labels = np.digitize(score, np.quantile(score, [0.2, 0.4, 0.6, 0.8]))
+        ids = [f"s{i}" for i in range(300)]
+        xp, yp, cfg = (tmp_path / name for name in ("x.tsv", "y.tsv",
+                                                     "run.cfg"))
+        xp.write_text("\t".join(["id"] + [f"f{j}" for j in range(20)]) + "\n"
+                      + "".join("\t".join([i] + [repr(v) for v in row]) + "\n"
+                                for i, row in zip(ids, X.tolist())))
+        yp.write_text("".join(f"{i}\t{v}\n" for i, v in zip(ids, labels)))
+        cfg.write_text("solver.d = 3\npenalty.lambda = 250\npenalty.rho = 2\n"
+                       "screen.stages = 2:8\n")
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"out{seed}"
+            assert main(["fit", "--x", str(xp), "--y", str(yp), "--config",
+                         str(cfg), "--out", str(out), "--seed", seed]) == 0
+            outputs.append({name: (out / name).read_bytes() for name in
+                            ("directions.tsv", "theta.tsv", "fit.json")})
+        assert outputs[0] == outputs[1]
 
     def test_survivors_sorted_and_within_bounds(self):
         x, y, _ = signal_instance()
         plan = ScreeningPlan(stages=[(5, 8), (2, 10)], final_fit=solver(30.0))
-        report = run_plan(x, y, plan, seed=1)
+        report = run_plan(x, y, plan)
         s = report.survivors
         assert np.all(np.diff(s) > 0)
         assert s.min() >= 0 and s.max() < x.n_features
@@ -205,7 +224,7 @@ class TestRunPlan:
     def test_provenance_complete(self):
         x, y, _ = signal_instance()
         plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
-        report = run_plan(x, y, plan, seed=2)
+        report = run_plan(x, y, plan)
         for j in report.survivors:
             trail = report.provenance[int(j)]
             assert trail[0][0] == 1  # kept at stage one
@@ -215,7 +234,7 @@ class TestRunPlan:
     def test_tsv_shape(self):
         x, y, _ = signal_instance()
         plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(50.0))
-        report = run_plan(x, y, plan, seed=5)
+        report = run_plan(x, y, plan)
         lines = report_to_tsv(report).strip().split("\n")
         assert lines[0] == "feature_id\trow_norm\tstage\tpartition"
         stage1 = [l for l in lines[1:] if l.split("\t")[2] == "1"]
@@ -232,8 +251,8 @@ class TestRunPlan:
             seed=7)
         x, y, truth = simulate(spec)
         split = run_plan(x, y, ScreeningPlan(stages=[(4, 25)],
-                                             final_fit=solver(60.0)), seed=5)
+                                             final_fit=solver(60.0)))
         whole = run_plan(x, y, ScreeningPlan(stages=[(1, 100)],
-                                             final_fit=solver(60.0)), seed=5)
+                                             final_fit=solver(60.0)))
         assert set(split.selected_ids) == set(whole.selected_ids)
         assert set(int(j) for j in split.selected_indices) == truth
