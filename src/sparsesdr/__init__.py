@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .admm import PenaltyParams, group_shrink, solve_step_a  # noqa: F401
+from .admm import PenaltyParams, solve_step_a  # noqa: F401
 from .dataset import (PredictorMatrix, Phenotype, SyntheticSpec,  # noqa: F401
                       center, load_predictors, load_phenotype,
                       make_phenotype, simulate)
@@ -13,5 +13,3 @@ from .optimal_scoring import (DirectionSet, SolverConfig, fit,  # noqa: F401
 from .scoring import ScoringDesign, build_design  # noqa: F401
 from .screening import (ScreeningPlan, SelectionReport, Stage,  # noqa: F401
                         partition_features, rank_and_keep, run_plan)
-from .sir import (EigenBasis, block_extension_check, block_residual,  # noqa: F401
-                  principal_angle, sir_eigen, slice_mean_cov)

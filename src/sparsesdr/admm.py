@@ -70,13 +70,6 @@ def shrink_rows(V: np.ndarray, params: PenaltyParams,
     return V * factor[:, None]
 
 
-def group_shrink(v: np.ndarray, params: PenaltyParams,
-                 rho: float) -> np.ndarray:
-    """Shrink a single length-d row vector (see shrink_rows)."""
-    v = np.asarray(v, dtype=float)
-    return shrink_rows(v[None, :], params, rho)[0]
-
-
 class GramSolver:
     """Eigenpairs of X's smaller Gram matrix (X X^T when p > n, else X^T X)
     less the zero eigenvalues centering creates: V holds X's p x k right

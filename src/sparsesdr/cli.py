@@ -65,15 +65,17 @@ def _manifest(args, inputs: list) -> dict:
 
 
 def _write_outputs(args, inputs: list, files: dict) -> None:
-    """Make the output directory and write `files` (name -> text, or a dict
-    written as JSON) and manifest.json, which digests `inputs`."""
+    """Make the output directory and write `files` (name -> bytes, text, or
+    a dict written as JSON) and manifest.json, which digests `inputs`."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     files = {**files, "manifest.json": _manifest(args, inputs)}
     for name, content in files.items():
         if isinstance(content, dict):
             content = json.dumps(content, indent=2, sort_keys=True) + "\n"
-        (outdir / name).write_text(content, encoding="utf-8")
+        if isinstance(content, str):
+            content = content.encode()
+        (outdir / name).write_bytes(content)
 
 
 def _load_x(path) -> PredictorMatrix:
@@ -173,12 +175,14 @@ def cmd_simulate(args) -> None:
         support=[(int(j), cfg.sim_effect) for j in support_idx],
         link=cfg.sim_link, seed=args.seed)
     x, y, truth = simulate(spec)
-    lines = ["\t".join(["id"] + x.feature_ids)]
-    for sid, row in zip(x.sample_ids, x.values):
-        lines.append("\t".join([sid] + [f"{v:g}" for v in row]))
+    rows = ["\t".join(["id"] + x.feature_ids).encode()]
+    cells = np.full(2 * x.n_features, ord("\t"), np.uint8)
+    for sid, dosages in zip(x.sample_ids, x.raw):
+        cells[1::2] = dosages + ord("0")   # one digit byte after each tab
+        rows.append(sid.encode() + cells.tobytes())
     pheno = "".join(f"{s}\t{int(v)}\n" for s, v in zip(x.sample_ids, y.labels))
     _write_outputs(args, [], {
-        "predictors.tsv": "\n".join(lines) + "\n",
+        "predictors.tsv": b"\n".join(rows) + b"\n",
         "phenotype.tsv": pheno,
         "truth.json": {"support": sorted(truth)},
     })

@@ -492,6 +492,9 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
     for name, value in (("top_m", top_m), ("knn_k", knn_k)):
         if value is not None and value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
+    if top_m is not None and top_m > x.n_features:
+        raise ValidationError(f"top_m = {top_m} exceeds the {x.n_features} "
+                              "features")
     if method == "pvalue_rank":
         _check_dosages(x)
     assign = stratified_folds(y.labels, folds, seed)

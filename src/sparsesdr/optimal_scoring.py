@@ -12,7 +12,6 @@ from .admm import (GramSolver, PenaltyParams, StepAResult, solve_step_a,
 from .dataset import PredictorMatrix
 from .errors import NumericError, ValidationError
 from .scoring import ScoringDesign
-from .sir import column_signs
 
 # W has rank < d when its smallest singular value (in the D metric) is at
 # most this fraction of its largest
@@ -173,6 +172,13 @@ def check_theta_invariants(Theta: np.ndarray, D: np.ndarray,
         for j in range(i):
             if abs(ti @ D @ Theta[:, j]) > tol:
                 raise NumericError(f"theta_{i} not D-orthogonal to theta_{j}")
+
+
+def column_signs(V: np.ndarray) -> np.ndarray:
+    """+1 or -1 per column: the sign that makes the column's
+    largest-magnitude entry positive (first such entry on ties)."""
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return np.where(top < 0, -1.0, 1.0)
 
 
 def _score_svd(ztxb: np.ndarray, D: np.ndarray):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sparsesdr.admm import (GramSolver, PenaltyParams, group_shrink,
-                            shrink_rows, solve_step_a, step_a_objective)
+from sparsesdr.admm import (GramSolver, PenaltyParams, shrink_rows,
+                            solve_step_a, step_a_objective)
 from sparsesdr.errors import ValidationError
 
 
@@ -37,27 +37,27 @@ class TestPenaltyParams:
 class TestGroupShrink:
     def test_zero_vector_stays_zero(self):
         params = PenaltyParams(lam=1.0, delta=1.0, r=0.0)
-        assert np.all(group_shrink(np.zeros(3), params, 2.0) == 0)
+        assert np.all(shrink_rows(np.zeros((1, 3)), params, 2.0) == 0)
 
     def test_soft_threshold_example(self):
         # r=0, delta=1: plain group soft-threshold with T = lam/rho = 0.5,
         # so a row of norm 2 contracts by the factor (2 - 0.5)/2 = 0.75
         params = PenaltyParams(lam=1.0, delta=1.0, r=0.0)
         v = np.array([1.2, -1.6])  # norm 2
-        assert np.allclose(group_shrink(v, params, 2.0), 0.75 * v,
-                           atol=1e-12)
+        assert np.allclose(shrink_rows(v[None, :], params, 2.0)[0],
+                           0.75 * v, atol=1e-12)
 
     def test_below_threshold_zeroed(self):
         params = PenaltyParams(lam=1.0, delta=1.0, r=0.0)
         v = np.array([0.24, 0.32])  # norm 0.4 < T = 0.5
-        assert np.all(group_shrink(v, params, 2.0) == 0)
+        assert np.all(shrink_rows(v[None, :], params, 2.0)[0] == 0)
 
     def test_output_collinear_and_contractive(self):
         rng = np.random.default_rng(0)
         params = PenaltyParams(lam=0.3, delta=0.7, r=0.4)
         for _ in range(20):
             v = rng.standard_normal(4) * rng.uniform(0.1, 5)
-            out = g = group_shrink(v, params, 3.0)
+            g = shrink_rows(v[None, :], params, 3.0)[0]
             gn, vn = np.linalg.norm(g), np.linalg.norm(v)
             assert gn <= vn + 1e-12
             if gn > 0:
@@ -69,15 +69,18 @@ class TestGroupShrink:
         prev = np.linalg.norm(v)
         for lam in [0.0, 0.5, 1.0, 2.0, 4.0]:
             params = PenaltyParams(lam=lam, delta=0.8, r=0.2)
-            cur = np.linalg.norm(group_shrink(v, params, 2.0))
+            cur = np.linalg.norm(shrink_rows(v[None, :], params, 2.0)[0])
             assert cur <= prev + 1e-12
             prev = cur
 
     def test_rowwise_matches_vector_version(self):
+        # each row is shrunk on its own: the matrix call equals the
+        # one-row calls stacked
         rng = np.random.default_rng(2)
         V = rng.standard_normal((6, 3))
         params = PenaltyParams(lam=0.4, delta=0.9, r=0.1)
-        rows = np.stack([group_shrink(V[i], params, 1.5) for i in range(6)])
+        rows = np.stack([shrink_rows(V[i:i + 1], params, 1.5)[0]
+                         for i in range(6)])
         assert np.allclose(shrink_rows(V, params, 1.5), rows, atol=1e-14)
 
 

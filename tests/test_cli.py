@@ -11,7 +11,7 @@ import sparsesdr
 from sparsesdr import blas
 from sparsesdr.cli import main
 from sparsesdr.config import parse_config_text, load_run_config
-from sparsesdr.dataset import SyntheticSpec, simulate
+from sparsesdr.dataset import SyntheticSpec, load_predictors, simulate
 from sparsesdr.errors import ValidationError
 from sparsesdr.evaluation import MetricBundle
 
@@ -461,6 +461,7 @@ class TestCv:
         ("cv.folds = 1", "folds >= 2, got 1"),
         ("cv.top_m = 0", "top_m must be >= 1, got 0"),
         ("cv.knn_k = 0", "knn_k must be >= 1, got 0"),
+        ("cv.top_m = 31", "top_m = 31 exceeds the 30 features"),
     ])
     def test_bad_cv_setting_refused(self, tmp_path, capsys, setting,
                                     message):
@@ -642,6 +643,23 @@ class TestSimulate:
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_predictors_match_per_cell_text(self, tmp_path):
+        cfg = write_config(tmp_path, "simulate.n = 30\nsimulate.p = 12\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", "5"]) == 0
+        x, _, _ = simulate(SyntheticSpec(n_samples=30, n_features=12, seed=5))
+        lines = ["\t".join(["id"] + x.feature_ids)]
+        for sid, row in zip(x.sample_ids, x.values):
+            lines.append("\t".join([sid] + [f"{v:g}" for v in row]))
+        path = out / "predictors.tsv"
+        assert path.read_text() == "\n".join(lines) + "\n"
+        back = load_predictors(path)
+        assert back.raw.dtype == np.uint8
+        assert np.array_equal(back.raw, x.raw)
+        assert (back.feature_ids, back.sample_ids) == (x.feature_ids,
+                                                       x.sample_ids)
 
 
 class TestStorage:
@@ -831,11 +849,22 @@ def modules_after(package, code, *args):
 
 
 class TestStartup:
-    """Every command starts and runs on numpy alone: scipy is imported only
-    inside the SIR oracle."""
+    """Every command starts and runs on numpy alone, the one runtime
+    dependency: scipy and mpmath belong to the `test` extra."""
 
     def test_cli_import_loads_no_scipy(self):
         assert modules_after("scipy", "import sparsesdr.cli") == []
+
+    @pytest.mark.parametrize("package", ["scipy", "mpmath"])
+    def test_import_and_help_load_no_test_extra(self, package):
+        as_main = """
+import runpy
+try:
+    runpy.run_module("sparsesdr.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0"""
+        assert modules_after(package, "import sparsesdr.cli") == []
+        assert modules_after(package, as_main, "--help") == []
 
     def test_import_and_staged_screen_load_no_concurrent(self, tmp_path):
         # the screening stages fit their partitions on the calling thread

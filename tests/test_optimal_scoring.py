@@ -7,9 +7,10 @@ from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
                                make_phenotype, simulate)
 from sparsesdr.errors import ValidationError
 from sparsesdr.optimal_scoring import (SolverConfig, check_theta_invariants,
-                                       fit, init_theta, theta_step)
+                                       column_signs, fit, init_theta,
+                                       theta_step)
 from sparsesdr.scoring import build_design
-from sparsesdr.sir import principal_angle, sir_eigen
+from sir_oracle import principal_angle, sir_eigen
 
 
 def matrix(values):
@@ -201,6 +202,19 @@ class TestThetaStep:
             assert theta_step(M, design.D, Theta) is Theta
 
 
+class TestColumnSigns:
+    def test_negative_largest_entry_flips(self):
+        V = np.array([[0.5, 0.1], [-2.0, 0.3], [1.0, -0.2]])
+        assert column_signs(V).tolist() == [-1.0, 1.0]
+
+    def test_first_entry_decides_ties(self):
+        V = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        assert column_signs(V).tolist() == [-1.0, 1.0]
+
+    def test_zero_column_gets_plus_one(self):
+        assert column_signs(np.zeros((3, 2))).tolist() == [1.0, 1.0]
+
+
 class TestFit:
     def test_unpenalized_matches_eigen_solution(self):
         # with no penalty the alternating solver and the generalized
@@ -212,8 +226,8 @@ class TestFit:
                            inner_tol=1e-9, inner_max_iter=5000)
         ds = fit(x, design, cfg)
         assert ds.converged
-        eig = sir_eigen(x, design, 2)
-        assert principal_angle(ds.B, eig.basis) < 1e-3
+        _, vecs = sir_eigen(x.values, design.slice_assignments)
+        assert principal_angle(ds.B, vecs[:, :2]) < 1e-3
 
     def test_huge_lambda_zero_solution(self):
         x, y = three_class_instance(6)

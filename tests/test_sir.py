@@ -1,14 +1,18 @@
+"""The sliced-inverse-regression reference (sir_oracle) that the fit's
+unpenalized answers are compared against: its slice-mean covariance, its
+estimator properties, and the block eigen-extension that split-and-conquer
+screening rests on."""
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from sparsesdr.dataset import (PredictorMatrix, Phenotype, SyntheticSpec,
                                center, make_phenotype, simulate)
-from sparsesdr.errors import NumericError, ValidationError
+from sparsesdr.optimal_scoring import column_signs
 from sparsesdr.scoring import build_design
-from sparsesdr.sir import (block_extension_check, block_residual,
-                           column_signs, generalized_eigen, principal_angle,
-                           sir_eigen, slice_mean_cov)
+from sir_oracle import (block_residual, generalized_eigen, principal_angle,
+                        sir_eigen, slice_mean_cov)
 
 
 def matrix(values):
@@ -27,21 +31,32 @@ def gaussian_instance(seed, n, p, rule):
     return x, y
 
 
+def sir(x, design):
+    return sir_eigen(x.values, design.slice_assignments)
+
+
+def sample_cov(x):
+    return x.values.T @ x.values / x.n_samples
+
+
+def sample_slice_cov(x, design):
+    return slice_mean_cov(x.values, design.slice_assignments)
+
+
 class TestSliceMeanCov:
     def test_equal_slice_means_give_zero(self):
         # two slices with identical (zero) within-slice means
         X = np.array([[1.0], [-1.0], [1.0], [-1.0]])
         x = center(matrix(X))
         y = Phenotype(np.array([0, 0, 1, 1]), "binary", [0, 1])
-        design = build_design(y, 2)
-        M = slice_mean_cov(x, design)
+        M = sample_slice_cov(x, build_design(y, 2))
         assert np.allclose(M, 0)
 
     def test_hand_computed_scalar(self):
         X = np.array([[-1.0], [-1.0], [1.0], [1.0]])
         x = center(matrix(X))
         y = Phenotype(np.array([0, 0, 1, 1]), "binary", [0, 1])
-        M = slice_mean_cov(x, build_design(y, 2))
+        M = sample_slice_cov(x, build_design(y, 2))
         assert np.allclose(M, [[1.0]])
 
     def test_matches_brute_force(self):
@@ -51,7 +66,7 @@ class TestSliceMeanCov:
         x = center(matrix(X))
         y = Phenotype(labels, "categorical")
         design = build_design(y, 3)
-        M = slice_mean_cov(x, design)
+        M = sample_slice_cov(x, design)
         brute = np.zeros((3, 3))
         for s in range(3):
             rows = x.values[design.slice_assignments == s]
@@ -63,7 +78,7 @@ class TestSliceMeanCov:
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((40, 4))
             y = make_phenotype(rng.integers(0, 3, size=40))
-            M = slice_mean_cov(center(matrix(X)), build_design(y, 3))
+            M = sample_slice_cov(center(matrix(X)), build_design(y, 3))
             assert np.linalg.eigvalsh(M).min() >= -1e-8
 
 
@@ -72,48 +87,47 @@ class TestSirEigen:
         x, y = gaussian_instance(0, 5000, 5,
                                  lambda X: np.random.default_rng(1)
                                  .integers(0, 2, size=len(X)))
-        ev = sir_eigen(x, build_design(y, 2), 1).eigenvalues
-        assert ev.max() < 0.01
+        vals, _ = sir(x, build_design(y, 2))
+        assert vals.max() < 0.01
 
     def test_recovers_first_axis(self):
         x, y = gaussian_instance(2, 5000, 5, lambda X: (X[:, 0] > 0).astype(int))
-        basis = sir_eigen(x, build_design(y, 2), 1).basis
+        _, vecs = sir(x, build_design(y, 2))
         e1 = np.zeros((5, 1))
         e1[0, 0] = 1
-        assert principal_angle(basis, e1) < 0.1
+        assert principal_angle(vecs[:, :1], e1) < 0.1
 
     def test_scalar_case(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         x = center(matrix(X))
         y = Phenotype(np.array([0, 0, 1, 1]), "binary", [0, 1])
         design = build_design(y, 2)
-        eb = sir_eigen(x, design, 1)
-        M = slice_mean_cov(x, design)[0, 0]
-        sigma = (x.values.T @ x.values / 4).item()
-        assert np.isclose(eb.eigenvalues[0], M / sigma)
+        vals, _ = sir(x, design)
+        M = sample_slice_cov(x, design)[0, 0]
+        sigma = sample_cov(x).item()
+        assert np.isclose(vals[0], M / sigma)
 
     def test_singular_covariance_error(self):
         X = np.column_stack([np.arange(6.0), 2 * np.arange(6.0)])
         x = center(matrix(X))
         y = Phenotype(np.array([0, 0, 0, 1, 1, 1]), "binary", [0, 1])
-        with pytest.raises(NumericError, match="singular"):
-            sir_eigen(x, build_design(y, 2), 1)
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            sir(x, build_design(y, 2))
 
     def test_eigenvalues_within_unit_interval(self):
         for seed in range(5):
             x, y = gaussian_instance(seed, 300, 4,
                                      lambda X: (X[:, 0] + X[:, 1] > 0)
                                      .astype(int))
-            ev = sir_eigen(x, build_design(y, 2), 1).eigenvalues
-            assert ev.max() <= 1 + 1e-8
-            assert ev.min() >= -1e-8
+            vals, _ = sir(x, build_design(y, 2))
+            assert vals.max() <= 1 + 1e-8
+            assert vals.min() >= -1e-8
 
     def test_sigma_orthonormal_vectors(self):
         x, y = gaussian_instance(3, 400, 4,
                                  lambda X: (X[:, 0] > 0).astype(int))
-        eb = sir_eigen(x, build_design(y, 2), 2)
-        sigma = x.values.T @ x.values / 400
-        gram = eb.vectors.T @ sigma @ eb.vectors
+        _, vecs = sir(x, build_design(y, 2))
+        gram = vecs.T @ sample_cov(x) @ vecs
         assert np.allclose(gram, np.eye(4), atol=1e-8)
 
     def test_affine_invariance_of_subspace(self):
@@ -125,14 +139,14 @@ class TestSirEigen:
         x2 = center(matrix(X @ A))
         y = make_phenotype(labels)
         design = build_design(y, 2)
-        b1 = sir_eigen(x1, design, 1).basis
-        b2 = sir_eigen(x2, design, 1).basis
+        b1 = sir(x1, design)[1][:, :1]
+        b2 = sir(x2, design)[1][:, :1]
         assert principal_angle(A @ b2, b1) < 1e-6
 
 
 def whitening_eigen(M, sigma):
     """Reference: Cholesky-whiten sigma, solve the standard symmetric
-    problem, map the eigenvectors back, sort descending, fix signs."""
+    problem, map the eigenvectors back, sort descending."""
     L = np.linalg.cholesky(sigma)
     Linv_M = scipy.linalg.solve_triangular(L, M, lower=True)
     W = scipy.linalg.solve_triangular(L, Linv_M.T, lower=True).T
@@ -140,7 +154,7 @@ def whitening_eigen(M, sigma):
     vals, vecs = np.linalg.eigh(W)
     order = np.argsort(vals)[::-1]
     vecs = scipy.linalg.solve_triangular(L.T, vecs[:, order], lower=False)
-    return vals[order], vecs * column_signs(vecs)
+    return vals[order], vecs
 
 
 class TestGeneralizedEigen:
@@ -153,6 +167,8 @@ class TestGeneralizedEigen:
         M = B @ B.T / p
         ref_vals, ref_vecs = whitening_eigen(M, sigma)
         vals, vecs = generalized_eigen(M, sigma)
+        ref_vecs = ref_vecs * column_signs(ref_vecs)
+        vecs = vecs * column_signs(vecs)
         # float64 backward-error scale; eigenvectors also scale with the
         # conditioning of sigma over the smallest eigenvalue gap
         tol = 100 * p * np.finfo(float).eps * np.abs(ref_vals).max()
@@ -162,44 +178,6 @@ class TestGeneralizedEigen:
         assert np.max(np.abs(vecs - ref_vecs)) < tol * np.linalg.cond(sigma) / gap
         assert np.allclose(vecs.T @ sigma @ vecs, np.eye(p),
                            rtol=0, atol=100 * p * np.finfo(float).eps)
-
-
-    @pytest.mark.parametrize("seed,p", [(4, 5), (5, 15)])
-    def test_matches_scipy_generalized_eigh(self, seed, p):
-        rng = np.random.default_rng(seed)
-        A = rng.standard_normal((3 * p, p))
-        sigma = A.T @ A / (3 * p)
-        B = rng.standard_normal((p, p))
-        M = B @ B.T / p
-        ref_vals, ref_vecs = scipy.linalg.eigh(M, sigma)
-        ref_vals, ref_vecs = ref_vals[::-1], ref_vecs[:, ::-1]
-        ref_vecs = ref_vecs * column_signs(ref_vecs)
-        vals, vecs = generalized_eigen(M, sigma)
-        tol = 100 * p * np.finfo(float).eps * np.abs(ref_vals).max()
-        gap = np.abs(np.diff(ref_vals)).min()
-        assert np.max(np.abs(vals - ref_vals)) < tol
-        assert np.max(np.abs(vecs - ref_vecs)) < tol * np.linalg.cond(sigma) / gap
-
-
-class TestPrincipalAngle:
-    def test_identical(self):
-        A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert principal_angle(A, A) == 0
-
-    def test_orthogonal_complements(self):
-        assert np.isclose(principal_angle(np.array([[1.0], [0.0]]),
-                                          np.array([[0.0], [1.0]])),
-                          np.pi / 2)
-
-    def test_forty_five_degrees(self):
-        a = np.array([[1.0], [0.0]])
-        b = np.array([[1.0], [1.0]]) / np.sqrt(2)
-        assert np.isclose(principal_angle(a, b), np.pi / 4)
-
-    def test_rank_deficient_rejected(self):
-        bad = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
-        with pytest.raises(ValidationError):
-            principal_angle(bad, np.eye(3)[:, :2])
 
 
 class TestBlockExtension:
@@ -212,7 +190,7 @@ class TestBlockExtension:
         sigma = np.zeros((4, 4))
         sigma[:2, :2] = within + np.outer(mu, mu)
         sigma[2:, 2:] = other
-        assert block_residual(M, sigma, [0, 1], d=1) < 1e-10
+        assert block_residual(M, sigma, [0, 1]) < 1e-10
 
     def test_sampled_instance(self):
         spec = SyntheticSpec(n_samples=5000, n_features=6,
@@ -222,11 +200,10 @@ class TestBlockExtension:
         x, y, _ = simulate(spec)
         xc = center(x)
         design = build_design(y)
-        resid = block_extension_check(xc, [0, 1, 2], design, d=1)
+        sigma = sample_cov(xc)
+        M = sample_slice_cov(xc, design)
+        resid = block_residual(M, sigma, [0, 1, 2])
         # scale reference: lambda * ||sigma beta|| for the block eigenpair
-        sigma = xc.values.T @ xc.values / 5000
-        M = slice_mean_cov(xc, design)
-        from sparsesdr.sir import generalized_eigen
         vals, vecs = generalized_eigen(M[:3, :3], sigma[:3, :3])
         beta = np.zeros(6)
         beta[:3] = vecs[:, 0]
@@ -240,4 +217,5 @@ class TestBlockExtension:
         x = center(matrix(X))
         y = make_phenotype(labels)
         design = build_design(y, 2)
-        assert block_extension_check(x, list(range(4)), design, d=1) < 1e-8
+        M = sample_slice_cov(x, design)
+        assert block_residual(M, sample_cov(x), list(range(4))) < 1e-8
