@@ -227,15 +227,18 @@ def theta_step(ztxb: np.ndarray, D: np.ndarray,
 
 def fit(x: PredictorMatrix, design: ScoringDesign,
         cfg: SolverConfig) -> DirectionSet:
-    """Alternate the coefficient subproblem and the score step until both
-    stop moving (or the outer iteration cap is hit), starting at
-    `init_theta`'s scores, where the KKT pass's column scores at B = 0 peak.
-
-    Each score step is `theta_step`, exact over the scores. At d = h - 1
-    every start spans the same scores, so the loop stops at outer iteration
-    2. At the end (Theta, B) is rotated once, by the right singular vectors
-    of `_score_svd` at the last B, so that W's columns are D-orthogonal,
-    largest first: neither the objective nor B's row norms change.
+    """Alternate the coefficient subproblem (step A) and the exact score
+    step `theta_step`, starting at `init_theta`'s scores, where the KKT
+    pass's column scores at B = 0 peak, until the score step leaves the span
+    of step A's scores by less than `outer_tol` (a rotation within it moves
+    neither the objective nor B's row norms) or the outer cap is hit. Both
+    ways the last step A's (Theta, B) is returned; `objective_history` is
+    the objective at each step A's answer. At d = h - 1 every start spans
+    the same scores, so the loop stops at outer iteration 1 and
+    `inner_max_iter` caps the fit's only step A. At the end (Theta, B) is
+    rotated once, by the right singular vectors of `_score_svd` at the
+    last B, so that W's columns are D-orthogonal, largest first: neither
+    the objective nor B's row norms change.
 
     Each coefficient step is solved on a working set W of columns (see
     `_WorkingSet.solve`), so a sparse answer factors a |W| x |W| Gram
@@ -247,14 +250,13 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     start. `working_set_size` is |W| at the end.
 
     When r = 0 and lambda > 0, `kkt_max_rel` is the largest
-    `kkt_violations` entry over every column, at the returned B and the
-    scores its step A was solved for, and `kkt_slack` bounds it when that
-    step's last ADMM solve converged: (s + 2 ||X_W||^2 r) / lambda, with s
-    and r that solve's last dual and primal residuals. Columns outside W
-    score 0 after the final pass, and at each ADMM iterate the gradient
-    differs from a subgradient of the penalty by rho (alpha - alpha_prev)
-    + 2 X_W^T X_W (B - alpha), whose norm is at most s + 2 ||X_W||^2 r.
-    Both are None otherwise.
+    `kkt_violations` entry over every column at the returned Theta and B,
+    and `kkt_slack` bounds it when the last step A's last ADMM solve
+    converged: (s + 2 ||X_W||^2 r) / lambda, with s and r that solve's last
+    dual and primal residuals. Columns outside W score 0 after the final
+    pass, and at each ADMM iterate the gradient differs from a subgradient
+    of the penalty by rho (alpha - alpha_prev) + 2 X_W^T X_W (B - alpha),
+    whose norm is at most s + 2 ||X_W||^2 r. Both are None otherwise.
     """
     if not x.centered:
         raise ValidationError("predictors must be centered")
@@ -263,32 +265,29 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
 
     X, Z, D = x.values, design.Z, design.D
     d, pen = cfg.d, cfg.penalty
-    Theta = init_theta(design, X, d)
+    Theta_next = init_theta(design, X, d)
     ws = _WorkingSet(X, every=pen.r > 0)
 
-    B = np.zeros((x.n_features, d))
     history: list[float] = []
     converged = False
     inner_ok = True
     res = None
     for outer in range(1, cfg.outer_max_iter + 1):
+        Theta = Theta_next
+        check_theta_invariants(Theta, D, np.eye(design.h)[0])
         Ztheta = Z @ Theta
         res = ws.solve(Ztheta, cfg, res)
         inner_ok = inner_ok and (res is None or res.converged)
         B_W = np.zeros((0, d)) if res is None else res.B
-        B_new = ws.full(B_W)
+        history.append(step_a_objective(ws.X_W, Ztheta, B_W, pen))
         ztxb = Z.T @ (ws.X_W @ B_W)
-        Theta_new = theta_step(ztxb, D, Theta)
-        check_theta_invariants(Theta_new, D, np.eye(design.h)[0])
-        history.append(step_a_objective(ws.X_W, Z @ Theta_new, B_W, pen))
-
-        moved = max(np.linalg.norm(Theta_new - Theta, axis=0).max(),
-                    np.linalg.norm(B_new - B, axis=0).max())
-        Theta, B = Theta_new, B_new
-        if moved < cfg.outer_tol:
+        Theta_next = theta_step(ztxb, D, Theta)
+        off_span = Theta_next - Theta @ (Theta.T @ D @ Theta_next)
+        if np.linalg.norm(off_span, axis=0).max() < cfg.outer_tol:
             converged = True
             break
 
+    B = ws.full(B_W)
     kkt = slack = None
     if pen.r == 0 and pen.lam > 0:
         G = ws.gradient(Ztheta, res)

@@ -227,14 +227,22 @@ class TestFit:
         assert rc == 2
 
     def test_non_convergence_reported_not_fatal(self, tmp_path):
+        # three classes at d = 1 < h - 1: the score step turns the score
+        # within the plane of the two non-constant scores, so one outer
+        # iteration cannot show convergence (a binary fit converges at 1)
         xp, yp, _ = write_dataset(tmp_path)
+        rows = [line.split("\t") for line in yp.read_text().splitlines()]
+        yp.write_text("".join(f"{s}\t{int(v) + (v == '1' and i % 2)}\n"
+                              for i, (s, v) in enumerate(rows)))
         cfg = write_config(tmp_path, FIT_CFG + "solver.outer_max_iter = 1\n"
                                                "solver.outer_tol = 1e-14\n")
         out = tmp_path / "out"
         rc = main(["fit", "--x", str(xp), "--y", str(yp),
                    "--config", str(cfg), "--out", str(out)])
         assert rc == 0
-        assert json.loads((out / "fit.json").read_text())["converged"] is False
+        fit_info = json.loads((out / "fit.json").read_text())
+        assert fit_info["converged"] is False and fit_info["outer_iters"] == 1
+        assert fit_info["inner_converged"] is True
 
     def test_continuous_response_leaves_no_output(self, tmp_path):
         # the nearest-centroid model needs classes: refused before any write

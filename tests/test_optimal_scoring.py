@@ -8,7 +8,7 @@ from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
 from sparsesdr.errors import ValidationError
 from sparsesdr.optimal_scoring import (SolverConfig, check_theta_invariants,
                                        column_signs, fit, init_theta,
-                                       theta_step)
+                                       kkt_violations, theta_step)
 from sparsesdr.scoring import build_design
 from sir_oracle import principal_angle, sir_eigen
 
@@ -276,8 +276,9 @@ class TestFit:
 
     def test_full_rank_scores_need_one_step_a(self, monkeypatch):
         # at d = h - 1 every start spans the same scores, so the first step
-        # A is the optimum: the loop stops at outer iteration 2, and the
-        # final rotation gives the same B from any D-orthonormal start
+        # A is the optimum and the score step only rotates its scores: the
+        # loop stops at outer iteration 1, and the final rotation gives the
+        # same B from any D-orthonormal start
         from sparsesdr import optimal_scoring
         x, y = three_class_instance(3, n=300, p=40)
         design = build_design(y)
@@ -291,19 +292,69 @@ class TestFit:
             monkeypatch.setattr(optimal_scoring, "init_theta",
                                 lambda *args: start)
             fits.append(fit(x, design, cfg))
-        assert all(ds.converged and ds.outer_iters <= 3 for ds in fits)
+        assert all(ds.converged and ds.outer_iters == 1 for ds in fits)
         for ds in fits[1:]:
             assert np.max(np.abs(ds.B - fits[0].B)) < 1e-9
 
-    def test_data_start_below_every_random_start(self):
-        # five classes at d = 3 and a lambda that keeps two rows: B's rank
-        # stays below d, the score step keeps its start, and random starts
-        # (seeds 0-3 of a Gaussian draw) end at objectives 872.74-890.19
+    @pytest.mark.parametrize("case", ["h=5,d=4", "h=3,d=2,r=0.2"])
+    def test_full_rank_fit_stops_at_outer_iteration_1(self, case):
+        # the r > 0 case is criterion 4's seed-2 fit, whose capped step A
+        # kept the outer loop cycling to its cap while the loop also waited
+        # for B to stop moving
+        if case == "h=5,d=4":
+            (x, y), pen = quintile_instance(), PenaltyParams(lam=30.0)
+        else:
+            rng = np.random.default_rng(2)
+            X = rng.standard_normal((400, 8))
+            labels = np.zeros(400, dtype=int)
+            labels[X[:, 0] > 0.4] = 1
+            labels[X[:, 1] - 0.3 * X[:, 0] > 0.4] = 2
+            x, y = center(matrix(X)), make_phenotype(labels)
+            pen = PenaltyParams(lam=2.0, delta=0.9, r=0.2)
+        design = build_design(y)
+        ds = fit(x, design, SolverConfig(d=design.h - 1, penalty=pen,
+                                         rho=2.0))
+        assert ds.converged and ds.outer_iters == 1
+        assert len(ds.objective_history) == 1
+        check_theta_invariants(ds.Theta, design.D, np.eye(design.h)[0])
+
+    @pytest.mark.parametrize("case", [
+        "h=3,d=2", "h=5,d=2,outer cap 1", "h=5,d=2,outer cap 3"])
+    def test_kkt_figures_describe_the_returned_pair(self, case):
+        # kkt_max_rel is the KKT violation at the returned Theta and B, for
+        # a converged fit and for fits stopped by the outer cap alike
+        if case == "h=3,d=2":
+            x, y = three_class_instance(3, n=300, p=40)
+            pen, cap = PenaltyParams(lam=60.0), 100
+        else:
+            (x, y), pen = quintile_instance(), PenaltyParams(lam=30.0)
+            cap = int(case[-1])
+        design = build_design(y)
+        ds = fit(x, design, SolverConfig(d=2, penalty=pen, rho=2.0,
+                                         outer_max_iter=cap))
+        assert ds.converged == (cap == 100) and ds.inner_converged
+        G = 2 * x.values.T @ (design.Z @ ds.Theta - x.values @ ds.B)
+        want = np.max(kkt_violations(G, ds.B, pen))
+        assert abs(ds.kkt_max_rel - want) <= 1e-8 * want
+        assert ds.objective_history[-1] == pytest.approx(
+            step_a_objective(x.values, design.Z @ ds.Theta, ds.B, pen),
+            rel=1e-12)
+
+    @pytest.mark.parametrize("d, lam, bound, rows", [
+        (1, 30.0, 75.6205, 3), (2, 30.0, 365.0618, 13),
+        (2, 100.0, 463.7767, 3), (3, 30.0, 656.8922, 13),
+        (3, 250.0, 871.95, 2)])
+    def test_data_start_below_every_random_start(self, d, lam, bound, rows):
+        # five classes at d < h - 1; each bound is the objective, rounded
+        # up, of a loop that also waited for B to stop moving. At d = 3 and
+        # a lambda that keeps two rows, B's rank stays below d, the score
+        # step keeps its start, and random starts (seeds 0-3 of a Gaussian
+        # draw) end at objectives 872.74-890.19
         x, y = quintile_instance()
-        cfg = SolverConfig(d=3, penalty=PenaltyParams(lam=250.0), rho=2.0)
+        cfg = SolverConfig(d=d, penalty=PenaltyParams(lam=lam), rho=2.0)
         ds = fit(x, build_design(y), cfg)
-        assert ds.converged and np.count_nonzero(ds.row_norms()) == 2
-        assert ds.objective_history[-1] <= 871.95
+        assert ds.converged and np.count_nonzero(ds.row_norms()) == rows
+        assert ds.objective_history[-1] <= bound
 
     @pytest.mark.parametrize("case", ["h=3,d=2", "h=5,d=2"])
     def test_objective_never_exceeds_first_step_a(self, monkeypatch, case):
@@ -325,27 +376,24 @@ class TestFit:
         first = step_a_objective(args[0], args[1], res.B, pen)
         assert max(ds.objective_history) <= first * (1 + 1e-12)
 
-    def test_binary_second_step_a_resumes_at_its_answer(self, monkeypatch):
-        # with two classes the score cannot move, so the second outer
-        # iteration's step A starts at the first one's converged answer: it
-        # adds no column and its one ADMM solve stops after one iteration
+    def test_binary_fit_ends_at_its_first_step_a(self, monkeypatch):
+        # with two classes the score step can only flip the score's sign,
+        # so the fit returns the first step A's answer after one score step
         calls = record_calls(monkeypatch, "solve_step_a", "theta_step")
         x, y, _ = simulate(SyntheticSpec(
             n_samples=200, n_features=60, maf_range=(0.1, 0.4),
             support=[(j, 1.5) for j in range(5)], link="logistic", seed=4))
         cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=20.0), rho=2.0)
         ds = fit(center(x), build_design(y), cfg)
-        assert ds.converged and ds.inner_converged and ds.outer_iters == 2
-        # the solves of each outer iteration, which one score step ends
-        per_outer = [[]]
-        for name, _, _, result in calls:
-            if name == "solve_step_a":
-                per_outer[-1].append(result)
-            else:
-                per_outer.append([])
-        first, second = per_outer[:2]
-        assert first[0].n_iter > 1 and all(r.converged for r in first)
-        assert len(second) == 1 and second[0].n_iter == 1
+        assert ds.converged and ds.inner_converged and ds.outer_iters == 1
+        names = [c[0] for c in calls]
+        assert names.count("theta_step") == 1 and names[-1] == "theta_step"
+        solves = [c[3] for c in calls[:-1]]
+        assert solves[0].n_iter > 1 and all(r.converged for r in solves)
+        # the returned B is the last solve's, up to the final sign
+        norms = np.linalg.norm(solves[-1].B, axis=1)
+        assert np.allclose(np.sort(ds.row_norms()[ds.row_norms() > 0]),
+                           np.sort(norms[norms > 0]), rtol=1e-12)
 
     def test_sign_canonicalization(self):
         x, y = three_class_instance(8)
@@ -457,14 +505,15 @@ class TestWorkingSet:
 
     def test_r_positive_solves_on_every_column(self, monkeypatch):
         # no KKT pass and no column subset: one solve per outer iteration on
-        # X itself, warm from the one before: the full-column path
+        # X itself, warm from the one before: the full-column path (d = 1 <
+        # h - 1, so the outer loop runs to its cap)
         x, y = three_class_instance(10)
         calls = record_calls(monkeypatch, "solve_step_a", "GramSolver")
         ds = fit(x, build_design(y), SolverConfig(
-            d=2, penalty=PenaltyParams(lam=0.5, delta=0.9, r=0.5), rho=2.0,
+            d=1, penalty=PenaltyParams(lam=0.5, delta=0.9, r=0.5), rho=2.0,
             outer_max_iter=4))
         gram, solves = calls[0], calls[1:]
-        assert gram[0] == "GramSolver" and len(solves) == ds.outer_iters
+        assert gram[0] == "GramSolver" and len(solves) == ds.outer_iters == 4
         X = gram[1][0]
         assert np.array_equal(X, x.values)
         assert all(c[0] == "solve_step_a" and c[1][0] is X
@@ -472,7 +521,7 @@ class TestWorkingSet:
         warm = [c[2]["warm"] for c in solves]
         assert warm[0] is None
         assert all(w is c[3] for w, c in zip(warm[1:], solves))
-        # the final rotation mixes B's columns and keeps its row norms
+        # the final rotation keeps B's row norms
         assert np.allclose(ds.row_norms(),
                            np.linalg.norm(solves[-1][3].B, axis=1),
                            rtol=1e-12, atol=1e-14)

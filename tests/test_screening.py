@@ -6,7 +6,8 @@ import pytest
 from sparsesdr import blas, screening
 from sparsesdr.cli import main
 from sparsesdr.admm import PenaltyParams
-from sparsesdr.dataset import SyntheticSpec, center, simulate
+from sparsesdr.dataset import (SyntheticSpec, center, make_phenotype,
+                               simulate)
 from sparsesdr.errors import ValidationError
 from sparsesdr.optimal_scoring import SolverConfig, fit
 from sparsesdr.scoring import build_design
@@ -180,9 +181,14 @@ class TestRunPlan:
                        for r in capped.stage_records)
         summary = report_summary(capped)
         assert not summary["converged"] and not summary["inner_converged"]
-        # one outer iteration cannot show the outer loop has converged
-        short = run_plan(x, y, ScreeningPlan(
+        # with three classes at d = 1 < h - 1, one outer iteration cannot
+        # show the outer loop has converged (a binary fit converges at 1)
+        three = make_phenotype(y.labels + (y.labels == 1) * (np.arange(
+            len(y.labels)) % 2), "categorical")
+        short = run_plan(x, three, ScreeningPlan(
             stages, solver(30.0, outer_max_iter=1, outer_tol=1e-14)))
+        assert all(not r.converged and r.inner_converged
+                   for r in short.stage_records)
         summary = report_summary(short)
         assert not summary["converged"] and summary["inner_converged"]
 
