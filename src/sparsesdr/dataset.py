@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import codecs
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,7 +35,7 @@ class PredictorMatrix:
     and sums wrap around.
 
     Instances are treated as immutable after construction; downstream code
-    (partition workers, CV folds) shares them freely.
+    (partition fits, CV folds) shares them freely.
     """
 
     raw: np.ndarray
@@ -170,7 +172,6 @@ def _split_line(line: str, delim: str) -> list[str]:
 
 
 _READ_BYTES = 1 << 20   # bytes per read of an input file
-_BLOCK_BYTES = 1 << 20  # dosage-row bytes checked at once
 
 
 def _file_lines(fh):
@@ -178,9 +179,12 @@ def _file_lines(fh):
     its line end. Lines end at b"\n", b"\r\n" or a lone b"\r", as in text
     mode, and are numbered from 1, blank ones included; every input file is
     split here, so no other character ends a line. The file is read
-    `_READ_BYTES` at a time; only a line that spans reads is carried over."""
+    `_READ_BYTES` at a time; only a line that spans reads is carried over.
+    A UTF-8 byte-order mark at the start of the file is dropped."""
     lineno, rest = 0, b""
-    for chunk in iter(lambda: fh.read(_READ_BYTES), b""):
+    chunks = iter(lambda: fh.read(_READ_BYTES), b"")
+    first = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
+    for chunk in itertools.chain([first], chunks):
         if b"\r" in chunk or rest.endswith(b"\r"):
             # each line end as b"\n", but a last b"\r", which may be the
             # first half of a b"\r\n", is carried over as it is
@@ -206,116 +210,48 @@ def _decode(path, lineno: int, raw: bytes) -> str:
         raise ParseError(f"{path}: invalid UTF-8 at line {lineno}") from None
 
 
-class _PredictorRows:
-    """The rows of a predictor file below its header, in file order.
-
-    A line that may be a dosage row (its bytes from the first delimiter on
-    are 2p long, and the sample id before them is UTF-8) is copied into a
-    block of rows, with a delimiter after its last cell. A full block is
-    checked at once: as little-endian uint16, each (cell, delimiter) byte
-    pair less (delimiter, '0') is the cell's value when it is one ASCII
-    digit, and above 9 otherwise. A row that fails, and every other line,
-    is decoded and read as text: skipped if it holds only whitespace, else
-    one row whose cells are converted by numpy's string-to-float cast. The
-    block is checked before any line after it is read as text, so errors
-    come in line order."""
-
-    def __init__(self, path, delim: str, header: list[str]):
-        self.path, self.delim, self.header = path, delim, header
-        self.sep = delim.encode()
-        self.p = len(header) - 1
-        self.sample_ids: list[str] = []
-        self.rows: list[np.ndarray] = []  # uint8 dosage and float64 rows
-        self.block = np.empty((max(1, _BLOCK_BYTES // (2 * self.p)),
-                               2 * self.p), dtype=np.uint8)
-        self.block[:, -1] = ord(delim)
-        self.queued: list[tuple[int, str, bytes]] = []  # line, id, bytes
-        self.base = ord(delim) << 8 | ord("0")
-
-    def add(self, lineno: int, raw: bytes) -> None:
-        """Take one line of the file, without its line end."""
-        if not self._queue(lineno, raw):
-            self._check_block()
-            self._text(lineno, raw)
-
-    def _queue(self, lineno: int, raw: bytes) -> bool:
-        cut = raw.find(self.sep)
-        if cut < 0 or len(raw) - cut != 2 * self.p:
-            return False
-        try:
-            sid = raw[:cut].decode("utf-8")
-        except UnicodeDecodeError:
-            return False
-        self.block[len(self.queued), :-1] = np.frombuffer(
-            raw, dtype=np.uint8, offset=cut + 1)
-        self.queued.append((lineno, sid, raw))
-        if len(self.queued) == len(self.block):
-            self._check_block()
-        return True
-
-    def _check_block(self) -> None:
-        queued, self.queued = self.queued, []
-        if not queued:
-            return
-        cells = self.block[:len(queued)].view("<u2") - self.base
-        failed = np.flatnonzero(cells.max(axis=1) > 9).tolist()
-        start = 0
-        for i in failed + [len(queued)]:
-            if start < i:
-                self.rows.append(cells[start:i].astype(np.uint8))
-                self.sample_ids.extend(sid.strip()
-                                       for _, sid, _ in queued[start:i])
-            if i < len(queued):
-                lineno, _, raw = queued[i]
-                self._text(lineno, raw)
-            start = i + 1
-
-    def _text(self, lineno: int, raw: bytes) -> None:
-        """Read one line that was not queued, or failed its block, as text."""
-        line = _decode(self.path, lineno, raw)
-        if line.strip() == "":
-            return
-        cells = line.split(self.delim)
-        if len(cells) != self.p + 1:
-            raise ParseError(
-                f"{self.path}: ragged row at line {lineno}: expected "
-                f"{self.p + 1} cells, got {len(cells)}")
-        try:
-            self.rows.append(np.array(cells[1:], dtype=float)[None])
-        except ValueError:
-            for j, cell in enumerate(cells[1:], start=1):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{self.path}: non-numeric cell {cell.strip()!r} at "
-                        f"line {lineno}, column {self.header[j]!r}") from None
-            raise
-        self.sample_ids.append(cells[0].strip())
-
-    def matrix(self) -> PredictorMatrix:
-        self._check_block()
-        if not self.rows:
-            raise ValidationError(f"{self.path}: zero samples (header only)")
-        return PredictorMatrix(np.concatenate(self.rows), self.header[1:],
-                               self.sample_ids)
+def _text_row(path, lineno: int, raw: bytes, delim: str, header: list[str]):
+    """One line below the header read as text: None if it holds only
+    whitespace, else (sample id, float64 row) with the cells converted by
+    numpy's string-to-float cast."""
+    line = _decode(path, lineno, raw)
+    if line.strip() == "":
+        return None
+    cells = line.split(delim)
+    if len(cells) != len(header):
+        raise ParseError(
+            f"{path}: ragged row at line {lineno}: expected "
+            f"{len(header)} cells, got {len(cells)}")
+    try:
+        return cells[0].strip(), np.array(cells[1:], dtype=float)
+    except ValueError:
+        for j, cell in enumerate(cells[1:], start=1):
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: non-numeric cell {cell.strip()!r} at "
+                    f"line {lineno}, column {header[j]!r}") from None
+        raise
 
 
 def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
     """Load a predictor file: header row of feature ids, first column sample id.
 
-    The file is read in binary, a line at a time. Lines end where
-    `_file_lines` ends them, and no other character ends one. The header is
-    the first line that holds more than whitespace, and each later such
-    line is one row. A row whose cells are all single ASCII digits (a
-    dosage row) is decoded from its bytes as uint8, a block of rows at
-    once. Any other row is decoded as UTF-8 and converted by numpy's
-    string-to-float cast, which accepts and rejects the same cells
-    (surrounding whitespace included) as `float()`. The matrix is uint8
-    when every row is a dosage row, else float64. Single digits are exact,
-    so both give the values `float()` gives. Line numbers in errors count
-    every line of the file from 1, blank lines included, and a line that is
-    not UTF-8 is refused with its number.
+    The file is read in binary, a line at a time, and each line is checked
+    once, as it is read. Lines end where `_file_lines` ends them, and no
+    other character ends one. The header is the first line that holds more
+    than whitespace, and each later such line is one row. A line whose
+    bytes from the first delimiter on are 2p long may be a dosage row: as
+    big-endian uint16, each (delimiter, cell) byte pair less (delimiter,
+    '0') is at most 9 exactly when the cell is one ASCII digit, and if all
+    are, the row is those values as uint8. Any other line is decoded as
+    UTF-8 and converted by numpy's string-to-float cast, which accepts and
+    rejects the same cells (surrounding whitespace included) as `float()`.
+    The matrix is uint8 when every row is a dosage row, else float64.
+    Single digits are exact, so both give the values `float()` gives. Line
+    numbers in errors count every line of the file from 1, blank lines
+    included, and a line that is not UTF-8 is refused with its number.
     """
     if format not in ("tsv", "csv"):
         raise ValidationError(f"unknown format {format!r}")
@@ -332,10 +268,24 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
         if len(header) < 2:
             raise ParseError(
                 f"{path}: header needs a sample-id column plus features")
-        rows = _PredictorRows(path, delim, header)
+        sep, width = delim.encode(), 2 * (len(header) - 1)
+        base = np.uint16(ord(delim) << 8 | ord("0"))
+        sample_ids, rows = [], []   # uint8 dosage and float64 rows
         for lineno, raw in lines:
-            rows.add(lineno, raw)
-    return rows.matrix()
+            cut = raw.find(sep)
+            if 0 <= cut == len(raw) - width:
+                cells = np.frombuffer(raw, ">u2", offset=cut) - base
+                if cells.max() <= 9:
+                    sample_ids.append(_decode(path, lineno, raw[:cut]).strip())
+                    rows.append(cells.astype(np.uint8))
+                    continue
+            row = _text_row(path, lineno, raw, delim, header)
+            if row is not None:
+                sample_ids.append(row[0])
+                rows.append(row[1])
+    if not rows:
+        raise ValidationError(f"{path}: zero samples (header only)")
+    return PredictorMatrix(np.stack(rows), header[1:], sample_ids)
 
 
 def load_phenotype(path) -> tuple[list[str], np.ndarray]:

@@ -32,11 +32,21 @@ class ScreeningPlan:
     def __post_init__(self):
         self.stages = [s if isinstance(s, Stage) else Stage(*s)
                        for s in self.stages]
-        for prev, nxt in zip(self.stages, self.stages[1:]):
-            if prev.n_partitions * prev.keep_per_partition < nxt.n_partitions:
-                raise ValidationError(
-                    "a stage keeps fewer features than the next stage's "
-                    "partition count")
+        # stage k + 1 gets exactly n_k * keep_k features
+        for k, (prev, nxt) in enumerate(zip(self.stages, self.stages[1:]), 2):
+            _check_stage(k, nxt, prev.n_partitions * prev.keep_per_partition)
+
+
+def _check_stage(stage_no: int, stage: Stage, n_features: int) -> None:
+    """Refuse `stage` if it cannot keep its count from each of its
+    partitions of `n_features`, the smallest of which holds
+    n_features // n_partitions."""
+    smallest = n_features // stage.n_partitions
+    if stage.keep_per_partition > smallest:
+        raise ValidationError(
+            f"stage {stage_no}: keep={stage.keep_per_partition} exceeds the "
+            f"{smallest} features of its smallest partition "
+            f"({n_features} features in {stage.n_partitions} partitions)")
 
 
 @dataclass
@@ -105,8 +115,11 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     fit is random, and a plan with no stages is `optimal_scoring.fit` on
     every feature. Every fit uses OpenBLAS's thread count as found
     (`OPENBLAS_NUM_THREADS` respected); the last bits of a wide fit can
-    depend on that count.
+    depend on that count. A first stage that `x` cannot feed is refused
+    before any fit.
     """
+    if plan.stages:   # later stages were checked when `plan` was made
+        _check_stage(1, plan.stages[0], x.n_features)
     if not x.centered:
         x = center(x)
     design = build_design(y, h)
@@ -119,10 +132,6 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
         for part_no, (lo, hi) in enumerate(
                 partition_features(len(current), stage.n_partitions)):
             cols = current[lo:hi]
-            if stage.keep_per_partition > len(cols):
-                raise ValidationError(
-                    f"stage {stage_no} partition {part_no}: keep="
-                    f"{stage.keep_per_partition} exceeds {len(cols)} features")
             try:
                 ds = optimal_scoring.fit(x.restrict(cols), design,
                                          plan.final_fit)

@@ -394,6 +394,24 @@ class TestScreen:
         assert len(kept) > 1
         assert summary["selected"] == kept
 
+    @pytest.mark.parametrize("stages, message", [
+        ("4:8", "stage 1: keep=8 exceeds the 7 features"),
+        ("2:10, 3:7", "stage 2: keep=7 exceeds the 6 features"),
+    ])
+    def test_impossible_plan_refused_before_any_fit(self, tmp_path, capsys,
+                                                    monkeypatch, stages,
+                                                    message):
+        def no_fit(*args):
+            raise AssertionError("fit called")
+        monkeypatch.setattr(sparsesdr.optimal_scoring, "fit", no_fit)
+        xp, yp, _ = write_dataset(tmp_path)   # 30 features
+        cfg = write_config(tmp_path, FIT_CFG + f"screen.stages = {stages}\n")
+        out = tmp_path / "out"
+        assert main(["screen", "--x", str(xp), "--y", str(yp), "--config",
+                     str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_threads_refused(self, tmp_path, capsys):
         xp, yp, _ = write_dataset(tmp_path)
         cfg = write_config(tmp_path, SCREEN_CFG)
@@ -619,6 +637,37 @@ class TestUndecodableInput:
         cfg.write_bytes(b"penalty.lambda = 8\n# a\x0cb\n# caf\xe9\n")
         err = self.run(capsys, tmp_path, "screen", xp, yp, cfg)
         assert f"{cfg}: invalid UTF-8 at line 3" in err
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is dropped:
+    the run writes the same outputs as without it."""
+
+    def outputs(self, out, files):
+        assert main(["screen", "--x", str(files["x"]), "--y", str(files["y"]),
+                     "--config", str(files["config"]), "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())
+                if f.name != "manifest.json"}
+
+    # a mark before the predictor header would end up in its ignored first
+    # cell, so that file starts with a blank line, which the mark shares
+    @pytest.mark.parametrize("which, lead", [("x", b"\n"), ("y", b""),
+                                             ("config", b"")])
+    def test_same_outputs(self, tmp_path, which, lead):
+        xp, yp, _ = write_dataset(tmp_path, n=60)
+        files = {"x": xp, "y": yp,
+                 "config": write_config(tmp_path, SCREEN_CFG.lstrip())}
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        name = files[which].name
+        (plain / name).write_bytes(lead + files[which].read_bytes())
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + lead
+                                    + files[which].read_bytes())
+        runs = [self.outputs(tmp_path / f"out_{d.name}",
+                             {**files, which: d / name})
+                for d in (plain, marked)]
+        assert runs[0] and runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("command", ["fit", "screen", "cv", "assoc",

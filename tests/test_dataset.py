@@ -240,22 +240,23 @@ class TestDosageRows:
 
 
 class TestBlockReader:
-    """Dosage rows are checked a block of rows at a time; a row that fails
-    its block, and every other line, is read as text in line order."""
+    """Each line is checked once, as it is read: a dosage row as bytes, and
+    a row that fails that check, or any other line, as text, so rows and
+    errors come in line order. (The class keeps the name it had when
+    dosage rows were checked a block at a time, so its test ids stay.)"""
 
     P = 5
 
     @pytest.fixture
-    def small_blocks(self, monkeypatch):
-        # 4 rows per block, and reads of 7 bytes, so lines span reads
-        monkeypatch.setattr(sparsesdr.dataset, "_BLOCK_BYTES", 8 * self.P)
+    def small_reads(self, monkeypatch):
+        # reads of 7 bytes, so lines span reads
         monkeypatch.setattr(sparsesdr.dataset, "_READ_BYTES", 7)
 
     def lines(self, n_rows, seed=0):
         v = np.random.default_rng(seed).binomial(2, 0.4, size=(n_rows, self.P))
         return dosage_text(v, str).splitlines()
 
-    def test_dosage_rows_past_one_block(self, tmp_path, small_blocks):
+    def test_dosage_rows_past_one_block(self, tmp_path, small_reads):
         text = "\n".join(self.lines(11)) + "\n"
         m = load_predictors(write(tmp_path, "x.tsv", text), "tsv")
         ids, want = float_oracle(text, "\t")
@@ -263,12 +264,12 @@ class TestBlockReader:
         assert m.values.dtype == np.uint8
         assert_same_bits(m.values.astype(np.float64), want)
 
-    # rows 1-4 fill the first block, 5-8 the second
+    # rows between dosage rows, and the last row
     @pytest.mark.parametrize("row", [2, 4, 5, 11])
     @pytest.mark.parametrize("spell", [lambda c: f" {c}", lambda c: f"{c}.0"],
                              ids=["padded", "decimal"])
     def test_other_row_inside_or_at_edge_of_block(self, tmp_path,
-                                                  small_blocks, row, spell):
+                                                  small_reads, row, spell):
         lines = self.lines(11)
         sid, *cells = lines[row].split("\t")
         lines[row] = "\t".join([sid] + [spell(c) for c in cells])
@@ -284,7 +285,7 @@ class TestBlockReader:
         ("s9\t1\t0\tx\t2\t1", "non-numeric cell 'x' at line 12, column 'f2'$"),
         ("s9\t1\t0\t/\t2\t1", "non-numeric cell '/' at line 12, column 'f2'$"),
     ], ids=["ragged", "non_numeric", "digit_width"])
-    def test_bad_row_after_first_block(self, tmp_path, small_blocks, bad,
+    def test_bad_row_after_first_block(self, tmp_path, small_reads, bad,
                                        message):
         # two blank lines before the bad row, which is the 9th data row; a
         # bad row after it must not be the one named
@@ -297,7 +298,7 @@ class TestBlockReader:
             load_predictors(p, "tsv")
 
     @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["lone_cr", "crlf"])
-    def test_line_ends(self, tmp_path, small_blocks, end):
+    def test_line_ends(self, tmp_path, small_reads, end):
         lines = self.lines(9)
         text = end.join(lines) + end
         p = tmp_path / "x.tsv"
@@ -324,6 +325,23 @@ class TestBlockReader:
         with pytest.raises(ParseError,
                            match=f"x.tsv: invalid UTF-8 at line {at}$"):
             load_predictors(p, "tsv")
+
+
+@pytest.mark.parametrize("data, lines", [
+    (b"\xef\xbb\xbfid\ta\n", [b"id\ta"]),
+    (b"\xef\xbb\xbf\r\nid\n", [b"", b"id"]),
+    (b"\xef\xbb\xbf", []),
+    # only a mark at the start of the file is dropped
+    (b"id\xef\xbb\xbf\n", [b"id\xef\xbb\xbf"]),
+    (b"\n\xef\xbb\xbfid\n", [b"", b"\xef\xbb\xbfid"]),
+])
+def test_file_lines_drop_a_leading_byte_order_mark(tmp_path, monkeypatch,
+                                                    data, lines):
+    monkeypatch.setattr(sparsesdr.dataset, "_READ_BYTES", 4)
+    p = tmp_path / "x.tsv"
+    p.write_bytes(data)
+    with open(p, "rb") as fh:
+        assert [raw for _, raw in sparsesdr.dataset._file_lines(fh)] == lines
 
 
 def dosage_text(v, spell):

@@ -90,6 +90,38 @@ class TestPlanValidation:
         with pytest.raises(ValidationError):
             Stage(0, 5)
 
+    @pytest.mark.parametrize("stages, message", [
+        ([(10, 50), (2, 300)], "stage 2: keep=300 exceeds the 250 features"),
+        ([(3, 5), (2, 8)], "stage 2: keep=8 exceeds the 7 features"),
+        ([(4, 10), (2, 1), (3, 1)], "stage 3: keep=1 exceeds the 0 features"),
+    ])
+    def test_keep_above_smallest_partition_refused(self, stages, message):
+        # stage k + 1 gets exactly n_k * keep_k features, split with sizes
+        # differing by at most one
+        with pytest.raises(ValidationError, match=message):
+            ScreeningPlan(stages=stages, final_fit=solver(1.0))
+
+    @pytest.mark.parametrize("stages", [[(10, 50), (2, 250)],
+                                        [(3, 5), (2, 7)]])
+    def test_keep_of_smallest_partition_accepted(self, stages):
+        ScreeningPlan(stages=stages, final_fit=solver(1.0))
+
+    @pytest.mark.parametrize("p, stage, message", [
+        (105, (10, 11), "stage 1: keep=11 exceeds the 10 features"),
+        (100, (200, 1), "stage 1: keep=1 exceeds the 0 features"),
+    ])
+    def test_first_stage_refused_before_any_fit(self, monkeypatch, p, stage,
+                                                message):
+        # the smallest partitions come last, so a partition check would
+        # fail only after the larger partitions' fits
+        x, y, _ = signal_instance(p=p)
+
+        def no_fit(*args):
+            raise AssertionError("fit called")
+        monkeypatch.setattr(screening.optimal_scoring, "fit", no_fit)
+        with pytest.raises(ValidationError, match=message):
+            run_plan(x, y, ScreeningPlan([stage], solver(30.0)))
+
 
 class TestRunPlan:
     def test_single_trivial_stage_matches_direct_fit(self):
