@@ -23,6 +23,19 @@ from .errors import ValidationError
 # (or the inverse) when one exceeds the other _MU-fold; then rho is held.
 _MU, _TAU, _ADAPT_ITERS = 10.0, 2.0, 100
 
+# Over-relaxation of the solves held at the spectral step (Boyd et al. 2011,
+# sec. 3.4.3): the shrink and the dual update read _RELAX * B + (1 - _RELAX) *
+# alpha_prev in place of B.
+_RELAX = 1.8
+
+# The step is held at the spectral optimum only while X^T X's condition number
+# s2_max / s2_min is at most this; above it residual balancing converges
+# faster. On 300 x 400 cohorts with correlated column pairs, held solves took
+# fewer iterations than balanced ones below 1e4, twice as many in [1e4, 1e5),
+# and above 1e5 (working sets nearly n columns wide) 23 of 161 hit a
+# 1000-iteration cap.
+_HOLD_MAX_COND = 1e4
+
 
 @dataclass
 class PenaltyParams:
@@ -48,6 +61,7 @@ class StepAResult:
     dual_residual: float
     u: np.ndarray    # final scaled dual; with rho and B, a warm start
     rho: float       # final step parameter
+    relax: float = 1.0   # over-relaxation the solve ran with
 
 
 def shrink_rows(V: np.ndarray, params: PenaltyParams,
@@ -120,12 +134,24 @@ def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
     X is the n x p centered predictor matrix, Ztheta the n x d matrix of
     current response scores. Stops on the primal (B - alpha) and dual
     (rho times the change of alpha) residual tests of Boyd et al. (2011,
-    sec. 3.3.1) with eps_abs = eps_rel = tol. `rho` is the starting step,
-    balanced against the residuals at r = 0 (sec. 3.4.1) without moving
-    the optimum; at r > 0 the shrinkage is approximate, its fixed point
-    depends on rho, and rho is held. `warm`, an earlier result on the same
-    X, is resumed: its B (alpha), u and rho, in place of `rho`. Returns
-    alpha as B.
+    sec. 3.3.1) with eps_abs = eps_rel = tol. Returns alpha as B.
+
+    At r = 0 with X of full column rank (the GramSolver kept all p
+    eigenvalues) and X^T X's condition number at most _HOLD_MAX_COND, the
+    step is held at rho* = 2 sqrt(s2_min s2_max), the geometric mean of the
+    extreme eigenvalues of the Hessian 2 X^T X, which minimizes ADMM's
+    linear rate on such problems (Ghadimi et al. 2015, IEEE TAC; Nishihara
+    et al. 2015, ICML), and the iterates are over-relaxed by _RELAX; `rho`
+    is then unused. Otherwise `rho` is the starting step: at r = 0 it is
+    balanced against the residuals (sec. 3.4.1), since the extreme
+    eigenvalues of a singular or ill-conditioned X^T X say little about the
+    rows the answer keeps; at r > 0 the shrinkage is approximate, its fixed
+    point depends on rho, and rho is held. Neither choice moves the optimum
+    at r = 0.
+
+    `warm`, an earlier result on the same X or on fewer of its columns
+    (zero-padded), is resumed: its B (alpha) and u, and its rho unless the
+    step is held at rho*, its scaled dual then rescaled to rho*.
 
     This solves on every column of the X it is given. `optimal_scoring.fit`
     gives it the working set's columns X_W: at r = 0 a KKT pass over the
@@ -136,20 +162,29 @@ def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
         raise ValidationError("max_iter must be >= 1 and tol > 0")
     if gram is None:
         gram = GramSolver(X)
+    s2 = gram.s2
+    spectral = (params.r == 0 and len(s2) == X.shape[1]
+                and s2[-1] <= _HOLD_MAX_COND * s2[0])
+    relax = _RELAX if spectral else 1.0
+    if spectral:
+        rho = 2.0 * math.sqrt(s2[0] * s2[-1])
+    elif warm is not None:
+        rho = warm.rho
     xtz_theta = X.T @ Ztheta
     if warm is None:  # cold start: the ridge solution with a zero dual
         alpha = gram.solve(xtz_theta, rho / 2.0)
-        warm = StepAResult(alpha, 0, False, 0.0, 0.0, 0 * alpha, rho)
-    alpha, u, rho = warm.B, warm.u, warm.rho
+        u = 0 * alpha
+    else:   # the scaled dual u is y / rho: rescale it to this solve's rho
+        alpha, u = warm.B, warm.u * (warm.rho / rho)
     eps_abs = np.sqrt(alpha.size) * tol
 
     for n_iter in range(1, max_iter + 1):
         # smooth step: (X^T X + (rho/2) I) B = X^T Z Theta + (rho/2)(alpha - u)
         B = gram.solve(xtz_theta + rho / 2.0 * (alpha - u), rho / 2.0)
-        alpha_new = shrink_rows(B + u, params, rho)
-        r = B - alpha_new
-        u = u + r
-        r_norm = _norm(r)
+        B_hat = B if relax == 1.0 else relax * B + (1.0 - relax) * alpha
+        alpha_new = shrink_rows(B_hat + u, params, rho)
+        u = u + (B_hat - alpha_new)
+        r_norm = _norm(B - alpha_new)
         s_norm = rho * _norm(alpha_new - alpha)
         alpha = alpha_new
         eps_pri = eps_abs + tol * max(_norm(B), _norm(alpha))
@@ -158,10 +193,11 @@ def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
         converged = bool(pri <= 1 and dual <= 1)
         if converged:
             break
-        if (params.r == 0 and n_iter <= _ADAPT_ITERS
+        if (params.r == 0 and not spectral and n_iter <= _ADAPT_ITERS
                 and max(pri, dual) > _MU * min(pri, dual)):
             scale = _TAU if pri > dual else 1.0 / _TAU
             rho, u = rho * scale, u / scale
 
     return StepAResult(B=alpha, n_iter=n_iter, converged=converged, u=u,
-                       rho=rho, primal_residual=r_norm, dual_residual=s_norm)
+                       rho=rho, primal_residual=r_norm, dual_residual=s_norm,
+                       relax=relax)

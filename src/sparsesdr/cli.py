@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 usage/validation, 3 numeric failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -106,9 +107,10 @@ def _matrix_tsv(M, ids=None) -> str:
 
 
 def cmd_fit(args) -> None:
-    x, y = _load_inputs(args)
     cfg = _load_config(args)
-    report, clf = fit_model(center(x), y, cfg.plan(), h=cfg.h)
+    plan = cfg.plan()
+    x, y = _load_inputs(args)
+    report, clf = fit_model(center(x), y, plan, h=cfg.h)
     ds, summary = report.final_directions, report_summary(report)
     B = np.zeros((x.n_features, ds.B.shape[1]))
     B[report.survivors] = ds.B
@@ -122,6 +124,7 @@ def cmd_fit(args) -> None:
             "kkt_max_rel": summary["kkt_max_rel"],
             "kkt_slack": summary["kkt_slack"],
             "working_set_size": summary["working_set_size"],
+            "inner_iters": summary["inner_iters"],
             "objective": ds.objective_history,
             "nonzero_rows": len(report.selected_indices),
         },
@@ -130,9 +133,10 @@ def cmd_fit(args) -> None:
 
 
 def cmd_screen(args) -> None:
-    x, y = _load_inputs(args)
     cfg = _load_config(args)
-    report = run_plan(x, y, cfg.plan(), h=cfg.h)
+    plan = cfg.plan()
+    x, y = _load_inputs(args)
+    report = run_plan(x, y, plan, h=cfg.h)
     _write_outputs(args, [args.x, args.y], {
         "selection.tsv": report_to_tsv(report),
         "selection.json": report_summary(report),
@@ -140,12 +144,12 @@ def cmd_screen(args) -> None:
 
 
 def cmd_cv(args) -> None:
-    x, y = _load_inputs(args)
     cfg = _load_config(args)
+    plan = cfg.plan() if cfg.cv_method == "sparse_sdr" else None
+    x, y = _load_inputs(args)
     report = cross_validate(
         x, y, folds=cfg.cv_folds, method=cfg.cv_method, seed=args.seed,
-        plan=cfg.plan() if cfg.cv_method == "sparse_sdr" else None,
-        top_m=cfg.top_m, knn_k=cfg.knn_k)
+        plan=plan, top_m=cfg.top_m, knn_k=cfg.knn_k)
     _write_outputs(args, [args.x, args.y], {
         "cv_report.tsv": cv_report_to_tsv(report),
         "cv_report.json": cv_report_to_json(report),
@@ -273,5 +277,16 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The `sparsesdr` command: `main` in a process that ends after it.
+
+    Every object the imports made is frozen first, so no collection, the
+    interpreter's last one at exit included, walks them again. `main` itself
+    leaves the collector alone, since it also runs inside other programs.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

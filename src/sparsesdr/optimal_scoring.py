@@ -50,6 +50,7 @@ class DirectionSet:
     kkt_max_rel: float | None = None  # see fit; None at r > 0 or lambda = 0
     kkt_slack: float | None = None    # bound on kkt_max_rel, or None
     working_set_size: int = 0         # columns the last step A was solved on
+    inner_iters: int = 0              # ADMM iterations over every step A
 
     def row_norms(self) -> np.ndarray:
         return np.linalg.norm(self.B, axis=1)
@@ -79,7 +80,8 @@ def kkt_violations(G: np.ndarray, B: np.ndarray,
 class _WorkingSet:
     """The sorted columns W that step A is solved on, their submatrix X_W
     (X itself when W is every column) and its GramSolver, kept until W
-    grows. W never shrinks."""
+    grows. W never shrinks. `inner_iters` counts the ADMM iterations of
+    every solve it ran."""
 
     def __init__(self, X: np.ndarray, every: bool):
         self.X = X
@@ -87,6 +89,7 @@ class _WorkingSet:
         self.cols = np.flatnonzero(self.in_w)
         self.X_W = X if every else X[:, self.cols]
         self.gram = None
+        self.inner_iters = 0
 
     def gradient(self, Ztheta: np.ndarray,
                  res: StepAResult | None) -> np.ndarray:
@@ -98,7 +101,8 @@ class _WorkingSet:
                       thresh: float) -> tuple[bool, StepAResult | None]:
         """Add every column outside W whose KKT score ||g_l|| exceeds
         `thresh`. Returns whether W grew, and `res` mapped onto the new W
-        (new rows start at B = u = 0; rho is kept)."""
+        (new rows start at B = u = 0; rho is kept, and `solve_step_a` rescales
+        u if it changes rho)."""
         score = np.linalg.norm(self.gradient(Ztheta, res), axis=1)
         score[self.in_w] = 0.0
         new = np.flatnonzero(score > thresh)
@@ -153,6 +157,7 @@ class _WorkingSet:
             res = solve_step_a(self.X_W, Ztheta, pen, cfg.rho,
                                tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
                                gram=self.gram, warm=res)
+            self.inner_iters += res.n_iter
             solved = True
             if pen.r > 0 or not res.converged:
                 return res
@@ -252,11 +257,16 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     When r = 0 and lambda > 0, `kkt_max_rel` is the largest
     `kkt_violations` entry over every column at the returned Theta and B,
     and `kkt_slack` bounds it when the last step A's last ADMM solve
-    converged: (s + 2 ||X_W||^2 r) / lambda, with s and r that solve's last
-    dual and primal residuals. Columns outside W score 0 after the final
-    pass, and at each ADMM iterate the gradient differs from a subgradient
-    of the penalty by rho (alpha - alpha_prev) + 2 X_W^T X_W (B - alpha),
-    whose norm is at most s + 2 ||X_W||^2 r. Both are None otherwise.
+    converged: (s + 2 ||X_W||^2 r + |1 - a| (rho r + s)) / lambda, with s
+    and r that solve's last dual and primal residuals, rho its step and a
+    its over-relaxation (1 when it ran none). Columns outside W score 0
+    after the final pass, and at each ADMM iterate, with the relaxed
+    B_hat = a B + (1 - a) alpha_prev, the gradient differs from the
+    penalty's subgradient rho u by rho (alpha - alpha_prev)
+    + rho (1 - a)(B - alpha_prev) + 2 X_W^T X_W (B - alpha), whose norm is at
+    most that numerator, as rho ||B - alpha_prev|| <= rho r + s. Both are
+    None otherwise. `inner_iters` is the sum of the ADMM iterations of every
+    step-A solve the fit ran.
     """
     if not x.centered:
         raise ValidationError("predictors must be centered")
@@ -292,13 +302,17 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     if pen.r == 0 and pen.lam > 0:
         G = ws.gradient(Ztheta, res)
         kkt = float(np.max(kkt_violations(G, B, pen), initial=0.0))
-        slack = 0.0 if res is None else float(
-            res.dual_residual + 2 * ws.gram.s2.max(initial=0.0)
-            * res.primal_residual) / pen.lam
+        if res is None:
+            slack = 0.0
+        else:
+            s, r = res.dual_residual, res.primal_residual
+            slack = float(s + 2 * ws.gram.s2.max(initial=0.0) * r
+                          + abs(1 - res.relax) * (res.rho * r + s)) / pen.lam
     V = _score_svd(ztxb, D)[3].T   # the final rotation (see above)
     V = V * column_signs(Theta @ V)
     B, Theta = B @ V, Theta @ V
     return DirectionSet(B=B, Theta=Theta, converged=converged,
                         outer_iters=outer, objective_history=history,
                         inner_converged=inner_ok, kkt_max_rel=kkt,
-                        kkt_slack=slack, working_set_size=len(ws.cols))
+                        kkt_slack=slack, working_set_size=len(ws.cols),
+                        inner_iters=ws.inner_iters)

@@ -184,8 +184,8 @@ def report_summary(report: SelectionReport) -> dict:
     """JSON-ready summary of the screening run. `converged` holds only when
     every partition fit and the final fit converged, inner solves included;
     `inner_converged` covers the inner solves alone. `kkt_max_rel`,
-    `kkt_slack` and `working_set_size` are the final fit's (see
-    `optimal_scoring.fit`)."""
+    `kkt_slack`, `working_set_size` and `inner_iters` are the final fit's
+    (see `optimal_scoring.fit`)."""
     final = report.final_directions
     inner = (final.inner_converged
              and all(r.inner_converged for r in report.stage_records))
@@ -199,6 +199,7 @@ def report_summary(report: SelectionReport) -> dict:
         "kkt_max_rel": final.kkt_max_rel,
         "kkt_slack": final.kkt_slack,
         "working_set_size": final.working_set_size,
+        "inner_iters": final.inner_iters,
         "stage_kept": {
             str(s): int(sum(len(r.kept_indices) for r in report.stage_records
                             if r.stage == s))

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sparsesdr.admm import (GramSolver, PenaltyParams, shrink_rows,
+from sparsesdr.admm import (_RELAX, GramSolver, PenaltyParams, shrink_rows,
                             solve_step_a, step_a_objective)
 from sparsesdr.errors import ValidationError
 
@@ -190,6 +192,7 @@ class TestSolveStepA:
         lam = 0.8
         params = PenaltyParams(lam=lam, delta=1.0, r=0.0)
         res = solve_step_a(X, Ztheta, params, 2.0, tol=1e-10, max_iter=10000)
+        assert res.relax == _RELAX   # full rank: the held, relaxed step
 
         L = 2 * np.linalg.eigvalsh(X.T @ X).max()
         B = np.zeros((12, 2))
@@ -263,3 +266,87 @@ class TestStepAOptimality:
         assert again.converged and again.n_iter == 1
         assert again.rho == first.rho
         assert np.max(np.abs(again.B - first.B)) <= 1e-6
+
+
+class TestStepRule:
+    """At r = 0 on a well-conditioned full-column-rank X the step is held
+    at rho* = 2 sqrt(s2_min s2_max) and over-relaxed; a singular or
+    ill-conditioned X and r > 0 start at the given rho."""
+
+    PARAMS = PenaltyParams(lam=5.0, delta=0.8)
+
+    def test_full_rank_answer_ignores_rho(self):
+        X, Ztheta = random_problem(22, 50, 20, 3)
+        gram = GramSolver(X)
+        a, b = (solve_step_a(X, Ztheta, self.PARAMS, rho, tol=1e-8,
+                             max_iter=5000) for rho in (0.5, 8.0))
+        assert a.converged and a.relax == _RELAX
+        assert a.rho == b.rho == 2 * np.sqrt(gram.s2[0] * gram.s2[-1])
+        assert a.n_iter == b.n_iter
+        assert np.array_equal(a.B, b.B)
+
+    @pytest.mark.parametrize("case", ["singular", "ill-conditioned", "r>0"])
+    def test_rho_starts_other_solves(self, case):
+        # |W| > n leaves X^T X singular; a near copy of a column leaves it
+        # of full rank with condition number above 1e4; at r > 0 the shrink
+        # is approximate
+        X, Ztheta = random_problem(23, 40, 80, 2) if case == "singular" \
+            else random_problem(22, 50, 20, 3)
+        if case == "ill-conditioned":
+            X[:, 1] = X[:, 0] + 1e-3 * X[:, 1]
+            s2 = GramSolver(X).s2
+            assert len(s2) == 20 and s2[-1] > 1e4 * s2[0]
+        params = replace(self.PARAMS, r=0.3 if case == "r>0" else 0.0)
+        a, b = (solve_step_a(X, Ztheta, params, rho, tol=1e-8, max_iter=1000)
+                for rho in (0.5, 8.0))
+        assert a.relax == b.relax == 1.0
+        assert a.n_iter != b.n_iter
+
+    def test_resumed_after_the_columns_grow(self):
+        # a warm answer on 12 of the 20 columns, zero-padded as a KKT pass
+        # pads it, resumes at the wider X's rho* to the cold answer
+        X, Ztheta = random_problem(22, 50, 20, 3)
+        tol = 1e-8
+        first = solve_step_a(X[:, :12], Ztheta, self.PARAMS, 2.0, tol=tol,
+                             max_iter=5000)
+        B, u = np.zeros((20, 3)), np.zeros((20, 3))
+        B[:12], u[:12] = first.B, first.u
+        res = solve_step_a(X, Ztheta, self.PARAMS, 2.0, tol=tol,
+                           max_iter=5000, warm=replace(first, B=B, u=u))
+        cold = solve_step_a(X, Ztheta, self.PARAMS, 2.0, tol=tol,
+                            max_iter=5000)
+        assert res.converged and res.rho == cold.rho != first.rho
+        assert np.max(np.abs(res.B - cold.B)) <= tol * np.max(np.abs(cold.B))
+
+    def test_warm_dual_rescaled_to_the_new_rho(self):
+        # the same dual rho * u, stored at another rho, still resumes a
+        # converged answer in one iteration
+        X, Ztheta = random_problem(22, 50, 20, 3)
+        done = solve_step_a(X, Ztheta, self.PARAMS, 2.0, tol=1e-8,
+                            max_iter=5000)
+        warm = replace(done, rho=4 * done.rho, u=done.u / 4)
+        again = solve_step_a(X, Ztheta, self.PARAMS, 2.0, tol=1e-8,
+                             max_iter=5000, warm=warm)
+        assert again.converged and again.n_iter == 1
+
+    @pytest.mark.parametrize("seed", [22, 25])
+    def test_relaxed_step_gradient_identity(self, seed):
+        # one relaxed step from (alpha_prev, u_prev): the gradient at its
+        # answer differs from rho u by rho (alpha - alpha_prev)
+        # + rho (1 - a)(B - alpha_prev) + 2 X^T X (B - alpha), the sum that
+        # optimal_scoring.fit's kkt_slack bounds
+        X, Ztheta = random_problem(seed, 50, 20, 3)
+        gram = GramSolver(X)
+        prev = solve_step_a(X, Ztheta, self.PARAMS, 2.0, max_iter=3,
+                            gram=gram)
+        res = solve_step_a(X, Ztheta, self.PARAMS, 2.0, max_iter=1,
+                           gram=gram, warm=prev)
+        rho, a = res.rho, res.relax
+        B = np.linalg.solve(X.T @ X + rho / 2 * np.eye(20),
+                            X.T @ Ztheta + rho / 2 * (prev.B - prev.u))
+        lhs = 2 * X.T @ (Ztheta - X @ res.B) - rho * res.u
+        rhs = (rho * (res.B - prev.B) + rho * (1 - a) * (B - prev.B)
+               + 2 * X.T @ X @ (B - res.B))
+        assert a == _RELAX and not res.converged
+        assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.max(np.abs(lhs))
+        assert np.isclose(res.primal_residual, np.linalg.norm(B - res.B))

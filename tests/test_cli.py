@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import sparsesdr
-from sparsesdr import blas
+from sparsesdr import blas, cli, optimal_scoring
 from sparsesdr.cli import main
 from sparsesdr.config import parse_config_text, load_run_config
 from sparsesdr.dataset import SyntheticSpec, load_predictors, simulate
@@ -135,6 +137,23 @@ class TestConfig:
                    "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert line.split(" ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "screen", "cv"])
+    @pytest.mark.parametrize("line, message", [
+        ("penalty.lamda = 8", "penalty.lamda"),
+        ("screen.stages = 4:10, 2:30", "stage 2: keep=30 exceeds")])
+    def test_config_refused_before_the_data_is_read(
+            self, tmp_path, capsys, monkeypatch, command, line, message):
+        def no_load(*args):
+            raise AssertionError("predictors read before the config")
+        monkeypatch.setattr(cli, "load_predictors", no_load)
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, FIT_CFG + line + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_key_set_twice_refused(self, tmp_path, capsys):
@@ -344,6 +363,27 @@ class TestFit:
                      "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name", [("fit", "fit.json"),
+                                           ("screen", "selection.json")])
+def test_inner_iters_reported(tmp_path, monkeypatch, command, name):
+    # with no stage the final fit is the run's only fit
+    n_iters = []
+    solve_step_a = optimal_scoring.solve_step_a
+
+    def recorded(*args, **kwargs):
+        res = solve_step_a(*args, **kwargs)
+        n_iters.append(res.n_iter)
+        return res
+    monkeypatch.setattr(optimal_scoring, "solve_step_a", recorded)
+    xp, yp, _ = write_dataset(tmp_path)
+    cfg = write_config(tmp_path, FIT_CFG)
+    out = tmp_path / "out"
+    assert main([command, "--x", str(xp), "--y", str(yp),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    info = json.loads((out / name).read_text())
+    assert len(n_iters) > 1 and info["inner_iters"] == sum(n_iters)
 
 
 class TestScreen:
@@ -972,3 +1012,73 @@ x, y, cfg, out = sys.argv[1:]
 assert main(["cv", "--x", x, "--y", y, "--config", cfg, "--out", out]) == 0"""
         assert modules_after("numpy.ma", code, xp, yp, cfg, tmp_path) == []
         assert (tmp_path / "cv_report.tsv").exists()
+
+
+def console_scripts() -> dict:
+    """pyproject.toml's [project.scripts] table."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(sparsesdr.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]["scripts"]
+
+
+class TestLauncher:
+    """`python -m sparsesdr.cli` and the `sparsesdr` console script both go
+    through `cli.run`, which freezes the collector before `main`."""
+
+    def children(self, tmp_path, *args):
+        """(exit code, stdout, stderr, output files) of `args` run through
+        `python -m sparsesdr.cli` and through pyproject's console-script
+        target, each writing under its own `--out` (`OUT` in `args`)."""
+        src = Path(sparsesdr.__file__).resolve().parent.parent
+        module, attr = console_scripts()["sparsesdr"].split(":")
+        script = (f"import importlib, sys\n"
+                  f"sys.exit(importlib.import_module({module!r}).{attr}())")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        results = []
+        for tag, lead in [("m", ["-m", "sparsesdr.cli"]),
+                          ("script", ["-c", script])]:
+            argv = [a.replace("OUT", str(tmp_path / tag)) for a in args]
+            proc = subprocess.run([sys.executable, *lead, *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            out = tmp_path / tag
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} \
+                if out.exists() else {}
+            results.append((proc.returncode, proc.stdout, proc.stderr, files))
+        return results
+
+    def test_script_target_is_run(self):
+        assert console_scripts() == {"sparsesdr": "sparsesdr.cli:run"}
+
+    @pytest.mark.parametrize("case, code", [("help", 0), ("bad seed", 2),
+                                            ("fit", 0)])
+    def test_both_entry_points_alike(self, tmp_path, case, code):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, FIT_CFG)
+        args = {"help": ["--help"],
+                "bad seed": ["fit", "--x", str(xp), "--y", str(yp),
+                             "--out", "OUT", "--seed", "-1"],
+                "fit": ["fit", "--x", str(xp), "--y", str(yp),
+                        "--config", str(cfg), "--out", "OUT"]}[case]
+        by_m, by_script = self.children(tmp_path, *args)
+        assert by_m[0] == code
+        assert by_m == by_script
+        if case == "fit":
+            assert "fit.json" in by_m[3]
+
+    def test_run_freezes_then_exits_with_mains_code(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 3 and events == ["freeze", "main"]
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, FIT_CFG)
+        assert gc.get_freeze_count() == 0
+        assert main(["fit", "--x", str(xp), "--y", str(yp), "--config",
+                     str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert gc.get_freeze_count() == 0 and gc.isenabled()

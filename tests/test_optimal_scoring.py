@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sparsesdr.admm import PenaltyParams, solve_step_a, step_a_objective
+from sparsesdr.admm import (_RELAX, PenaltyParams, solve_step_a,
+                            step_a_objective)
 from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
                                make_phenotype, simulate)
 from sparsesdr.errors import ValidationError
@@ -98,6 +99,20 @@ def quintile_instance():
     score = X[:, :3] @ [1.0, 0.7, 0.5]
     labels = np.digitize(score, np.quantile(score, [0.2, 0.4, 0.6, 0.8]))
     return center(matrix(X)), make_phenotype(labels, "categorical")
+
+
+def paired_column_instance(seed, n=150, p=60):
+    # columns 2k and 2k+1 correlated at ~0.96; a binary and a four-slice
+    # response driven by the first six columns
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    X[:, 1::2] = X[:, ::2] + 0.3 * rng.standard_normal((n, p // 2))
+    eta = X[:, :6] @ rng.uniform(0.5, 1.0, 6)
+    binary = (eta + rng.standard_normal(n) > 0).astype(int)
+    cont = eta + rng.standard_normal(n)
+    slices = np.digitize(cont, np.quantile(cont, [0.25, 0.5, 0.75]))
+    return (center(matrix(X)), make_phenotype(binary),
+            make_phenotype(slices, "categorical"))
 
 
 class TestInitTheta:
@@ -527,3 +542,28 @@ class TestWorkingSet:
                            rtol=1e-12, atol=1e-14)
         assert ds.kkt_max_rel is None and ds.kkt_slack is None
         assert ds.working_set_size == x.n_features
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kkt_slack_bounds_relaxed_fits(self, monkeypatch, seed):
+        # the full-rank working sets are solved at the held, over-relaxed
+        # step, and kkt_slack's |1 - a| (rho r + s) term covers it
+        x, binary, slices = paired_column_instance(seed)
+        calls = record_calls(monkeypatch, "solve_step_a")
+        for y, d, lam, delta in [(binary, 1, 5.0, 1.0), (binary, 1, 20.0, 1.0),
+                                 (binary, 1, 60.0, 0.8), (slices, 2, 30.0, 1.0),
+                                 (slices, 2, 100.0, 1.0)]:
+            del calls[:]
+            ds = fit(x, build_design(y), SolverConfig(
+                d=d, penalty=PenaltyParams(lam=lam, delta=delta), rho=2.0))
+            assert ds.converged and ds.inner_converged
+            assert calls[-1][3].relax == _RELAX
+            assert 0 < ds.kkt_max_rel <= ds.kkt_slack
+
+    def test_inner_iters_sums_every_solve(self, monkeypatch):
+        x, y = three_class_instance(3, n=300, p=40)
+        calls = record_calls(monkeypatch, "solve_step_a")
+        ds = fit(x, build_design(y), SolverConfig(
+            d=1, penalty=PenaltyParams(lam=60.0), rho=2.0,
+            outer_max_iter=4, inner_max_iter=200))
+        assert len(calls) > 1
+        assert ds.inner_iters == sum(c[3].n_iter for c in calls)
