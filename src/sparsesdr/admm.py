@@ -61,7 +61,6 @@ class StepAResult:
     dual_residual: float
     u: np.ndarray    # final scaled dual; with rho and B, a warm start
     rho: float       # final step parameter
-    relax: float = 1.0   # over-relaxation the solve ran with
 
 
 def shrink_rows(V: np.ndarray, params: PenaltyParams,
@@ -199,5 +198,4 @@ def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
             rho, u = rho * scale, u / scale
 
     return StepAResult(B=alpha, n_iter=n_iter, converged=converged, u=u,
-                       rho=rho, primal_residual=r_norm, dual_residual=s_norm,
-                       relax=relax)
+                       rho=rho, primal_residual=r_norm, dual_residual=s_norm)

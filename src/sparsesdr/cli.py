@@ -122,7 +122,6 @@ def cmd_fit(args) -> None:
             "outer_iters": ds.outer_iters,
             "inner_converged": summary["inner_converged"],
             "kkt_max_rel": summary["kkt_max_rel"],
-            "kkt_slack": summary["kkt_slack"],
             "working_set_size": summary["working_set_size"],
             "inner_iters": summary["inner_iters"],
             "objective": ds.objective_history,
@@ -149,7 +148,7 @@ def cmd_cv(args) -> None:
     x, y = _load_inputs(args)
     report = cross_validate(
         x, y, folds=cfg.cv_folds, method=cfg.cv_method, seed=args.seed,
-        plan=plan, top_m=cfg.top_m, knn_k=cfg.knn_k)
+        plan=plan, h=cfg.h, top_m=cfg.top_m, knn_k=cfg.knn_k)
     _write_outputs(args, [args.x, args.y], {
         "cv_report.tsv": cv_report_to_tsv(report),
         "cv_report.json": cv_report_to_json(report),
@@ -193,9 +192,9 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    x = _load_x(args.x)
     model = Path(args.model) / "model.json"
     clf = load_model(model)
+    x = _load_x(args.x)
     labels, scores = predict(clf, x)
     lines = ["id\tlabel\tscore"]
     for sid, lab, sc in zip(x.sample_ids, labels, scores):

@@ -462,14 +462,15 @@ def stratified_folds(labels, n_folds: int, seed: int):
 
 def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
                    method: str, seed: int = 0,
-                   plan: ScreeningPlan | None = None,
+                   plan: ScreeningPlan | None = None, h: int | None = None,
                    top_m: int | None = None, knn_k: int | None = None
                    ) -> CvReport:
     """Stratified k-fold CV; selection and model fitting see training rows
     only, test rows are centered with training means at prediction time.
 
     method 'sparse_sdr' builds each fold's model with `fit_model` (the plan's
-    screen, then nearest centroid on the projections); 'pvalue_rank' ranks features by chi-square
+    screen with `h` slices, then nearest centroid on the projections);
+    'pvalue_rank' ranks features by chi-square
     P-value and classifies with k-NN (when top_m / knn_k are not given, a
     small grid search on leave-one-out k-NN accuracy over the training rows;
     the reported train metrics stay resubstitution).
@@ -519,7 +520,7 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
 
         if method == "sparse_sdr":
             x_train_raw = x.take_rows(train_rows)
-            _, clf = fit_model(center(x_train_raw), y_train, plan)
+            _, clf = fit_model(center(x_train_raw), y_train, plan, h=h)
             tr_labels, tr_scores = predict(clf, x_train_raw)
             te_labels, te_scores = predict(clf, x.take_rows(test_rows))
             selected_ids = clf.feature_ids

@@ -48,7 +48,6 @@ class DirectionSet:
     objective_history: list[float] = field(default_factory=list)
     inner_converged: bool = True
     kkt_max_rel: float | None = None  # see fit; None at r > 0 or lambda = 0
-    kkt_slack: float | None = None    # bound on kkt_max_rel, or None
     working_set_size: int = 0         # columns the last step A was solved on
     inner_iters: int = 0              # ADMM iterations over every step A
 
@@ -80,30 +79,31 @@ def kkt_violations(G: np.ndarray, B: np.ndarray,
 class _WorkingSet:
     """The sorted columns W that step A is solved on, their submatrix X_W
     (X itself when W is every column) and its GramSolver, kept until W
-    grows. W never shrinks. `inner_iters` counts the ADMM iterations of
-    every solve it ran."""
+    grows. W never shrinks. `G` is the last KKT pass's gradient and
+    `inner_iters` counts the ADMM iterations of every solve it ran."""
 
-    def __init__(self, X: np.ndarray, every: bool):
-        self.X = X
+    def __init__(self, X: np.ndarray, ZtX: np.ndarray, every: bool):
+        self.X, self.ZtX = X, ZtX
         self.in_w = np.full(X.shape[1], every)
         self.cols = np.flatnonzero(self.in_w)
         self.X_W = X if every else X[:, self.cols]
-        self.gram = None
+        self.gram = self.G = None
         self.inner_iters = 0
 
-    def gradient(self, Ztheta: np.ndarray,
-                 res: StepAResult | None) -> np.ndarray:
-        """G = 2 X^T (Z Theta - X_W B_W) at res's B_W, over every column."""
-        R = Ztheta if res is None else Ztheta - self.X_W @ res.B
-        return 2.0 * (self.X.T @ R)
-
-    def add_violators(self, Ztheta: np.ndarray, res: StepAResult | None,
-                      thresh: float) -> tuple[bool, StepAResult | None]:
-        """Add every column outside W whose KKT score ||g_l|| exceeds
-        `thresh`. Returns whether W grew, and `res` mapped onto the new W
-        (new rows start at B = u = 0; rho is kept, and `solve_step_a` rescales
-        u if it changes rho)."""
-        score = np.linalg.norm(self.gradient(Ztheta, res), axis=1)
+    def kkt_pass(self, Ztheta: np.ndarray, Theta: np.ndarray,
+                 res: StepAResult | None,
+                 thresh: float) -> tuple[bool, StepAResult | None]:
+        """Store G = 2 X^T (Z Theta - X_W B_W) at res's B_W over every
+        column (2 (Z^T X)^T Theta at B = 0, when `res` is None), then add
+        every column outside W whose KKT score ||g_l|| exceeds `thresh`.
+        Returns whether W grew, and `res` mapped onto the new W (new rows
+        start at B = u = 0; rho is kept, and `solve_step_a` rescales u if it
+        changes rho)."""
+        if res is None:
+            self.G = 2.0 * (self.ZtX.T @ Theta)
+        else:
+            self.G = 2.0 * (self.X.T @ (Ztheta - self.X_W @ res.B))
+        score = np.linalg.norm(self.G, axis=1)
         score[self.in_w] = 0.0
         new = np.flatnonzero(score > thresh)
         if len(new) == 0:
@@ -129,38 +129,40 @@ class _WorkingSet:
         B[self.cols] = B_W
         return B
 
-    def solve(self, Ztheta: np.ndarray, cfg: SolverConfig,
+    def solve(self, Ztheta: np.ndarray, Theta: np.ndarray, cfg: SolverConfig,
               res: StepAResult | None) -> StepAResult | None:
-        """Step A for the response scores Ztheta over every column of X,
-        solved on W.
+        """Step A for the response scores Ztheta = Z Theta over every column
+        of X, solved on W.
 
         At r = 0, a KKT pass first adds every column outside W that
         violates the zero-row condition at the warm answer `res`; then
         `solve_step_a` runs on X_W, warm from `res`, and another pass adds
         the violators of its answer, until a pass adds none (the answer is
-        then optimal over every column, within the inner tolerance) or a
-        solve hits the inner cap (no certificate is possible; it is reported
-        unconverged). At r > 0 W is every column and one solve runs. None
-        when W is empty: B = 0 passed every column's test.
+        then optimal over every column, within the inner tolerance). A solve
+        that hits the inner cap certifies nothing: its pass scores the
+        answer but adds no column, and the step ends, reported unconverged.
+        So every step ends on a pass, and `G` is the gradient at its answer.
+        At r > 0 W is every column, one solve runs and no pass. None when W
+        is empty: B = 0 passed every column's test.
         """
         pen = cfg.penalty
-        solved = False
-        while True:
-            grew = False
-            if pen.r == 0:
-                grew, res = self.add_violators(Ztheta, res,
-                                               pen.lam * pen.delta)
-            if (solved and not grew) or len(self.cols) == 0:
-                return res
+        thresh = pen.lam * pen.delta
+        if pen.r == 0:
+            _, res = self.kkt_pass(Ztheta, Theta, res, thresh)
+        while len(self.cols) > 0:
             if self.gram is None:
                 self.gram = GramSolver(self.X_W)
             res = solve_step_a(self.X_W, Ztheta, pen, cfg.rho,
                                tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
                                gram=self.gram, warm=res)
             self.inner_iters += res.n_iter
-            solved = True
-            if pen.r > 0 or not res.converged:
-                return res
+            if pen.r > 0:
+                break
+            grew, res = self.kkt_pass(Ztheta, Theta, res,
+                                      thresh if res.converged else np.inf)
+            if not grew:
+                break
+        return res
 
 
 def check_theta_invariants(Theta: np.ndarray, D: np.ndarray,
@@ -202,15 +204,16 @@ def _scores(L: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.vstack([np.zeros((1, P.shape[1])), P]))
 
 
-def init_theta(design: ScoringDesign, X: np.ndarray, d: int) -> np.ndarray:
+def init_theta(design: ScoringDesign, ZtX: np.ndarray, d: int) -> np.ndarray:
     """The D-orthonormal scores deflated against the constant score that
-    maximize ||X^T Z Theta||_F: L^-T [0; P] (see `_score_svd`), P the top d
-    eigenvectors of L^-1 Z^T X X^T Z L^-T's trailing (h-1) x (h-1) block."""
+    maximize ||X^T Z Theta||_F, given ZtX = Z^T X: L^-T [0; P] (see
+    `_score_svd`), P the top d eigenvectors of L^-1 ZtX ZtX^T L^-T's
+    trailing (h-1) x (h-1) block."""
     h = design.h
     if d > h - 1:
         raise ValidationError(f"d={d} must be <= h-1={h - 1}")
     L = np.linalg.cholesky(design.D)
-    K = np.linalg.solve(L, design.Z.T @ X)[1:]
+    K = np.linalg.solve(L, ZtX)[1:]
     P = np.linalg.eigh(K @ K.T)[1][:, ::-1][:, :d]
     return _scores(L, P)
 
@@ -249,24 +252,17 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     `_WorkingSet.solve`), so a sparse answer factors a |W| x |W| Gram
     matrix, not one as wide as X. At r = 0, W starts empty and grows by the
     columns that fail the zero-row KKT test ||2 X_l^T (Z Theta - X B)|| <=
-    lambda delta; each step stops when a pass finds no violator or its
-    solve hits the inner cap. At r > 0 the penalty's slope is infinite at
-    zero, so that test certifies nothing, and W is every column from the
-    start. `working_set_size` is |W| at the end.
+    lambda delta; each step ends on a pass that finds no violator, or on
+    the pass after a solve that hit the inner cap. The first pass, at
+    B = 0, is 2 (Z^T X)^T Theta, from the Z^T X that `init_theta` reads. At
+    r > 0 the penalty's slope is infinite at zero, so that test certifies
+    nothing, and W is every column from the start. `working_set_size` is
+    |W| at the end.
 
     When r = 0 and lambda > 0, `kkt_max_rel` is the largest
     `kkt_violations` entry over every column at the returned Theta and B,
-    and `kkt_slack` bounds it when the last step A's last ADMM solve
-    converged: (s + 2 ||X_W||^2 r + |1 - a| (rho r + s)) / lambda, with s
-    and r that solve's last dual and primal residuals, rho its step and a
-    its over-relaxation (1 when it ran none). Columns outside W score 0
-    after the final pass, and at each ADMM iterate, with the relaxed
-    B_hat = a B + (1 - a) alpha_prev, the gradient differs from the
-    penalty's subgradient rho u by rho (alpha - alpha_prev)
-    + rho (1 - a)(B - alpha_prev) + 2 X_W^T X_W (B - alpha), whose norm is at
-    most that numerator, as rho ||B - alpha_prev|| <= rho r + s. Both are
-    None otherwise. `inner_iters` is the sum of the ADMM iterations of every
-    step-A solve the fit ran.
+    read from the last step's closing pass; None otherwise. `inner_iters`
+    is the sum of the ADMM iterations of every step-A solve the fit ran.
     """
     if not x.centered:
         raise ValidationError("predictors must be centered")
@@ -275,8 +271,9 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
 
     X, Z, D = x.values, design.Z, design.D
     d, pen = cfg.d, cfg.penalty
-    Theta_next = init_theta(design, X, d)
-    ws = _WorkingSet(X, every=pen.r > 0)
+    ZtX = Z.T @ X
+    Theta_next = init_theta(design, ZtX, d)
+    ws = _WorkingSet(X, ZtX, every=pen.r > 0)
 
     history: list[float] = []
     converged = False
@@ -286,7 +283,7 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
         Theta = Theta_next
         check_theta_invariants(Theta, D, np.eye(design.h)[0])
         Ztheta = Z @ Theta
-        res = ws.solve(Ztheta, cfg, res)
+        res = ws.solve(Ztheta, Theta, cfg, res)
         inner_ok = inner_ok and (res is None or res.converged)
         B_W = np.zeros((0, d)) if res is None else res.B
         history.append(step_a_objective(ws.X_W, Ztheta, B_W, pen))
@@ -298,21 +295,14 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
             break
 
     B = ws.full(B_W)
-    kkt = slack = None
+    kkt = None
     if pen.r == 0 and pen.lam > 0:
-        G = ws.gradient(Ztheta, res)
-        kkt = float(np.max(kkt_violations(G, B, pen), initial=0.0))
-        if res is None:
-            slack = 0.0
-        else:
-            s, r = res.dual_residual, res.primal_residual
-            slack = float(s + 2 * ws.gram.s2.max(initial=0.0) * r
-                          + abs(1 - res.relax) * (res.rho * r + s)) / pen.lam
+        kkt = float(np.max(kkt_violations(ws.G, B, pen), initial=0.0))
     V = _score_svd(ztxb, D)[3].T   # the final rotation (see above)
     V = V * column_signs(Theta @ V)
     B, Theta = B @ V, Theta @ V
     return DirectionSet(B=B, Theta=Theta, converged=converged,
                         outer_iters=outer, objective_history=history,
                         inner_converged=inner_ok, kkt_max_rel=kkt,
-                        kkt_slack=slack, working_set_size=len(ws.cols),
+                        working_set_size=len(ws.cols),
                         inner_iters=ws.inner_iters)

@@ -184,8 +184,8 @@ def report_summary(report: SelectionReport) -> dict:
     """JSON-ready summary of the screening run. `converged` holds only when
     every partition fit and the final fit converged, inner solves included;
     `inner_converged` covers the inner solves alone. `kkt_max_rel`,
-    `kkt_slack`, `working_set_size` and `inner_iters` are the final fit's
-    (see `optimal_scoring.fit`)."""
+    `working_set_size` and `inner_iters` are the final fit's (see
+    `optimal_scoring.fit`)."""
     final = report.final_directions
     inner = (final.inner_converged
              and all(r.inner_converged for r in report.stage_records))
@@ -197,7 +197,6 @@ def report_summary(report: SelectionReport) -> dict:
                           and all(r.converged for r in report.stage_records)),
         "inner_converged": bool(inner),
         "kkt_max_rel": final.kkt_max_rel,
-        "kkt_slack": final.kkt_slack,
         "working_set_size": final.working_set_size,
         "inner_iters": final.inner_iters,
         "stage_kept": {

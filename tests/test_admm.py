@@ -192,7 +192,8 @@ class TestSolveStepA:
         lam = 0.8
         params = PenaltyParams(lam=lam, delta=1.0, r=0.0)
         res = solve_step_a(X, Ztheta, params, 2.0, tol=1e-10, max_iter=10000)
-        assert res.relax == _RELAX   # full rank: the held, relaxed step
+        s2 = GramSolver(X).s2   # full rank: the held, relaxed step
+        assert res.rho == 2 * np.sqrt(s2[0] * s2[-1])
 
         L = 2 * np.linalg.eigvalsh(X.T @ X).max()
         B = np.zeros((12, 2))
@@ -280,7 +281,7 @@ class TestStepRule:
         gram = GramSolver(X)
         a, b = (solve_step_a(X, Ztheta, self.PARAMS, rho, tol=1e-8,
                              max_iter=5000) for rho in (0.5, 8.0))
-        assert a.converged and a.relax == _RELAX
+        assert a.converged
         assert a.rho == b.rho == 2 * np.sqrt(gram.s2[0] * gram.s2[-1])
         assert a.n_iter == b.n_iter
         assert np.array_equal(a.B, b.B)
@@ -299,7 +300,8 @@ class TestStepRule:
         params = replace(self.PARAMS, r=0.3 if case == "r>0" else 0.0)
         a, b = (solve_step_a(X, Ztheta, params, rho, tol=1e-8, max_iter=1000)
                 for rho in (0.5, 8.0))
-        assert a.relax == b.relax == 1.0
+        s2 = GramSolver(X).s2
+        assert 2 * np.sqrt(s2[0] * s2[-1]) not in (a.rho, b.rho)
         assert a.n_iter != b.n_iter
 
     def test_resumed_after_the_columns_grow(self):
@@ -331,22 +333,23 @@ class TestStepRule:
 
     @pytest.mark.parametrize("seed", [22, 25])
     def test_relaxed_step_gradient_identity(self, seed):
-        # one relaxed step from (alpha_prev, u_prev): the gradient at its
-        # answer differs from rho u by rho (alpha - alpha_prev)
-        # + rho (1 - a)(B - alpha_prev) + 2 X^T X (B - alpha), the sum that
-        # optimal_scoring.fit's kkt_slack bounds
+        # one relaxed step from (alpha_prev, u_prev), at the held step rho*
+        # and a = _RELAX: the gradient at its answer differs from rho u by
+        # rho (alpha - alpha_prev) + rho (1 - a)(B - alpha_prev)
+        # + 2 X^T X (B - alpha)
         X, Ztheta = random_problem(seed, 50, 20, 3)
         gram = GramSolver(X)
         prev = solve_step_a(X, Ztheta, self.PARAMS, 2.0, max_iter=3,
                             gram=gram)
         res = solve_step_a(X, Ztheta, self.PARAMS, 2.0, max_iter=1,
                            gram=gram, warm=prev)
-        rho, a = res.rho, res.relax
+        rho, a = res.rho, _RELAX
         B = np.linalg.solve(X.T @ X + rho / 2 * np.eye(20),
                             X.T @ Ztheta + rho / 2 * (prev.B - prev.u))
         lhs = 2 * X.T @ (Ztheta - X @ res.B) - rho * res.u
         rhs = (rho * (res.B - prev.B) + rho * (1 - a) * (B - prev.B)
                + 2 * X.T @ X @ (B - res.B))
-        assert a == _RELAX and not res.converged
+        assert rho == 2 * np.sqrt(gram.s2[0] * gram.s2[-1])
+        assert not res.converged
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.max(np.abs(lhs))
         assert np.isclose(res.primal_residual, np.linalg.norm(B - res.B))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sparsesdr.admm import (_RELAX, PenaltyParams, solve_step_a,
-                            step_a_objective)
+from sparsesdr.admm import PenaltyParams, solve_step_a, step_a_objective
 from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
                                make_phenotype, simulate)
 from sparsesdr.errors import ValidationError
@@ -122,7 +121,7 @@ class TestInitTheta:
         design = build_design(y)
         for X in (x.values, np.zeros_like(x.values)):
             for d in (1, 2):
-                Theta = init_theta(design, X, d)
+                Theta = init_theta(design, design.Z.T @ X, d)
                 assert Theta.shape == (design.h, d)
                 check_theta_invariants(Theta, design.D, np.eye(design.h)[0])
 
@@ -130,7 +129,7 @@ class TestInitTheta:
         x, y = three_class_instance()
         design = build_design(y)
         with pytest.raises(ValidationError):
-            init_theta(design, x.values, design.h)
+            init_theta(design, design.Z.T @ x.values, design.h)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_spans_top_generalized_eigenvectors(self, d):
@@ -141,7 +140,7 @@ class TestInitTheta:
         design = build_design(y)
         XtZ = x.values.T @ design.Z
         V = scipy.linalg.eigh(XtZ.T @ XtZ, design.D)[1][:, ::-1][:, :d]
-        Theta = init_theta(design, x.values, d)
+        Theta = init_theta(design, XtZ.T, d)
         assert np.max(scipy.linalg.subspace_angles(Theta, V)) < 1e-10
 
 
@@ -334,20 +333,25 @@ class TestFit:
         check_theta_invariants(ds.Theta, design.D, np.eye(design.h)[0])
 
     @pytest.mark.parametrize("case", [
-        "h=3,d=2", "h=5,d=2,outer cap 1", "h=5,d=2,outer cap 3"])
+        "h=3,d=2", "h=5,d=2,outer cap 1", "h=5,d=2,outer cap 3",
+        "h=3,d=2,inner cap 2"])
     def test_kkt_figures_describe_the_returned_pair(self, case):
         # kkt_max_rel is the KKT violation at the returned Theta and B, for
-        # a converged fit and for fits stopped by the outer cap alike
-        if case == "h=3,d=2":
+        # a converged fit, for fits stopped by the outer cap and for a fit
+        # whose only step A ends on a capped solve alike
+        cap, inner_cap = 100, 2 if "inner cap" in case else 1000
+        if case.startswith("h=3,d=2"):
             x, y = three_class_instance(3, n=300, p=40)
-            pen, cap = PenaltyParams(lam=60.0), 100
+            pen = PenaltyParams(lam=60.0)
         else:
             (x, y), pen = quintile_instance(), PenaltyParams(lam=30.0)
             cap = int(case[-1])
         design = build_design(y)
         ds = fit(x, design, SolverConfig(d=2, penalty=pen, rho=2.0,
-                                         outer_max_iter=cap))
-        assert ds.converged == (cap == 100) and ds.inner_converged
+                                         outer_max_iter=cap,
+                                         inner_max_iter=inner_cap))
+        assert ds.converged == (cap == 100)
+        assert ds.inner_converged == (inner_cap > 2)
         G = 2 * x.values.T @ (design.Z @ ds.Theta - x.values @ ds.B)
         want = np.max(kkt_violations(G, ds.B, pen))
         assert abs(ds.kkt_max_rel - want) <= 1e-8 * want
@@ -455,7 +459,6 @@ class TestWorkingSet:
         ds = fit(x, design, SolverConfig(d=d, penalty=pen, rho=2.0))
         assert ds.converged and ds.inner_converged
         assert 0 < ds.working_set_size < x.n_features
-        assert ds.kkt_max_rel <= ds.kkt_slack + 1e-12
         X, Ztheta = x.values, design.Z @ ds.Theta
         oracle = solve_step_a(X, Ztheta, pen, 2.0, tol=1e-10, max_iter=50000)
         assert oracle.converged
@@ -480,7 +483,6 @@ class TestWorkingSet:
                               tol=1e-10, max_iter=50000)
         assert np.flatnonzero(
             np.linalg.norm(oracle.B, axis=1)).tolist() == [0, 1]
-        assert ds.kkt_max_rel <= ds.kkt_slack + 1e-12
 
     def test_no_signal_needs_no_solve(self, monkeypatch):
         x, y = three_class_instance(6)
@@ -488,11 +490,12 @@ class TestWorkingSet:
         ds = fit(x, build_design(y), SolverConfig(
             d=2, penalty=PenaltyParams(lam=1e9), rho=2.0))
         assert calls == [] and ds.working_set_size == 0
-        assert ds.converged and ds.kkt_max_rel == 0 and ds.kkt_slack == 0
+        assert ds.converged and ds.kkt_max_rel == 0
 
     def test_capped_solve_ends_the_step(self, monkeypatch):
-        # a capped solve certifies nothing: no KKT pass follows it, so each
-        # outer iteration runs one solve and the fit is reported unconverged
+        # a capped solve certifies nothing: the KKT pass after it scores its
+        # answer but adds no column, so each outer iteration runs one solve
+        # and the fit is reported unconverged
         x, y = genotype_instance(120, 300, 1)
         calls = record_calls(monkeypatch, "solve_step_a")
         ds = fit(x, build_design(y), SolverConfig(
@@ -501,6 +504,54 @@ class TestWorkingSet:
         assert not ds.inner_converged
         assert len(calls) == ds.outer_iters
         assert not any(c[3].converged for c in calls)
+
+    @pytest.mark.parametrize("case", ["converged", "suppressor",
+                                      "inner cap 2"])
+    def test_each_step_ends_on_one_pass(self, monkeypatch, case):
+        # each step A opens with a KKT pass and ends on the pass after its
+        # last solve, capped or not, and kkt_max_rel is read from that pass:
+        # outer_iters + solves passes over every column in all. X is read in
+        # full once for Z^T X and once by each pass but the first, at B = 0,
+        # which reads Z^T X instead
+        from sparsesdr import optimal_scoring
+        (x, y), lam = ((suppressor_instance(), 40.0) if case == "suppressor"
+                       else (three_class_instance(3, n=300, p=40), 60.0))
+        n, p = x.values.shape
+        reads = []
+
+        class WideReads(np.ndarray):
+            # logs each product that reads every column of this n x p matrix
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    reads.extend(a.shape for a in inputs
+                                 if isinstance(a, WideReads) and p in a.shape)
+                inputs = [a.view(np.ndarray) if isinstance(a, WideReads)
+                          else a for a in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        X = x.values.view(WideReads)
+        monkeypatch.setattr(PredictorMatrix, "values", property(lambda m: X))
+        passes = []
+        kkt_pass = optimal_scoring._WorkingSet.kkt_pass
+
+        def counted(ws, *args):
+            before = len(reads)
+            out = kkt_pass(ws, *args)
+            passes.append(reads[before:])
+            del reads[before:]
+            return out
+        monkeypatch.setattr(optimal_scoring._WorkingSet, "kkt_pass", counted)
+        solves = record_calls(monkeypatch, "solve_step_a")
+        ds = fit(x, build_design(y), SolverConfig(
+            d=1, penalty=PenaltyParams(lam=lam), rho=2.0,
+            inner_max_iter=2 if case == "inner cap 2" else 1000))
+        assert ds.converged
+        assert ds.inner_converged == (case != "inner cap 2")
+        assert len(solves) > 1   # over many steps, or within one step
+        assert max(c[1][0].shape[1] for c in solves) < p
+        assert len(passes) == ds.outer_iters + len(solves)
+        assert passes[0] == [] and all(r == [(p, n)] for r in passes[1:])
+        assert reads == [(n, p)]   # Z^T X, read once for the whole fit
 
     def test_partition_fit_factors_narrow_grams(self, monkeypatch):
         # a sparse 400 x 500 partition fit (the README screen's first stage)
@@ -540,24 +591,30 @@ class TestWorkingSet:
         assert np.allclose(ds.row_norms(),
                            np.linalg.norm(solves[-1][3].B, axis=1),
                            rtol=1e-12, atol=1e-14)
-        assert ds.kkt_max_rel is None and ds.kkt_slack is None
+        assert ds.kkt_max_rel is None
         assert ds.working_set_size == x.n_features
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_kkt_slack_bounds_relaxed_fits(self, monkeypatch, seed):
+    def test_relaxed_fits_report_their_kkt_figure(self, monkeypatch, seed):
         # the full-rank working sets are solved at the held, over-relaxed
-        # step, and kkt_slack's |1 - a| (rho r + s) term covers it
+        # step rho* = 2 sqrt(s2_min s2_max), and kkt_max_rel is the KKT
+        # violation over every column at the returned pair
         x, binary, slices = paired_column_instance(seed)
         calls = record_calls(monkeypatch, "solve_step_a")
         for y, d, lam, delta in [(binary, 1, 5.0, 1.0), (binary, 1, 20.0, 1.0),
                                  (binary, 1, 60.0, 0.8), (slices, 2, 30.0, 1.0),
                                  (slices, 2, 100.0, 1.0)]:
             del calls[:]
-            ds = fit(x, build_design(y), SolverConfig(
-                d=d, penalty=PenaltyParams(lam=lam, delta=delta), rho=2.0))
+            design = build_design(y)
+            pen = PenaltyParams(lam=lam, delta=delta)
+            ds = fit(x, design, SolverConfig(d=d, penalty=pen, rho=2.0))
             assert ds.converged and ds.inner_converged
-            assert calls[-1][3].relax == _RELAX
-            assert 0 < ds.kkt_max_rel <= ds.kkt_slack
+            s2 = np.linalg.svd(calls[-1][1][0], compute_uv=False) ** 2
+            assert calls[-1][3].rho == pytest.approx(
+                2 * np.sqrt(s2.min() * s2.max()), rel=1e-10)
+            G = 2 * x.values.T @ (design.Z @ ds.Theta - x.values @ ds.B)
+            want = np.max(kkt_violations(G, ds.B, pen))
+            assert 0 < want and abs(ds.kkt_max_rel - want) <= 1e-8 * want
 
     def test_inner_iters_sums_every_solve(self, monkeypatch):
         x, y = three_class_instance(3, n=300, p=40)
