@@ -42,7 +42,9 @@ print("\nsummary:")
 for key, value in report_summary(report).items():
     print(f"  {key}: {value}")
 
-# the provenance map records which stage/partition kept each survivor
+# the stage records say which stage/partition kept each survivor
 some = sorted(int(j) for j in report.selected_indices)[:3]
 for j in some:
-    print(f"feature {j} kept by (stage, partition): {report.provenance[j]}")
+    trail = [(r.stage, r.partition) for r in report.stage_records
+             if j in r.kept_indices]
+    print(f"feature {j} kept by (stage, partition): {trail}")

@@ -114,10 +114,11 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(a.dot(a))
 
 
-def step_a_objective(X: np.ndarray, Ztheta: np.ndarray, B: np.ndarray,
+def step_a_objective(XB: np.ndarray, Ztheta: np.ndarray, B: np.ndarray,
                      params: PenaltyParams) -> float:
-    """The penalized least-squares objective this module minimizes."""
-    fit = float(np.sum((Ztheta - X @ B) ** 2))
+    """The penalized least-squares objective this module minimizes, at B
+    and its fitted values XB = X B."""
+    fit = float(np.sum((Ztheta - XB) ** 2))
     norms = np.linalg.norm(B, axis=1)
     pen = params.lam * ((1 - params.delta) * float(np.sum(norms ** 2))
                         + params.delta * float(np.sum(norms ** (1 - params.r))))
@@ -153,9 +154,9 @@ def solve_step_a(X: np.ndarray, Ztheta: np.ndarray, params: PenaltyParams,
     step is held at rho*, its scaled dual then rescaled to rho*.
 
     This solves on every column of the X it is given. `optimal_scoring.fit`
-    gives it the working set's columns X_W: at r = 0 a KKT pass over the
-    other columns adds violators and solves again until none is left or a
-    solve hits `max_iter`; at r > 0 X_W is every column.
+    gives it the working set's columns X_W: a KKT pass over the other
+    columns adds violators and solves again until none is left or a solve
+    hits `max_iter`; at r > 0 X_W is every column and no pass adds one.
     """
     if max_iter < 1 or tol <= 0:
         raise ValidationError("max_iter must be >= 1 and tol > 0")

@@ -12,6 +12,7 @@ import numpy as np
 
 from .dataset import Phenotype, PredictorMatrix, center
 from .errors import NumericError, ParseError, ValidationError
+from .scoring import slice_count
 from .screening import ScreeningPlan, SelectionReport, run_plan
 
 
@@ -468,6 +469,7 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
     """Stratified k-fold CV; selection and model fitting see training rows
     only, test rows are centered with training means at prediction time.
 
+    `h` is checked against the response (`slice_count`) for either method.
     method 'sparse_sdr' builds each fold's model with `fit_model` (the plan's
     screen with `h` slices, then nearest centroid on the projections);
     'pvalue_rank' ranks features by chi-square
@@ -488,6 +490,7 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
         raise ValidationError(
             f"cross-validation needs a binary response, got a {y.kind} "
             f"one{levels}")
+    slice_count(y, h)
     if folds < 2:
         raise ValidationError(f"cross-validation needs folds >= 2, got {folds}")
     for name, value in (("top_m", top_m), ("knn_k", knn_k)):

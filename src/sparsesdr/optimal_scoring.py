@@ -79,30 +79,34 @@ def kkt_violations(G: np.ndarray, B: np.ndarray,
 class _WorkingSet:
     """The sorted columns W that step A is solved on, their submatrix X_W
     (X itself when W is every column) and its GramSolver, kept until W
-    grows. W never shrinks. `G` is the last KKT pass's gradient and
-    `inner_iters` counts the ADMM iterations of every solve it ran."""
+    grows. W never shrinks. `fitted` and `G` are the last KKT pass's fitted
+    values and gradient, and `inner_iters` counts the ADMM iterations of
+    every solve it ran."""
 
     def __init__(self, X: np.ndarray, ZtX: np.ndarray, every: bool):
         self.X, self.ZtX = X, ZtX
         self.in_w = np.full(X.shape[1], every)
         self.cols = np.flatnonzero(self.in_w)
         self.X_W = X if every else X[:, self.cols]
-        self.gram = self.G = None
+        self.gram = self.G = self.fitted = None
         self.inner_iters = 0
 
     def kkt_pass(self, Ztheta: np.ndarray, Theta: np.ndarray,
                  res: StepAResult | None,
                  thresh: float) -> tuple[bool, StepAResult | None]:
-        """Store G = 2 X^T (Z Theta - X_W B_W) at res's B_W over every
-        column (2 (Z^T X)^T Theta at B = 0, when `res` is None), then add
-        every column outside W whose KKT score ||g_l|| exceeds `thresh`.
+        """Store the fitted values X_W B_W at res's B_W and the gradient
+        G = 2 X^T (Z Theta - X_W B_W) over every column (0 and
+        2 (Z^T X)^T Theta at B = 0, when `res` is None), then add every
+        column outside W whose KKT score ||g_l|| exceeds `thresh`.
         Returns whether W grew, and `res` mapped onto the new W (new rows
         start at B = u = 0; rho is kept, and `solve_step_a` rescales u if it
         changes rho)."""
         if res is None:
+            self.fitted = np.zeros_like(Ztheta)
             self.G = 2.0 * (self.ZtX.T @ Theta)
         else:
-            self.G = 2.0 * (self.X.T @ (Ztheta - self.X_W @ res.B))
+            self.fitted = self.X_W @ res.B
+            self.G = 2.0 * (self.X.T @ (Ztheta - self.fitted))
         score = np.linalg.norm(self.G, axis=1)
         score[self.in_w] = 0.0
         new = np.flatnonzero(score > thresh)
@@ -121,34 +125,25 @@ class _WorkingSet:
         self.gram = None
         return True, res
 
-    def full(self, B_W: np.ndarray) -> np.ndarray:
-        """The p x d coefficient matrix: B_W on W, zero elsewhere."""
-        if len(self.cols) == self.X.shape[1]:
-            return B_W
-        B = np.zeros((self.X.shape[1], B_W.shape[1]))
-        B[self.cols] = B_W
-        return B
-
     def solve(self, Ztheta: np.ndarray, Theta: np.ndarray, cfg: SolverConfig,
               res: StepAResult | None) -> StepAResult | None:
         """Step A for the response scores Ztheta = Z Theta over every column
         of X, solved on W.
 
-        At r = 0, a KKT pass first adds every column outside W that
-        violates the zero-row condition at the warm answer `res`; then
-        `solve_step_a` runs on X_W, warm from `res`, and another pass adds
-        the violators of its answer, until a pass adds none (the answer is
-        then optimal over every column, within the inner tolerance). A solve
-        that hits the inner cap certifies nothing: its pass scores the
-        answer but adds no column, and the step ends, reported unconverged.
-        So every step ends on a pass, and `G` is the gradient at its answer.
-        At r > 0 W is every column, one solve runs and no pass. None when W
-        is empty: B = 0 passed every column's test.
+        A KKT pass first adds every column outside W that violates the
+        zero-row condition at the warm answer `res`; then `solve_step_a`
+        runs on X_W, warm from `res`, and another pass adds the violators of
+        its answer, until a pass adds none (the answer is then optimal over
+        every column, within the inner tolerance). A solve that hits the
+        inner cap certifies nothing: its pass scores the answer but adds no
+        column, and the step ends, reported unconverged. So every step ends
+        on a pass, and `fitted` and `G` are at its answer. At r > 0 W is
+        every column, so both passes add nothing and one solve runs. None
+        when W is empty: B = 0 passed every column's test.
         """
         pen = cfg.penalty
         thresh = pen.lam * pen.delta
-        if pen.r == 0:
-            _, res = self.kkt_pass(Ztheta, Theta, res, thresh)
+        _, res = self.kkt_pass(Ztheta, Theta, res, thresh)
         while len(self.cols) > 0:
             if self.gram is None:
                 self.gram = GramSolver(self.X_W)
@@ -156,8 +151,6 @@ class _WorkingSet:
                                tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
                                gram=self.gram, warm=res)
             self.inner_iters += res.n_iter
-            if pen.r > 0:
-                break
             grew, res = self.kkt_pass(Ztheta, Theta, res,
                                       thresh if res.converged else np.inf)
             if not grew:
@@ -188,15 +181,13 @@ def column_signs(V: np.ndarray) -> np.ndarray:
     return np.where(top < 0, -1.0, 1.0)
 
 
-def _score_svd(ztxb: np.ndarray, D: np.ndarray):
-    """L with D = L L^T, and the thin SVD U s Vt of A = L^-1 ztxb less its
-    first row. Scores Theta = L^-T [0; P] are D-orthonormal and deflated
-    against the constant score q1 = e_1 exactly when P's columns are
-    orthonormal, and then tr(Theta^T ztxb) = tr(P^T A). A^T A = W^T D W,
-    for W = D^-1 ztxb deflated against q1."""
-    L = np.linalg.cholesky(D)
-    return (L, *np.linalg.svd(np.linalg.solve(L, ztxb)[1:],
-                              full_matrices=False))
+def _score_svd(ztxb: np.ndarray, L: np.ndarray):
+    """The thin SVD U s Vt of A = L^-1 ztxb less its first row, for the
+    design's D = L L^T. Scores Theta = L^-T [0; P] are D-orthonormal and
+    deflated against the constant score q1 = e_1 exactly when P's columns
+    are orthonormal, and then tr(Theta^T ztxb) = tr(P^T A). A^T A =
+    W^T D W, for W = D^-1 ztxb deflated against q1."""
+    return np.linalg.svd(np.linalg.solve(L, ztxb)[1:], full_matrices=False)
 
 
 def _scores(L: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -212,25 +203,26 @@ def init_theta(design: ScoringDesign, ZtX: np.ndarray, d: int) -> np.ndarray:
     h = design.h
     if d > h - 1:
         raise ValidationError(f"d={d} must be <= h-1={h - 1}")
-    L = np.linalg.cholesky(design.D)
-    K = np.linalg.solve(L, ZtX)[1:]
+    K = np.linalg.solve(design.L, ZtX)[1:]
     P = np.linalg.eigh(K @ K.T)[1][:, ::-1][:, :d]
-    return _scores(L, P)
+    return _scores(design.L, P)
 
 
-def theta_step(ztxb: np.ndarray, D: np.ndarray,
-               Theta: np.ndarray) -> np.ndarray:
+def theta_step(ztxb: np.ndarray, L: np.ndarray,
+               Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The scores that minimize ||Z Theta - X B||^2 for ztxb = Z^T X B, by
     maximizing tr(Theta^T ztxb): the D-metric polar factor
     W (W^T D W)^(-1/2) of W = D^-1 ztxb deflated against the constant
     score (Schoenemann 1966), as L^-T [0; U Vt] (see `_score_svd`), which
     stays D-orthonormal however ill-conditioned W is. When W^T D W is
     singular (B = 0 or of rank < d) the maximizer is not unique and
-    `Theta` is returned unchanged, which cannot raise the objective."""
-    L, U, s, Vt = _score_svd(ztxb, D)
+    `Theta` is returned unchanged, which cannot raise the objective.
+    Returned with the SVD's Vt: W Vt^T has D-orthogonal columns, largest
+    first."""
+    U, s, Vt = _score_svd(ztxb, L)
     if s[-1] <= _RANK_TOL * s[0]:
-        return Theta
-    return _scores(L, U @ Vt)
+        return Theta, Vt
+    return _scores(L, U @ Vt), Vt
 
 
 def fit(x: PredictorMatrix, design: ScoringDesign,
@@ -244,9 +236,9 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     the objective at each step A's answer. At d = h - 1 every start spans
     the same scores, so the loop stops at outer iteration 1 and
     `inner_max_iter` caps the fit's only step A. At the end (Theta, B) is
-    rotated once, by the right singular vectors of `_score_svd` at the
-    last B, so that W's columns are D-orthogonal, largest first: neither
-    the objective nor B's row norms change.
+    rotated once, by the Vt the last score step returned, so that W's
+    columns are D-orthogonal, largest first: neither the objective nor B's
+    row norms change.
 
     Each coefficient step is solved on a working set W of columns (see
     `_WorkingSet.solve`), so a sparse answer factors a |W| x |W| Gram
@@ -256,8 +248,10 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     the pass after a solve that hit the inner cap. The first pass, at
     B = 0, is 2 (Z^T X)^T Theta, from the Z^T X that `init_theta` reads. At
     r > 0 the penalty's slope is infinite at zero, so that test certifies
-    nothing, and W is every column from the start. `working_set_size` is
-    |W| at the end.
+    nothing, and W is every column from the start, so neither pass of a
+    step adds one. The objective and the score step read the fitted values
+    X_W B_W of each step's closing pass. `working_set_size` is |W| at the
+    end.
 
     When r = 0 and lambda > 0, `kkt_max_rel` is the largest
     `kkt_violations` entry over every column at the returned Theta and B,
@@ -286,19 +280,19 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
         res = ws.solve(Ztheta, Theta, cfg, res)
         inner_ok = inner_ok and (res is None or res.converged)
         B_W = np.zeros((0, d)) if res is None else res.B
-        history.append(step_a_objective(ws.X_W, Ztheta, B_W, pen))
-        ztxb = Z.T @ (ws.X_W @ B_W)
-        Theta_next = theta_step(ztxb, D, Theta)
+        history.append(step_a_objective(ws.fitted, Ztheta, B_W, pen))
+        Theta_next, Vt = theta_step(Z.T @ ws.fitted, design.L, Theta)
         off_span = Theta_next - Theta @ (Theta.T @ D @ Theta_next)
         if np.linalg.norm(off_span, axis=0).max() < cfg.outer_tol:
             converged = True
             break
 
-    B = ws.full(B_W)
+    B = np.zeros((X.shape[1], d))
+    B[ws.cols] = B_W
     kkt = None
     if pen.r == 0 and pen.lam > 0:
         kkt = float(np.max(kkt_violations(ws.G, B, pen), initial=0.0))
-    V = _score_svd(ztxb, D)[3].T   # the final rotation (see above)
+    V = Vt.T   # the final rotation (see above)
     V = V * column_signs(Theta @ V)
     B, Theta = B @ V, Theta @ V
     return DirectionSet(B=B, Theta=Theta, converged=converged,

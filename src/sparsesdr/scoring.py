@@ -12,11 +12,13 @@ from .errors import ValidationError
 
 @dataclass
 class ScoringDesign:
-    """Z = [phi(y_1), ..., phi(y_n)]^T with phi = [1, slice indicators] and
-    D = Z^T Z / n. Immutable after construction."""
+    """Z = [phi(y_1), ..., phi(y_n)]^T with phi = [1, slice indicators],
+    D = Z^T Z / n and its Cholesky factor L (D = L L^T), which every fit
+    of this design reads. Immutable after construction."""
 
     Z: np.ndarray
     D: np.ndarray
+    L: np.ndarray
     h: int
     slice_assignments: np.ndarray  # n-vector of slice index in [0, h)
 
@@ -40,35 +42,40 @@ def _assign_continuous_slices(y: np.ndarray, h: int) -> np.ndarray:
     return assign
 
 
-def build_design(y: Phenotype, h: int | None = None) -> ScoringDesign:
-    """Slice the response and build Z (n x h) and D = Z^T Z / n."""
-    n = len(y.labels)
-    if y.kind in ("binary", "categorical"):
-        levels = y.level_codes
-        if h is None:
-            h = len(levels)
-        if h != len(levels):
-            raise ValidationError(
-                f"h={h} but the response has {len(levels)} levels")
-        if h < 2:
-            raise ValidationError("h must be at least 2")
-        assign = np.empty(n, dtype=int)
-        for s, code in enumerate(levels):
-            assign[np.asarray(y.labels) == code] = s
-    else:
+def slice_count(y: Phenotype, h: int | None = None) -> int:
+    """The slice count of `y`'s design: a binary or categorical response's
+    level count, which `h` must equal when given; a continuous response's
+    `h`, at least 2 and at most the sample count."""
+    if y.kind == "continuous":
         if h is None or h < 2:
             raise ValidationError("a continuous response needs design.h >= 2")
-        if n < h:
-            raise ValidationError(f"need n >= h, got n={n}, h={h}")
+        if len(y.labels) < h:
+            raise ValidationError(f"need n >= h, got n={len(y.labels)}, h={h}")
+        return h
+    if h not in (None, y.n_levels):
+        raise ValidationError(f"h={h} but the response has {y.n_levels} levels")
+    if y.n_levels < 2:
+        raise ValidationError("h must be at least 2")
+    return y.n_levels
+
+
+def build_design(y: Phenotype, h: int | None = None) -> ScoringDesign:
+    """Slice the response into `slice_count(y, h)` slices and build Z
+    (n x h), D = Z^T Z / n and L. No slice is empty: each level of a
+    `Phenotype` has a sample, and each of h quantile slices of n >= h
+    samples holds at least n // h."""
+    n = len(y.labels)
+    h = slice_count(y, h)
+    if y.kind == "continuous":
         assign = _assign_continuous_slices(y.labels, h)
-
-    for s in range(h):
-        if not np.any(assign == s):
-            raise ValidationError(f"slice {s + 1} of {h} is empty")
-
+    else:
+        assign = np.empty(n, dtype=int)
+        for s, code in enumerate(y.level_codes):
+            assign[np.asarray(y.labels) == code] = s
     Z = np.zeros((n, h))
     Z[:, 0] = 1.0
     for s in range(1, h):
         Z[assign == s, s] = 1.0
     D = Z.T @ Z / n
-    return ScoringDesign(Z=Z, D=D, h=h, slice_assignments=assign)
+    return ScoringDesign(Z=Z, D=D, L=np.linalg.cholesky(D), h=h,
+                         slice_assignments=assign)

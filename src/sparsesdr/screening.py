@@ -3,7 +3,7 @@ partition, keep the top rows by coefficient norm, merge and repeat."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class SelectionReport:
     final_directions: DirectionSet   # fitted on the survivor columns
     selected_indices: np.ndarray     # survivors with nonzero final rows
     feature_ids: list[str]           # ids of all original features
-    provenance: dict = field(default_factory=dict)
 
     @property
     def selected_ids(self) -> list[str]:
@@ -125,7 +124,6 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     design = build_design(y, h)
     current = np.arange(x.n_features)
     records: list[StageRecord] = []
-    provenance: dict[int, list[tuple[int, int]]] = {}
 
     for stage_no, stage in enumerate(plan.stages, start=1):
         merged: list[int] = []
@@ -143,24 +141,17 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
             records.append(StageRecord(stage_no, part_no, kept, norms,
                                        ds.converged and ds.inner_converged,
                                        ds.inner_converged))
-            for j in kept:
-                provenance.setdefault(int(j), []).append((stage_no, part_no))
             merged.extend(int(j) for j in kept)
         current = np.array(sorted(merged))
 
     final_x = x.restrict(current) if plan.stages else x
     final_ds = optimal_scoring.fit(final_x, design, plan.final_fit)
-    selected = current[final_ds.row_norms() > 0]
-    for j in selected:
-        provenance.setdefault(int(j), []).append((0, 0))
-
     return SelectionReport(
         stage_records=records,
         survivors=current,
         final_directions=final_ds,
-        selected_indices=selected,
+        selected_indices=current[final_ds.row_norms() > 0],
         feature_ids=list(x.feature_ids),
-        provenance=provenance,
     )
 
 

@@ -130,8 +130,9 @@ def test_criterion_2_admm_vs_proximal_gradient():
             res = solve_step_a(X, z[:, None], params, 2.0, tol=1e-9,
                                max_iter=20000)
             oracle = fista_group_lasso(X, z, lam, n_steps=5000)
-            gap = (step_a_objective(X, z[:, None], res.B, params)
-                   - step_a_objective(X, z[:, None], oracle[:, None], params))
+            gap = (step_a_objective(X @ res.B, z[:, None], res.B, params)
+                   - step_a_objective(X @ oracle[:, None], z[:, None],
+                                      oracle[:, None], params))
             assert abs(gap) < 1e-5
         for seed in range(5):
             rng2 = np.random.default_rng(100 + seed)
@@ -143,8 +144,9 @@ def test_criterion_2_admm_vs_proximal_gradient():
             res = solve_step_a(X, z[:, None], params, 2.0, tol=1e-10,
                                max_iter=20000)
             oracle = prox_grad_r_half(X, z, lam)
-            gap = (step_a_objective(X, z[:, None], res.B, params)
-                   - step_a_objective(X, z[:, None], oracle[:, None], params))
+            gap = (step_a_objective(X @ res.B, z[:, None], res.B, params)
+                   - step_a_objective(X @ oracle[:, None], z[:, None],
+                                      oracle[:, None], params))
             assert abs(gap) < 1e-2
         assert time.monotonic() - t0 < 10.0
 

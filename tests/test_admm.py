@@ -183,8 +183,10 @@ class TestSolveStepA:
         X, Ztheta = random_problem(15, 40, 10, 2)
         params = PenaltyParams(lam=1.5, delta=1.0)
         res = solve_step_a(X, Ztheta, params, 2.0, tol=1e-9, max_iter=5000)
-        start = step_a_objective(X, Ztheta, np.zeros((10, 2)), params)
-        assert step_a_objective(X, Ztheta, res.B, params) <= start + 1e-9
+        start = step_a_objective(np.zeros_like(Ztheta), Ztheta,
+                                 np.zeros((10, 2)), params)
+        end = step_a_objective(X @ res.B, Ztheta, res.B, params)
+        assert end <= start + 1e-9
 
     def test_matches_proximal_gradient_oracle(self):
         # independent first-order method on the same convex (r=0) objective
@@ -203,8 +205,8 @@ class TestSolveStepA:
             norms = np.linalg.norm(V, axis=1)
             scale = np.maximum(0, 1 - (lam / L) / np.maximum(norms, 1e-300))
             B = V * scale[:, None]
-        gap = (step_a_objective(X, Ztheta, res.B, params)
-               - step_a_objective(X, Ztheta, B, params))
+        gap = (step_a_objective(X @ res.B, Ztheta, res.B, params)
+               - step_a_objective(X @ B, Ztheta, B, params))
         assert abs(gap) < 1e-6
         assert np.max(np.abs(res.B - B)) < 1e-4
 

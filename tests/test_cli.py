@@ -542,12 +542,15 @@ class TestCv:
         assert not out.exists()
 
     def test_design_h_refused_as_fit_refuses_it(self, tmp_path, capsys):
-        # each sparse_sdr fold slices by design.h, as `fit` does: five
-        # slices of a two-level response are refused before any write
+        # `cv` checks design.h against the response as `fit` does, for
+        # either method: five slices of a two-level response are refused
+        # before any write
         xp, yp, _ = write_dataset(tmp_path, n=150)
-        cfg = write_config(tmp_path, CV_CFG + "design.h = 5\n")
-        for command in ("fit", "cv"):
-            out = tmp_path / command
+        for command, method in (("fit", "sparse_sdr"), ("cv", "sparse_sdr"),
+                                ("cv", "pvalue_rank")):
+            cfg = write_config(tmp_path, CV_CFG.replace(
+                "sparse_sdr", method) + "design.h = 5\n")
+            out = tmp_path / f"{command}-{method}"
             assert main([command, "--x", str(xp), "--y", str(yp),
                          "--config", str(cfg), "--out", str(out)]) == 2
             assert ("h=5 but the response has 2 levels"

@@ -159,7 +159,7 @@ class TestThetaStep:
 
     def test_output_invariants(self):
         design, ztxb = self.setup_problem()
-        Theta = theta_step(ztxb, design.D, None)
+        Theta, _ = theta_step(ztxb, design.L, None)
         check_theta_invariants(Theta, design.D, np.eye(design.h)[0],
                                tol=1e-12)
         # a maximizer of tr(Theta^T ztxb) makes Theta^T ztxb symmetric and
@@ -170,8 +170,8 @@ class TestThetaStep:
 
     def test_scale_invariance_in_beta(self):
         design, ztxb = self.setup_problem()
-        t1 = theta_step(ztxb, design.D, None)
-        t2 = theta_step(10.0 * ztxb, design.D, None)
+        t1, _ = theta_step(ztxb, design.L, None)
+        t2, _ = theta_step(10.0 * ztxb, design.L, None)
         assert np.allclose(t1, t2, atol=1e-12)
 
     def test_matches_constrained_maximizer_oracle(self):
@@ -190,7 +190,7 @@ class TestThetaStep:
                 U, _, Vt = np.linalg.svd(np.linalg.solve(L, N.T @ M),
                                          full_matrices=False)
                 oracle = N @ np.linalg.solve(L.T, U @ Vt)
-                Theta = theta_step(M, D, None)
+                Theta, _ = theta_step(M, design.L, None)
                 assert np.max(np.abs(Theta - oracle)) < 1e-10
                 assert np.trace(Theta.T @ M) >= np.trace(oracle.T @ M) - 1e-10
 
@@ -199,21 +199,22 @@ class TestThetaStep:
         # deflated against q1
         rng = np.random.default_rng(12)
         for K in range(2, 7):
-            D = categorical_design(K, rng).D
+            design = categorical_design(K, rng)
+            D = design.D
             m = rng.standard_normal(K)
             w = np.linalg.solve(D, m)
             w -= (D[0] @ w) * np.eye(K)[0]
-            theta = theta_step(m[:, None], D, None)[:, 0]
+            theta = theta_step(m[:, None], design.L, None)[0][:, 0]
             assert np.max(np.abs(theta - w / np.sqrt(w @ D @ w))) < 1e-12
 
     def test_rank_deficient_returns_given_theta(self):
         # B = 0, or B of rank 1 at d = 2: tr(Theta^T ztxb) has no unique
         # maximizer, and the given scores come back as they are
         design, ztxb = self.setup_problem()
-        Theta = theta_step(ztxb, design.D, None)
+        Theta, _ = theta_step(ztxb, design.L, None)
         rank_one = np.outer(ztxb[:, 0], [1.0, -2.0])
         for M in (np.zeros_like(ztxb), rank_one):
-            assert theta_step(M, design.D, Theta) is Theta
+            assert theta_step(M, design.L, Theta)[0] is Theta
 
 
 class TestColumnSigns:
@@ -356,7 +357,7 @@ class TestFit:
         want = np.max(kkt_violations(G, ds.B, pen))
         assert abs(ds.kkt_max_rel - want) <= 1e-8 * want
         assert ds.objective_history[-1] == pytest.approx(
-            step_a_objective(x.values, design.Z @ ds.Theta, ds.B, pen),
+            step_a_objective(x.values @ ds.B, design.Z @ ds.Theta, ds.B, pen),
             rel=1e-12)
 
     @pytest.mark.parametrize("d, lam, bound, rows", [
@@ -392,7 +393,7 @@ class TestFit:
         ds = fit(x, build_design(y), SolverConfig(d=2, penalty=pen, rho=2.0))
         names = [c[0] for c in calls]
         _, args, _, res = calls[names.index("theta_step") - 1]
-        first = step_a_objective(args[0], args[1], res.B, pen)
+        first = step_a_objective(args[0] @ res.B, args[1], res.B, pen)
         assert max(ds.objective_history) <= first * (1 + 1e-12)
 
     def test_binary_fit_ends_at_its_first_step_a(self, monkeypatch):
@@ -464,8 +465,8 @@ class TestWorkingSet:
         assert oracle.converged
         assert np.array_equal(np.flatnonzero(ds.row_norms()),
                               np.flatnonzero(np.linalg.norm(oracle.B, axis=1)))
-        got = step_a_objective(X, Ztheta, ds.B, pen)
-        want = step_a_objective(X, Ztheta, oracle.B, pen)
+        got = step_a_objective(X @ ds.B, Ztheta, ds.B, pen)
+        want = step_a_objective(X @ oracle.B, Ztheta, oracle.B, pen)
         assert abs(got - want) <= 1e-9 * want
 
     def test_suppressor_is_added_by_the_kkt_pass(self, monkeypatch):
@@ -506,16 +507,24 @@ class TestWorkingSet:
         assert not any(c[3].converged for c in calls)
 
     @pytest.mark.parametrize("case", ["converged", "suppressor",
-                                      "inner cap 2"])
+                                      "inner cap 2", "r=0.5"])
     def test_each_step_ends_on_one_pass(self, monkeypatch, case):
         # each step A opens with a KKT pass and ends on the pass after its
         # last solve, capped or not, and kkt_max_rel is read from that pass:
-        # outer_iters + solves passes over every column in all. X is read in
-        # full once for Z^T X and once by each pass but the first, at B = 0,
-        # which reads Z^T X instead
+        # outer_iters + solves passes over every column in all. At r = 0, X
+        # is read in full once for Z^T X and once by each pass but the
+        # first, at B = 0, which reads Z^T X instead. At r > 0 W is every
+        # column, so each step is a pass, one solve on X and a pass, and
+        # each pass but the first reads X for X_W B_W and for the gradient
         from sparsesdr import optimal_scoring
-        (x, y), lam = ((suppressor_instance(), 40.0) if case == "suppressor"
-                       else (three_class_instance(3, n=300, p=40), 60.0))
+        pen = PenaltyParams(lam=60.0)
+        if case == "suppressor":
+            (x, y), pen = suppressor_instance(), PenaltyParams(lam=40.0)
+        elif case == "r=0.5":
+            x, y = three_class_instance(10)
+            pen = PenaltyParams(lam=0.5, delta=0.9, r=0.5)
+        else:
+            x, y = three_class_instance(3, n=300, p=40)
         n, p = x.values.shape
         reads = []
 
@@ -543,14 +552,21 @@ class TestWorkingSet:
         monkeypatch.setattr(optimal_scoring._WorkingSet, "kkt_pass", counted)
         solves = record_calls(monkeypatch, "solve_step_a")
         ds = fit(x, build_design(y), SolverConfig(
-            d=1, penalty=PenaltyParams(lam=lam), rho=2.0,
+            d=1, penalty=pen, rho=2.0, outer_max_iter=3 if pen.r else 100,
             inner_max_iter=2 if case == "inner cap 2" else 1000))
+        assert len(solves) > 1   # over many steps, or within one step
+        assert len(passes) == ds.outer_iters + len(solves)
+        assert passes[0] == []
+        if case == "r=0.5":
+            assert len(solves) == ds.outer_iters == 3
+            assert all(c[1][0].shape[1] == p for c in solves)
+            assert all(r == [(n, p), (p, n)] for r in passes[1:])
+            assert ds.kkt_max_rel is None
+            return
         assert ds.converged
         assert ds.inner_converged == (case != "inner cap 2")
-        assert len(solves) > 1   # over many steps, or within one step
         assert max(c[1][0].shape[1] for c in solves) < p
-        assert len(passes) == ds.outer_iters + len(solves)
-        assert passes[0] == [] and all(r == [(p, n)] for r in passes[1:])
+        assert all(r == [(p, n)] for r in passes[1:])
         assert reads == [(n, p)]   # Z^T X, read once for the whole fit
 
     def test_partition_fit_factors_narrow_grams(self, monkeypatch):

@@ -260,14 +260,54 @@ class TestRunPlan:
         assert len(s) == 20
 
     def test_provenance_complete(self):
+        # stage_records name the stage-one partition that kept each
+        # survivor, and selected_indices the survivors the final fit kept
         x, y, _ = signal_instance()
         plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
         report = run_plan(x, y, plan)
-        for j in report.survivors:
-            trail = report.provenance[int(j)]
-            assert trail[0][0] == 1  # kept at stage one
-        for j in report.selected_indices:
-            assert (0, 0) in report.provenance[int(j)]
+        ranges = partition_features(x.n_features, 4)
+        assert [(r.stage, r.partition) for r in report.stage_records] == [
+            (1, k) for k in range(4)]
+        for rec in report.stage_records:
+            lo, hi = ranges[rec.partition]
+            assert np.all((lo <= rec.kept_indices) & (rec.kept_indices < hi))
+        kept = np.concatenate([r.kept_indices for r in report.stage_records])
+        assert np.array_equal(np.sort(kept), report.survivors)
+        assert len(report.selected_indices) > 0
+        assert np.all(np.isin(report.selected_indices, report.survivors))
+
+    def test_one_factorization_per_design_and_svd_per_outer_iteration(
+            self, monkeypatch):
+        # run_plan builds one design and factors its D once for every fit;
+        # each outer iteration's score step takes one SVD, which the fit's
+        # final rotation reuses. Four slices at d = 1 < h - 1, so some fits
+        # run more than one outer iteration
+        from sparsesdr import optimal_scoring
+        calls = {"cholesky": 0, "_score_svd": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(optimal_scoring, "_score_svd",
+                            counted("_score_svd", optimal_scoring._score_svd))
+        fits, real_fit = [], optimal_scoring.fit
+        monkeypatch.setattr(optimal_scoring, "fit",
+                            lambda *args: fits.append(real_fit(*args))
+                            or fits[-1])
+        x, _, _ = signal_instance()
+        xc = center(x).values
+        score = xc[:, 10:20].sum(axis=1)
+        score += np.random.default_rng(0).standard_normal(len(score))
+        y = make_phenotype(score, "continuous")
+        plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(20.0))
+        run_plan(x, y, plan, h=4)
+        assert len(fits) == 5 and calls["cholesky"] == 1
+        outer = sum(ds.outer_iters for ds in fits)
+        assert outer > len(fits) and calls["_score_svd"] == outer
 
     def test_tsv_shape(self):
         x, y, _ = signal_instance()
