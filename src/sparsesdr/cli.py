@@ -20,9 +20,9 @@ from .dataset import (Phenotype, PredictorMatrix, SyntheticSpec,
                       align_phenotype, center, load_phenotype, load_predictors,
                       make_phenotype, simulate)
 from .errors import ParseError, SparseSdrError, ValidationError
-from .evaluation import (chi2_rank, cross_validate, cv_report_to_json,
-                         cv_report_to_tsv, fit_classifier, fit_model,
-                         load_model, model_to_json, predict)
+from .evaluation import (check_cv_settings, chi2_rank, cross_validate,
+                         cv_report_to_json, cv_report_to_tsv, fit_classifier,
+                         fit_model, load_model, model_to_json, predict)
 # bench/tracer.py hooks `build_design` and `fit_classifier` here by name
 from .scoring import build_design
 from .screening import report_summary, report_to_tsv, run_plan
@@ -144,6 +144,7 @@ def cmd_screen(args) -> None:
 
 def cmd_cv(args) -> None:
     cfg = _load_config(args)
+    check_cv_settings(cfg.cv_method, cfg.cv_folds, cfg.top_m, cfg.knn_k)
     plan = cfg.plan() if cfg.cv_method == "sparse_sdr" else None
     x, y = _load_inputs(args)
     report = cross_validate(

@@ -32,7 +32,10 @@ class PredictorMatrix:
     copies only its own raw columns, so fitting one partition never makes a
     float copy of the whole matrix. Arithmetic on the values of an
     uncentered matrix must convert them to float64 first: uint8 products
-    and sums wrap around.
+    and sums wrap around. Readers of the cells as given (`predict`,
+    `chi2_rank`, `cross_validate`) read `raw`, and the fits
+    (`optimal_scoring.fit`, `fit_classifier`, `run_plan`) center an
+    uncentered matrix themselves, so `m` and `center(m)` answer alike.
 
     Instances are treated as immutable after construction; downstream code
     (partition fits, CV folds) shares them freely.
@@ -344,13 +347,11 @@ def align_phenotype(x: PredictorMatrix, sample_ids: list[str],
 
 
 def center(m: PredictorMatrix) -> PredictorMatrix:
-    """`m` centered: its column means are computed once and stored for later
-    use on held-out data, and its raw cells are shared, not copied. The
-    means of uint8 dosages are exact sums divided by n, so they equal the
-    means of the same cells held as float64, and those of any column
-    subset."""
-    if m.centered:
-        raise ValidationError("matrix is already centered")
+    """`m` centered: its column means are computed once from `raw` and
+    stored for later use on held-out data, and its raw cells are shared,
+    not copied, so a centered `m` gets the same means again. The means of
+    uint8 dosages are exact sums divided by n, so they equal the means of
+    the same cells held as float64, and those of any column subset."""
     return PredictorMatrix(
         raw=m.raw,
         feature_ids=list(m.feature_ids),

@@ -33,7 +33,7 @@ def fit_classifier(x_train: PredictorMatrix, y: Phenotype,
                    B_kept: np.ndarray) -> ProjectionClassifier:
     """Project training rows onto B_kept and store per-class centroids."""
     if not x_train.centered:
-        raise ValidationError("training predictors must be centered")
+        x_train = center(x_train)
     if B_kept.shape[0] != x_train.n_features:
         raise ValidationError("B_kept rows must match kept feature count")
     if B_kept.shape[0] < 1 or B_kept.shape[1] < 1:
@@ -63,17 +63,22 @@ def fit_classifier(x_train: PredictorMatrix, y: Phenotype,
     )
 
 
-def fit_model(x_centered: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
+def fit_model(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
               h: int | None = None
               ) -> tuple[SelectionReport, ProjectionClassifier]:
     """Screen with `plan` (see `run_plan`), then fit the classifier on the
     selected features, or on every survivor when none is selected."""
-    report = run_plan(x_centered, y, plan, h=h)
+    slice_count(y, h)
+    if y.kind == "continuous":
+        raise ValidationError(
+            "a continuous response has no classes for the nearest-centroid "
+            "model; use `screen` to select its features")
+    report = run_plan(x, y, plan, h=h)
     keep = np.isin(report.survivors, report.selected_indices)
     if not keep.any():
         keep[:] = True
-    return report, fit_classifier(x_centered.restrict(report.survivors[keep]),
-                                  y, report.final_directions.B[keep])
+    return report, fit_classifier(x.restrict(report.survivors[keep]), y,
+                                  report.final_directions.B[keep])
 
 
 def model_to_json(clf: ProjectionClassifier) -> dict:
@@ -132,9 +137,9 @@ def load_model(path) -> ProjectionClassifier:
     return ProjectionClassifier(**m)
 
 
-def predict(clf: ProjectionClassifier, x_test_raw: PredictorMatrix):
-    """Nearest-centroid labels on test rows centered with the *training*
-    column means.
+def predict(clf: ProjectionClassifier, x_test: PredictorMatrix):
+    """Nearest-centroid labels on the raw test rows centered with the
+    *training* column means.
 
     The score is the signed projection onto the axis from the first class
     centroid c0 to the last c1 (control to case for binary phenotypes),
@@ -142,13 +147,12 @@ def predict(clf: ProjectionClassifier, x_test_raw: PredictorMatrix):
     0 when the two centroids coincide. Its sign agrees with the binary
     nearest-centroid label, and it keeps distinct projections apart where a
     difference of distances saturates at +-|c1 - c0|."""
-    pos = {f: j for j, f in enumerate(x_test_raw.feature_ids)}
+    pos = {f: j for j, f in enumerate(x_test.feature_ids)}
     missing = [f for f in clf.feature_ids if f not in pos]
     if missing:
         raise ValidationError(f"test data is missing features: {missing[:10]}")
     cols = [pos[f] for f in clf.feature_ids]
-    xt = np.subtract(x_test_raw.values[:, cols], clf.column_means,
-                     dtype=float)
+    xt = np.subtract(x_test.raw[:, cols], clf.column_means, dtype=float)
     proj = xt @ clf.B_kept
     dists = np.linalg.norm(
         proj[:, None, :] - clf.class_centroids[None, :, :], axis=2)
@@ -274,7 +278,7 @@ def _check_dosages(x: PredictorMatrix) -> None:
     """Refuse a matrix with any cell outside {0, 1, 2}, naming the first. A
     uint8 matrix is decided by its maximum; its cells are searched only to
     name a bad one."""
-    values = x.values
+    values = x.raw
     if values.dtype == np.uint8:
         if values.max(initial=0) <= 2:
             return
@@ -292,13 +296,17 @@ def _check_dosages(x: PredictorMatrix) -> None:
 def _genotype_counts(X: np.ndarray, group: np.ndarray,
                      n_groups: int) -> np.ndarray:
     """counts[r, g, j]: how many rows of group r (an integer per row of X)
-    hold dosage g in column j, as float64 holding exact integers."""
-    counts = np.empty((n_groups, 3, X.shape[1]))
-    for g in (1, 2):
-        eq = X == g
-        for r in range(n_groups):
-            counts[r, g] = np.count_nonzero(eq[group == r], axis=0)
+    hold dosage g in column j, as float64 holding exact integers. Sorted by
+    group, each group's rows are one slice, whose column sums n1 + 2 n2 and
+    counts of 2 give its counts (X's cells must be dosages in {0, 1, 2})."""
     sizes = np.bincount(group, minlength=n_groups)
+    ends = np.cumsum(sizes)
+    cells = X.astype(np.uint8, copy=False)[np.argsort(group)]
+    counts = np.empty((n_groups, 3, X.shape[1]))
+    for r in range(n_groups):
+        block = cells[ends[r] - sizes[r]:ends[r]]
+        counts[r, 2] = (block == 2).sum(axis=0, dtype=np.uint32)
+        counts[r, 1] = block.sum(axis=0, dtype=np.uint32) - 2 * counts[r, 2]
     counts[:, 0] = sizes[:, None] - counts[:, 1] - counts[:, 2]
     return counts
 
@@ -328,9 +336,9 @@ def _chi2_ranking(table: np.ndarray):
     return order, stat, p, flagged
 
 
-def chi2_rank(x_raw: PredictorMatrix, y: Phenotype):
+def chi2_rank(x: PredictorMatrix, y: Phenotype):
     """Per-feature Pearson chi-square on the 2 x 3 case/control-by-genotype
-    table, empty genotype columns dropped; df = non-empty columns - 1.
+    table of `x.raw`, empty genotype columns dropped; df = non-empty - 1.
 
     All p tables are counted in one pass over X and the statistics computed
     as arrays. The statistic sums its terms in the order (control g=0..2,
@@ -350,12 +358,12 @@ def chi2_rank(x_raw: PredictorMatrix, y: Phenotype):
     p) agree; a summation that rounds one of them an ulp apart orders them
     by that ulp.
     """
-    _check_dosages(x_raw)
+    _check_dosages(x)
     if y.kind != "binary":
         raise ValidationError("chi2_rank requires a binary phenotype")
     case = np.asarray(y.labels) == y.level_codes[1]
     order, stat, p, flagged = _chi2_ranking(
-        _genotype_counts(x_raw.values, case.astype(int), 2))
+        _genotype_counts(x.raw, case.astype(int), 2))
     return list(zip(order.tolist(), stat[order].tolist(), p[order].tolist(),
                     flagged[order].tolist()))
 
@@ -461,6 +469,18 @@ def stratified_folds(labels, n_folds: int, seed: int):
     return assign
 
 
+def check_cv_settings(method: str, folds: int, top_m: int | None = None,
+                      knn_k: int | None = None) -> None:
+    """Refuse an unknown method, fewer than 2 folds, or top_m or knn_k < 1."""
+    if method not in ("sparse_sdr", "pvalue_rank"):
+        raise ValidationError(f"unknown cv method {method!r}")
+    if folds < 2:
+        raise ValidationError(f"cross-validation needs folds >= 2, got {folds}")
+    for name, value in (("top_m", top_m), ("knn_k", knn_k)):
+        if value is not None and value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
 def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
                    method: str, seed: int = 0,
                    plan: ScreeningPlan | None = None, h: int | None = None,
@@ -477,11 +497,7 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
     small grid search on leave-one-out k-NN accuracy over the training rows;
     the reported train metrics stay resubstitution).
     """
-    if x.centered:
-        raise ValidationError("pass raw (uncentered) predictors to CV; "
-                              "centering happens inside each fold")
-    if method not in ("sparse_sdr", "pvalue_rank"):
-        raise ValidationError(f"unknown method {method!r}")
+    check_cv_settings(method, folds, top_m, knn_k)
     if method == "sparse_sdr" and plan is None:
         raise ValidationError("sparse_sdr needs a screening plan")
     if y.kind != "binary":
@@ -491,11 +507,6 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
             f"cross-validation needs a binary response, got a {y.kind} "
             f"one{levels}")
     slice_count(y, h)
-    if folds < 2:
-        raise ValidationError(f"cross-validation needs folds >= 2, got {folds}")
-    for name, value in (("top_m", top_m), ("knn_k", knn_k)):
-        if value is not None and value < 1:
-            raise ValidationError(f"{name} must be >= 1, got {value}")
     if top_m is not None and top_m > x.n_features:
         raise ValidationError(f"top_m = {top_m} exceeds the {x.n_features} "
                               "features")
@@ -508,7 +519,7 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
         # training table is all rows' counts less its own: exact integers,
         # so it equals the table of its training rows bit for bit.
         case = np.asarray(y.labels) == positive
-        counts = _genotype_counts(x.values, 2 * assign + case, 2 * folds)
+        counts = _genotype_counts(x.raw, 2 * assign + case, 2 * folds)
         counts = counts.reshape(folds, 2, 3, x.n_features)
         all_rows = counts.sum(axis=0)
 
@@ -536,7 +547,7 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
                 raise ValidationError("no valid (top_m, k) combination")
             best = None
             for m in m_grid:
-                tr = x.values[np.ix_(train_rows, ranked[:m])]
+                tr = x.raw[np.ix_(train_rows, ranked[:m])]
                 d2 = _sq_dists(tr, tr)
                 np.fill_diagonal(d2, np.inf)  # a row never votes on itself
                 order = _neighbour_order(d2, max(k_grid))  # serves every k
@@ -547,8 +558,8 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
                         best = (acc, m, k)
             _, m, k = best
             cols = ranked[:m]
-            tr = x.values[np.ix_(train_rows, cols)]
-            te = x.values[np.ix_(test_rows, cols)]
+            tr = x.raw[np.ix_(train_rows, cols)]
+            te = x.raw[np.ix_(test_rows, cols)]
             tr_labels, tr_scores = knn_predict(tr, y_train.labels, tr, k)
             te_labels, te_scores = knn_predict(tr, y_train.labels, te, k)
             selected_ids = [x.feature_ids[j] for j in cols]

@@ -9,7 +9,7 @@ import numpy as np
 
 from .admm import (GramSolver, PenaltyParams, StepAResult, solve_step_a,
                    step_a_objective)
-from .dataset import PredictorMatrix
+from .dataset import PredictorMatrix, center
 from .errors import NumericError, ValidationError
 from .scoring import ScoringDesign
 
@@ -257,9 +257,10 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     `kkt_violations` entry over every column at the returned Theta and B,
     read from the last step's closing pass; None otherwise. `inner_iters`
     is the sum of the ADMM iterations of every step-A solve the fit ran.
+    An uncentered `x` is centered first.
     """
     if not x.centered:
-        raise ValidationError("predictors must be centered")
+        x = center(x)
     if x.n_samples != design.n_samples:
         raise ValidationError("design/predictor sample counts differ")
 

@@ -115,13 +115,16 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     every feature. Every fit uses OpenBLAS's thread count as found
     (`OPENBLAS_NUM_THREADS` respected); the last bits of a wide fit can
     depend on that count. A first stage that `x` cannot feed is refused
-    before any fit.
+    before any fit, and so is a direction count d above h - 1.
     """
     if plan.stages:   # later stages were checked when `plan` was made
         _check_stage(1, plan.stages[0], x.n_features)
+    design = build_design(y, h)
+    d = plan.final_fit.d
+    if d > design.h - 1:
+        raise ValidationError(f"d={d} must be <= h-1={design.h - 1}")
     if not x.centered:
         x = center(x)
-    design = build_design(y, h)
     current = np.arange(x.n_features)
     records: list[StageRecord] = []
 

@@ -274,6 +274,39 @@ class TestFit:
         assert not out.exists() or not any(out.iterdir())
 
 
+    def test_continuous_response_refused_before_the_screen(
+            self, tmp_path, capsys, monkeypatch):
+        from sparsesdr import evaluation
+
+        def no_screen(*args, **kwargs):
+            raise AssertionError("screen run for a continuous response")
+        monkeypatch.setattr(evaluation, "run_plan", no_screen)
+        xp, yp, _ = write_dataset(tmp_path)
+        write_continuous_phenotype(yp)
+        cfg = write_config(tmp_path, SCREEN_CFG + "design.h = 4\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "continuous response" in err and "`screen`" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "screen"])
+    def test_d_above_h_minus_one_refused_before_any_fit(
+            self, tmp_path, capsys, monkeypatch, command):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit run with d > h - 1")
+        monkeypatch.setattr(optimal_scoring, "fit", no_fit)
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, SCREEN_CFG.replace("solver.d = 1",
+                                                        "solver.d = 2"))
+        out = tmp_path / "out"
+        assert main([command, "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"sparsesdr {command}: d=2 must be <= h-1=1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "screen"])
     def test_continuous_response_needs_design_h(self, tmp_path, capsys,
                                                 command):
@@ -572,6 +605,25 @@ class TestCv:
         rc = main(["cv", "--x", str(xp), "--y", str(yp),
                    "--config", str(cfg), "--out", str(out)])
         assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("cv.method = pvalue", "unknown cv method 'pvalue'"),
+        ("cv.folds = 1", "folds >= 2, got 1"),
+        ("cv.top_m = 0", "top_m must be >= 1, got 0"),
+        ("cv.knn_k = 0", "knn_k must be >= 1, got 0"),
+    ], ids=["method", "folds", "top_m", "knn_k"])
+    def test_bad_cv_setting_refused_before_the_data_is_read(
+            self, tmp_path, capsys, monkeypatch, setting, message):
+        def no_load(*args):
+            raise AssertionError("predictors read before the cv settings")
+        monkeypatch.setattr(cli, "load_predictors", no_load)
+        xp, yp, _ = write_dataset(tmp_path, n=150)
+        cfg = write_config(tmp_path, setting + "\n")
+        out = tmp_path / "out"
+        assert main(["cv", "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 

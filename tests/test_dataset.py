@@ -480,10 +480,15 @@ class TestCenter:
         m = PredictorMatrix(np.array([[5.0, -2.0]]), ["f1", "f2"], ["s"])
         assert np.all(center(m).values == 0)
 
-    def test_recenter_rejected(self):
-        m = center(PredictorMatrix(np.array([[1.0], [2.0]]), ["f"], ["a", "b"]))
-        with pytest.raises(ValidationError):
-            center(m)
+    def test_recenter_keeps_means(self):
+        # the means are read from the shared raw cells, so they come out
+        # the same again
+        x, _, _ = simulate(SyntheticSpec(40, 12, seed=3))
+        c = center(x)
+        again = center(c)
+        assert np.shares_memory(again.raw, x.raw)
+        assert_same_bits(again.column_means, c.column_means)
+        assert_same_bits(again.values, c.values)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)

@@ -145,9 +145,22 @@ def knn_oracle(x_train, labels, x_test, k):
     return np.array(pred), frac
 
 
+def uint8_cohort(seed=5, n=200, p=40):
+    """A simulated uint8 dosage cohort, 5 causal columns."""
+    x, y, _ = simulate(SyntheticSpec(
+        n_samples=n, n_features=p, maf_range=(0.1, 0.4),
+        support=[(j, 2.0) for j in range(5)], seed=seed))
+    assert x.raw.dtype == np.uint8
+    return x, y
+
+
 class TestChi2Rank:
     def dosage_matrix(self, cols):
         return matrix(np.array(cols, dtype=float).T)
+
+    def test_centered_matrix_ranked_by_its_raw_cells(self):
+        x, y = uint8_cohort()
+        assert chi2_rank(center(x), y) == chi2_rank(x, y)
 
     def chi2_oracle(self, col, case):
         table = np.zeros((2, 3))
@@ -503,11 +516,22 @@ class TestClassifier:
             x.values, x.feature_ids, x.sample_ids))
         assert np.array_equal(scores, np.zeros(100))
 
-    def test_requires_centered_training(self):
-        x, y = self.separated_instance(11)
-        raw = PredictorMatrix(x.values.copy(), x.feature_ids, x.sample_ids)
-        with pytest.raises(ValidationError, match="centered"):
-            fit_classifier(raw, y, np.ones((5, 1)))
+    def test_uncentered_training_centered_first(self):
+        x, y = uint8_cohort(11)
+        B = np.random.default_rng(11).standard_normal((x.n_features, 2))
+        raw, centered = fit_classifier(x, y, B), fit_classifier(center(x), y, B)
+        for name, value in vars(centered).items():
+            assert np.array_equal(getattr(raw, name), value), name
+
+    def test_predict_reads_raw_cells(self):
+        # a centered test matrix is centered once, with the training means
+        x, y = uint8_cohort(12)
+        B = np.random.default_rng(12).standard_normal((x.n_features, 1))
+        clf = fit_classifier(center(x.take_rows(range(150))), y.take(
+            range(150)), B)
+        test = x.take_rows(range(150, 200))
+        for got, want in zip(predict(clf, center(test)), predict(clf, test)):
+            assert np.array_equal(got, want)
 
     def test_missing_test_feature(self):
         x, y = self.separated_instance(12)
@@ -776,11 +800,13 @@ class TestCrossValidate:
             labels, scores = predict(clf, x.take_rows(test))
             assert f.test == metrics(y.labels[test], labels, scores, 1)
 
-    def test_centered_input_rejected(self):
+    @pytest.mark.parametrize("method", ["sparse_sdr", "pvalue_rank"])
+    def test_centered_input_answers_alike(self, method):
         x, y, _ = self.cv_instance()
-        with pytest.raises(ValidationError):
-            cross_validate(center(x), y, 4, "sparse_sdr", seed=0,
-                           plan=self.plan())
+        plan = self.plan() if method == "sparse_sdr" else None
+        reports = [cv_report_to_json(cross_validate(
+            m, y, 4, method, seed=0, plan=plan)) for m in (x, center(x))]
+        assert reports[0] == reports[1]
 
     def test_unknown_method(self):
         x, y, _ = self.cv_instance()

@@ -424,11 +424,16 @@ class TestFit:
             k = np.argmax(np.abs(ds.Theta[:, i]))
             assert ds.Theta[k, i] > 0
 
-    def test_requires_centered_input(self):
-        x, y = three_class_instance(9)
-        raw = PredictorMatrix(x.values.copy(), x.feature_ids, x.sample_ids)
-        with pytest.raises(ValidationError, match="centered"):
-            fit(raw, build_design(y), SolverConfig(d=1))
+    def test_uncentered_input_centered_first(self):
+        # raw uint8 dosages fit exactly as their centered matrix does
+        x, y, _ = simulate(SyntheticSpec(
+            n_samples=150, n_features=30, maf_range=(0.1, 0.4),
+            support=[(j, 1.5) for j in range(4)], seed=9))
+        design = build_design(y)
+        cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=5.0), rho=2.0)
+        raw, centered = fit(x, design, cfg), fit(center(x), design, cfg)
+        for name, value in vars(centered).items():
+            assert np.array_equal(getattr(raw, name), value), name
 
     def test_theta_invariants_on_result(self):
         x, y = three_class_instance(10)
