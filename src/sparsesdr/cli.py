@@ -199,7 +199,10 @@ def cmd_predict(args) -> None:
     labels, scores = predict(clf, x)
     lines = ["id\tlabel\tscore"]
     for sid, lab, sc in zip(x.sample_ids, labels, scores):
-        lines.append(f"{sid}\t{lab:g}\t{sc:.12g}")
+        # exactly as model.json holds it: an integral label as an integer
+        lab = float(lab)
+        lab = str(int(lab)) if lab.is_integer() else repr(lab)
+        lines.append(f"{sid}\t{lab}\t{sc:.12g}")
     _write_outputs(args, [args.x, model],
                    {"predictions.tsv": "\n".join(lines) + "\n"})
 

@@ -206,6 +206,13 @@ def _file_lines(fh):
         yield lineno + 1, rest.rstrip(b"\r")
 
 
+def _refuse_tab(path, lineno: int, kind: str, ids) -> None:
+    if "\t" in "".join(ids):   # every TSV output would split the id
+        bad = next(i for i in ids if "\t" in i)
+        raise ParseError(f"{path}: {kind} id {bad!r} at line {lineno} "
+                         "holds a tab")
+
+
 def _decode(path, lineno: int, raw: bytes) -> str:
     try:
         return raw.decode("utf-8")
@@ -254,7 +261,8 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
     The matrix is uint8 when every row is a dosage row, else float64.
     Single digits are exact, so both give the values `float()` gives. Line
     numbers in errors count every line of the file from 1, blank lines
-    included, and a line that is not UTF-8 is refused with its number.
+    included, and a line that is not UTF-8 or has an id holding a tab
+    (a CSV can) is refused with its number.
     """
     if format not in ("tsv", "csv"):
         raise ValidationError(f"unknown format {format!r}")
@@ -271,19 +279,21 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
         if len(header) < 2:
             raise ParseError(
                 f"{path}: header needs a sample-id column plus features")
+        _refuse_tab(path, lineno, "feature", header[1:])
         sep, width = delim.encode(), 2 * (len(header) - 1)
         base = np.uint16(ord(delim) << 8 | ord("0"))
         sample_ids, rows = [], []   # uint8 dosage and float64 rows
         for lineno, raw in lines:
-            cut = raw.find(sep)
+            cut, row = raw.find(sep), None
             if 0 <= cut == len(raw) - width:
                 cells = np.frombuffer(raw, ">u2", offset=cut) - base
                 if cells.max() <= 9:
-                    sample_ids.append(_decode(path, lineno, raw[:cut]).strip())
-                    rows.append(cells.astype(np.uint8))
-                    continue
-            row = _text_row(path, lineno, raw, delim, header)
+                    row = (_decode(path, lineno, raw[:cut]).strip(),
+                           cells.astype(np.uint8))
+            if row is None:
+                row = _text_row(path, lineno, raw, delim, header)
             if row is not None:
+                _refuse_tab(path, lineno, "sample", row[:1])
                 sample_ids.append(row[0])
                 rows.append(row[1])
     if not rows:
@@ -381,9 +391,12 @@ class SyntheticSpec:
             raise ValidationError("maf_range must be ordered within (0, 0.5]")
         if self.link not in ("logistic", "threshold"):
             raise ValidationError(f"unknown link {self.link!r}")
-        for j, _ in self.support:
+        for j, effect in self.support:
             if not (0 <= j < self.n_features):
                 raise ValidationError(f"support index {j} out of range")
+            if not math.isfinite(effect):
+                raise ValidationError(
+                    f"support effect must be finite, got {effect}")
 
 
 _SIM_BLOCK_CELLS = 1 << 20  # cells per `simulate` draw (8 MB as int64)

@@ -68,11 +68,11 @@ def fit_model(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
               ) -> tuple[SelectionReport, ProjectionClassifier]:
     """Screen with `plan` (see `run_plan`), then fit the classifier on the
     selected features, or on every survivor when none is selected."""
-    slice_count(y, h)
     if y.kind == "continuous":
         raise ValidationError(
             "a continuous response has no classes for the nearest-centroid "
             "model; use `screen` to select its features")
+    slice_count(y, h)
     report = run_plan(x, y, plan, h=h)
     keep = np.isin(report.survivors, report.selected_indices)
     if not keep.any():

@@ -13,8 +13,8 @@ from .dataset import PredictorMatrix, center
 from .errors import NumericError, ValidationError
 from .scoring import ScoringDesign
 
-# W has rank < d when its smallest singular value (in the D metric) is at
-# most this fraction of its largest
+# Zw^T X_W B_W has rank < d when its smallest singular value is at most
+# this fraction of its largest
 _RANK_TOL = np.sqrt(np.finfo(float).eps)
 
 
@@ -81,32 +81,32 @@ class _WorkingSet:
     (X itself when W is every column) and its GramSolver, kept until W
     grows. W never shrinks. `fitted` and `G` are the last KKT pass's fitted
     values and gradient, and `inner_iters` counts the ADMM iterations of
-    every solve it ran."""
+    every solve it ran. K = Zw^T X gives the gradient at B = 0."""
 
-    def __init__(self, X: np.ndarray, ZtX: np.ndarray, every: bool):
-        self.X, self.ZtX = X, ZtX
+    def __init__(self, X: np.ndarray, K: np.ndarray, every: bool):
+        self.X, self.K = X, K
         self.in_w = np.full(X.shape[1], every)
         self.cols = np.flatnonzero(self.in_w)
         self.X_W = X if every else X[:, self.cols]
         self.gram = self.G = self.fitted = None
         self.inner_iters = 0
 
-    def kkt_pass(self, Ztheta: np.ndarray, Theta: np.ndarray,
+    def kkt_pass(self, ZwP: np.ndarray, P: np.ndarray,
                  res: StepAResult | None,
                  thresh: float) -> tuple[bool, StepAResult | None]:
         """Store the fitted values X_W B_W at res's B_W and the gradient
-        G = 2 X^T (Z Theta - X_W B_W) over every column (0 and
-        2 (Z^T X)^T Theta at B = 0, when `res` is None), then add every
-        column outside W whose KKT score ||g_l|| exceeds `thresh`.
+        G = 2 X^T (Zw P - X_W B_W) over every column (0 and 2 K^T P at
+        B = 0, when `res` is None), then add every column outside W whose
+        KKT score ||g_l|| exceeds `thresh`.
         Returns whether W grew, and `res` mapped onto the new W (new rows
         start at B = u = 0; rho is kept, and `solve_step_a` rescales u if it
         changes rho)."""
         if res is None:
-            self.fitted = np.zeros_like(Ztheta)
-            self.G = 2.0 * (self.ZtX.T @ Theta)
+            self.fitted = np.zeros_like(ZwP)
+            self.G = 2.0 * (self.K.T @ P)
         else:
             self.fitted = self.X_W @ res.B
-            self.G = 2.0 * (self.X.T @ (Ztheta - self.fitted))
+            self.G = 2.0 * (self.X.T @ (ZwP - self.fitted))
         score = np.linalg.norm(self.G, axis=1)
         score[self.in_w] = 0.0
         new = np.flatnonzero(score > thresh)
@@ -125,9 +125,9 @@ class _WorkingSet:
         self.gram = None
         return True, res
 
-    def solve(self, Ztheta: np.ndarray, Theta: np.ndarray, cfg: SolverConfig,
+    def solve(self, ZwP: np.ndarray, P: np.ndarray, cfg: SolverConfig,
               res: StepAResult | None) -> StepAResult | None:
-        """Step A for the response scores Ztheta = Z Theta over every column
+        """Step A for the response scores Zw P = Z Theta over every column
         of X, solved on W.
 
         A KKT pass first adds every column outside W that violates the
@@ -143,15 +143,15 @@ class _WorkingSet:
         """
         pen = cfg.penalty
         thresh = pen.lam * pen.delta
-        _, res = self.kkt_pass(Ztheta, Theta, res, thresh)
+        _, res = self.kkt_pass(ZwP, P, res, thresh)
         while len(self.cols) > 0:
             if self.gram is None:
                 self.gram = GramSolver(self.X_W)
-            res = solve_step_a(self.X_W, Ztheta, pen, cfg.rho,
+            res = solve_step_a(self.X_W, ZwP, pen, cfg.rho,
                                tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
                                gram=self.gram, warm=res)
             self.inner_iters += res.n_iter
-            grew, res = self.kkt_pass(Ztheta, Theta, res,
+            grew, res = self.kkt_pass(ZwP, P, res,
                                       thresh if res.converged else np.inf)
             if not grew:
                 break
@@ -162,15 +162,14 @@ def check_theta_invariants(Theta: np.ndarray, D: np.ndarray,
                            q1: np.ndarray, tol: float = 1e-8) -> None:
     """Assert D-orthonormality of the score columns and deflation against
     the constant score."""
-    d = Theta.shape[1]
-    for i in range(d):
-        ti = Theta[:, i]
-        if abs(ti @ D @ ti - 1) > tol:
+    G, c = Theta.T @ D @ Theta, Theta.T @ D @ q1
+    for i in range(Theta.shape[1]):
+        if abs(G[i, i] - 1) > tol:
             raise NumericError(f"theta_{i} is not D-unit")
-        if abs(ti @ D @ q1) > tol:
+        if abs(c[i]) > tol:
             raise NumericError(f"theta_{i} not deflated against constant score")
         for j in range(i):
-            if abs(ti @ D @ Theta[:, j]) > tol:
+            if abs(G[i, j]) > tol:
                 raise NumericError(f"theta_{i} not D-orthogonal to theta_{j}")
 
 
@@ -181,48 +180,30 @@ def column_signs(V: np.ndarray) -> np.ndarray:
     return np.where(top < 0, -1.0, 1.0)
 
 
-def _score_svd(ztxb: np.ndarray, L: np.ndarray):
-    """The thin SVD U s Vt of A = L^-1 ztxb less its first row, for the
-    design's D = L L^T. Scores Theta = L^-T [0; P] are D-orthonormal and
-    deflated against the constant score q1 = e_1 exactly when P's columns
-    are orthonormal, and then tr(Theta^T ztxb) = tr(P^T A). A^T A =
-    W^T D W, for W = D^-1 ztxb deflated against q1."""
-    return np.linalg.svd(np.linalg.solve(L, ztxb)[1:], full_matrices=False)
-
-
 def _scores(L: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Theta = L^-T [0; P] (see `_score_svd`)."""
+    """Theta = L^-T [0; P], so that Z Theta = Zw P (see `ScoringDesign`)."""
     return np.linalg.solve(L.T, np.vstack([np.zeros((1, P.shape[1])), P]))
 
 
-def init_theta(design: ScoringDesign, ZtX: np.ndarray, d: int) -> np.ndarray:
-    """The D-orthonormal scores deflated against the constant score that
-    maximize ||X^T Z Theta||_F, given ZtX = Z^T X: L^-T [0; P] (see
-    `_score_svd`), P the top d eigenvectors of L^-1 ZtX ZtX^T L^-T's
-    trailing (h-1) x (h-1) block."""
-    h = design.h
-    if d > h - 1:
-        raise ValidationError(f"d={d} must be <= h-1={h - 1}")
-    K = np.linalg.solve(design.L, ZtX)[1:]
-    P = np.linalg.eigh(K @ K.T)[1][:, ::-1][:, :d]
-    return _scores(design.L, P)
+def init_theta(K: np.ndarray, d: int) -> np.ndarray:
+    """The orthonormal P that maximizes ||X^T Zw P||_F, given K = Zw^T X:
+    the top d eigenvectors of K K^T."""
+    if d > len(K):
+        raise ValidationError(f"d={d} must be <= h-1={len(K)}")
+    return np.linalg.eigh(K @ K.T)[1][:, ::-1][:, :d]
 
 
-def theta_step(ztxb: np.ndarray, L: np.ndarray,
-               Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The scores that minimize ||Z Theta - X B||^2 for ztxb = Z^T X B, by
-    maximizing tr(Theta^T ztxb): the D-metric polar factor
-    W (W^T D W)^(-1/2) of W = D^-1 ztxb deflated against the constant
-    score (Schoenemann 1966), as L^-T [0; U Vt] (see `_score_svd`), which
-    stays D-orthonormal however ill-conditioned W is. When W^T D W is
-    singular (B = 0 or of rank < d) the maximizer is not unique and
-    `Theta` is returned unchanged, which cannot raise the objective.
-    Returned with the SVD's Vt: W Vt^T has D-orthogonal columns, largest
-    first."""
-    U, s, Vt = _score_svd(ztxb, L)
+def theta_step(zwtxb: np.ndarray,
+               P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal P that minimizes ||Zw P - X B||^2, given
+    zwtxb = Zw^T X B = U s Vt: the polar factor U Vt (Schoenemann 1966).
+    When zwtxb has rank < d the maximizer of tr(P^T zwtxb) is not unique,
+    and `P` is returned unchanged, which cannot raise the objective.
+    Returned with Vt: zwtxb Vt^T has orthogonal columns, largest first."""
+    U, s, Vt = np.linalg.svd(zwtxb, full_matrices=False)
     if s[-1] <= _RANK_TOL * s[0]:
-        return Theta, Vt
-    return _scores(L, U @ Vt), Vt
+        return P, Vt
+    return U @ Vt, Vt
 
 
 def fit(x: PredictorMatrix, design: ScoringDesign,
@@ -235,23 +216,24 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     ways the last step A's (Theta, B) is returned; `objective_history` is
     the objective at each step A's answer. At d = h - 1 every start spans
     the same scores, so the loop stops at outer iteration 1 and
-    `inner_max_iter` caps the fit's only step A. At the end (Theta, B) is
-    rotated once, by the Vt the last score step returned, so that W's
-    columns are D-orthogonal, largest first: neither the objective nor B's
-    row norms change.
+    `inner_max_iter` caps the fit's only step A.
+
+    The loop holds the scores as an orthonormal P, with Z Theta = Zw P
+    (see `ScoringDesign`). Its only solve with L is the stopping test, which
+    measures the off-span part in Theta's coordinates. At the end (P, B) is
+    rotated once, by the last score step's Vt, so that Zw^T X B has
+    orthogonal columns, largest first; then Theta = L^-T [0; P] is formed,
+    signed by `column_signs` and checked.
 
     Each coefficient step is solved on a working set W of columns (see
     `_WorkingSet.solve`), so a sparse answer factors a |W| x |W| Gram
     matrix, not one as wide as X. At r = 0, W starts empty and grows by the
-    columns that fail the zero-row KKT test ||2 X_l^T (Z Theta - X B)|| <=
-    lambda delta; each step ends on a pass that finds no violator, or on
-    the pass after a solve that hit the inner cap. The first pass, at
-    B = 0, is 2 (Z^T X)^T Theta, from the Z^T X that `init_theta` reads. At
-    r > 0 the penalty's slope is infinite at zero, so that test certifies
-    nothing, and W is every column from the start, so neither pass of a
-    step adds one. The objective and the score step read the fitted values
-    X_W B_W of each step's closing pass. `working_set_size` is |W| at the
-    end.
+    columns that fail the zero-row KKT test ||2 X_l^T (Zw P - X B)|| <=
+    lambda delta; the first pass, at B = 0, is 2 K^T P, from the
+    K = Zw^T X that `init_theta` reads. At r > 0 that test certifies
+    nothing (the penalty's slope is infinite at zero): W is every column.
+    The objective and the score step read the fitted values X_W B_W of
+    each step's closing pass. `working_set_size` is |W| at the end.
 
     When r = 0 and lambda > 0, `kkt_max_rel` is the largest
     `kkt_violations` entry over every column at the returned Theta and B,
@@ -264,26 +246,23 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     if x.n_samples != design.n_samples:
         raise ValidationError("design/predictor sample counts differ")
 
-    X, Z, D = x.values, design.Z, design.D
+    X, Zw, L = x.values, design.Zw, design.L
     d, pen = cfg.d, cfg.penalty
-    ZtX = Z.T @ X
-    Theta_next = init_theta(design, ZtX, d)
-    ws = _WorkingSet(X, ZtX, every=pen.r > 0)
+    K = Zw.T @ X
+    P_next = init_theta(K, d)
+    ws = _WorkingSet(X, K, every=pen.r > 0)
 
     history: list[float] = []
-    converged = False
-    inner_ok = True
-    res = None
+    converged, inner_ok, res = False, True, None
     for outer in range(1, cfg.outer_max_iter + 1):
-        Theta = Theta_next
-        check_theta_invariants(Theta, D, np.eye(design.h)[0])
-        Ztheta = Z @ Theta
-        res = ws.solve(Ztheta, Theta, cfg, res)
+        P = P_next
+        ZwP = Zw @ P
+        res = ws.solve(ZwP, P, cfg, res)
         inner_ok = inner_ok and (res is None or res.converged)
         B_W = np.zeros((0, d)) if res is None else res.B
-        history.append(step_a_objective(ws.fitted, Ztheta, B_W, pen))
-        Theta_next, Vt = theta_step(Z.T @ ws.fitted, design.L, Theta)
-        off_span = Theta_next - Theta @ (Theta.T @ D @ Theta_next)
+        history.append(step_a_objective(ws.fitted, ZwP, B_W, pen))
+        P_next, Vt = theta_step(Zw.T @ ws.fitted, P)
+        off_span = _scores(L, P_next - P @ (P.T @ P_next))
         if np.linalg.norm(off_span, axis=0).max() < cfg.outer_tol:
             converged = True
             break
@@ -293,9 +272,10 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     kkt = None
     if pen.r == 0 and pen.lam > 0:
         kkt = float(np.max(kkt_violations(ws.G, B, pen), initial=0.0))
-    V = Vt.T   # the final rotation (see above)
-    V = V * column_signs(Theta @ V)
-    B, Theta = B @ V, Theta @ V
+    Theta = _scores(L, P @ Vt.T)   # the final rotation (see above)
+    signs = column_signs(Theta)
+    B, Theta = B @ (Vt.T * signs), Theta * signs
+    check_theta_invariants(Theta, design.D, np.eye(design.h)[0])
     return DirectionSet(B=B, Theta=Theta, converged=converged,
                         outer_iters=outer, objective_history=history,
                         inner_converged=inner_ok, kkt_max_rel=kkt,

@@ -13,12 +13,14 @@ from .errors import ValidationError
 @dataclass
 class ScoringDesign:
     """Z = [phi(y_1), ..., phi(y_n)]^T with phi = [1, slice indicators],
-    D = Z^T Z / n and its Cholesky factor L (D = L L^T), which every fit
-    of this design reads. Immutable after construction."""
+    D = Z^T Z / n = L L^T, and Zw = Z L^-T less its first column
+    (Zw^T Zw = n I): scores Theta = L^-T [0; P] are D-orthonormal and deflated
+    exactly when P is orthonormal, and then Z Theta = Zw P. Immutable."""
 
     Z: np.ndarray
     D: np.ndarray
     L: np.ndarray
+    Zw: np.ndarray
     h: int
     slice_assignments: np.ndarray  # n-vector of slice index in [0, h)
 
@@ -61,7 +63,7 @@ def slice_count(y: Phenotype, h: int | None = None) -> int:
 
 def build_design(y: Phenotype, h: int | None = None) -> ScoringDesign:
     """Slice the response into `slice_count(y, h)` slices and build Z
-    (n x h), D = Z^T Z / n and L. No slice is empty: each level of a
+    (n x h), D = Z^T Z / n, L and Zw. No slice is empty: each level of a
     `Phenotype` has a sample, and each of h quantile slices of n >= h
     samples holds at least n // h."""
     n = len(y.labels)
@@ -77,5 +79,6 @@ def build_design(y: Phenotype, h: int | None = None) -> ScoringDesign:
     for s in range(1, h):
         Z[assign == s, s] = 1.0
     D = Z.T @ Z / n
-    return ScoringDesign(Z=Z, D=D, L=np.linalg.cholesky(D), h=h,
-                         slice_assignments=assign)
+    L = np.linalg.cholesky(D)
+    Zw = np.linalg.solve(L, Z.T)[1:].T
+    return ScoringDesign(Z=Z, D=D, L=L, Zw=Zw, h=h, slice_assignments=assign)

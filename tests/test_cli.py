@@ -310,14 +310,24 @@ class TestFit:
     @pytest.mark.parametrize("command", ["fit", "screen"])
     def test_continuous_response_needs_design_h(self, tmp_path, capsys,
                                                 command):
+        # `screen` asks for design.h; `fit` refuses the response kind
+        # first, with or without design.h, so one run names the real issue
         xp, yp, _ = write_dataset(tmp_path)
         write_continuous_phenotype(yp)
-        cfg = write_config(tmp_path, SCREEN_CFG)
         out = tmp_path / "out"
-        assert main([command, "--x", str(xp), "--y", str(yp),
-                     "--config", str(cfg), "--out", str(out)]) == 2
-        assert ("a continuous response needs design.h >= 2"
-                in capsys.readouterr().err)
+        argv = [command, "--x", str(xp), "--y", str(yp), "--out", str(out)]
+        cfg = write_config(tmp_path, SCREEN_CFG)
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert not out.exists()
+        if command == "screen":
+            assert "a continuous response needs design.h >= 2" in err
+            return
+        assert "a continuous response has no classes" in err
+        cfg = write_config(tmp_path, SCREEN_CFG + "design.h = 4\n", "h.cfg")
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "a continuous response has no classes" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_integer_ages_are_continuous(self, tmp_path, capsys):
@@ -699,6 +709,27 @@ class TestAssoc:
         assert_threads_refused(capsys, tmp_path / "out", [
             "assoc", "--x", str(xp), "--y", str(yp), "--threads", "-3"])
 
+    @pytest.mark.parametrize("which", ["feature", "sample"])
+    def test_csv_id_with_a_tab_refused(self, tmp_path, capsys, which):
+        # a CSV id may hold a tab, which would split its row of every TSV
+        # output; the id is refused with its line before anything is written
+        xp, yp, _ = write_dataset(tmp_path, n=20, p=3, support=2)
+        lines = xp.read_text().replace("\t", ",").splitlines()
+        if which == "feature":
+            lines[0] = lines[0].replace("f1", "f\t1")
+            bad, lineno = "'f\\t1'", 1
+        else:
+            lines[3] = lines[3].replace("s2", "s\t2")
+            bad, lineno = "'s\\t2'", 4
+        csv = tmp_path / "x.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["assoc", "--x", str(csv), "--y", str(yp),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{csv}: {which} id {bad} at line {lineno} holds a tab" in err
+        assert not out.exists()
+
 
     def test_repeated_predictor_sample_refused(self, tmp_path, capsys):
         # s1 twice and no s2: the sample counts match the phenotype's
@@ -826,6 +857,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("effect", ["nan", "inf"])
+    def test_non_finite_effect_refused(self, tmp_path, capsys, effect):
+        cfg = write_config(tmp_path, "simulate.n = 50\nsimulate.p = 10\n"
+                           "simulate.support = 3\n"
+                           f"simulate.effect = {effect}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert (f"support effect must be finite, got {effect}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_predictors_match_per_cell_text(self, tmp_path):
@@ -985,6 +1028,27 @@ class TestPredict:
         rc, out = self.run_predict(tmp_path, json.dumps(TWO_FEATURE_MODEL))
         assert rc == 0
         assert (out / "predictions.tsv").exists()
+
+    def predicted_labels(self, out):
+        rows = (out / "predictions.tsv").read_text().splitlines()[1:]
+        return [row.split("\t")[1] for row in rows]
+
+    @pytest.mark.parametrize("labels, text", [
+        ([0.0, 1.0], ["0", "1"]),
+        ([1234567.0, 7654321.0], ["1234567", "7654321"]),
+        ([-2.0, 0.1], ["-2", "0.1"]),
+        ([1.0 / 3, 2.5], [repr(1.0 / 3), "2.5"])],
+        ids=["zero_one", "seven_digits", "negative_and_fraction", "third"])
+    def test_labels_written_exactly(self, tmp_path, labels, text):
+        # an integral label as an integer, any other as its shortest
+        # round-trip repr: never rounded to 6 significant digits
+        rc, out = self.run_predict(tmp_path, json.dumps(
+            {**TWO_FEATURE_MODEL, "class_labels": labels}))
+        assert rc == 0
+        got = self.predicted_labels(out)
+        assert set(got) == set(text)
+        assert [float(v) for v in got] == [
+            labels[v == text[1]] for v in got]
 
     @pytest.mark.parametrize("model_text, message", [
         ("{not json", "not a JSON model"),

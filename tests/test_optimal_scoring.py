@@ -5,10 +5,11 @@ import scipy.linalg
 from sparsesdr.admm import PenaltyParams, solve_step_a, step_a_objective
 from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
                                make_phenotype, simulate)
-from sparsesdr.errors import ValidationError
-from sparsesdr.optimal_scoring import (SolverConfig, check_theta_invariants,
-                                       column_signs, fit, init_theta,
-                                       kkt_violations, theta_step)
+from sparsesdr.errors import NumericError, ValidationError
+from sparsesdr.optimal_scoring import (SolverConfig, _scores,
+                                       check_theta_invariants, column_signs,
+                                       fit, init_theta, kkt_violations,
+                                       theta_step)
 from sparsesdr.scoring import build_design
 from sir_oracle import principal_angle, sir_eigen
 
@@ -121,7 +122,9 @@ class TestInitTheta:
         design = build_design(y)
         for X in (x.values, np.zeros_like(x.values)):
             for d in (1, 2):
-                Theta = init_theta(design, design.Z.T @ X, d)
+                P = init_theta(design.Zw.T @ X, d)
+                assert np.allclose(P.T @ P, np.eye(d), atol=1e-12)
+                Theta = _scores(design.L, P)
                 assert Theta.shape == (design.h, d)
                 check_theta_invariants(Theta, design.D, np.eye(design.h)[0])
 
@@ -129,7 +132,7 @@ class TestInitTheta:
         x, y = three_class_instance()
         design = build_design(y)
         with pytest.raises(ValidationError):
-            init_theta(design, design.Z.T @ x.values, design.h)
+            init_theta(design.Zw.T @ x.values, design.h)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_spans_top_generalized_eigenvectors(self, d):
@@ -140,7 +143,7 @@ class TestInitTheta:
         design = build_design(y)
         XtZ = x.values.T @ design.Z
         V = scipy.linalg.eigh(XtZ.T @ XtZ, design.D)[1][:, ::-1][:, :d]
-        Theta = init_theta(design, XtZ.T, d)
+        Theta = _scores(design.L, init_theta(design.Zw.T @ x.values, d))
         assert np.max(scipy.linalg.subspace_angles(Theta, V)) < 1e-10
 
 
@@ -151,34 +154,39 @@ def categorical_design(K, rng):
 
 
 class TestThetaStep:
+    """`theta_step` maps Zw^T F, for fitted values F = X B, to the
+    orthonormal P whose scores Theta = `_scores(L, P)` maximize
+    tr(Theta^T Z^T F) over D-orthonormal scores deflated against q1."""
+
     def setup_problem(self, seed=0):
         x, y = three_class_instance(seed)
         design = build_design(y)
         B = np.random.default_rng(seed + 1).standard_normal((x.n_features, 2))
-        return design, design.Z.T @ (x.values @ B)
+        return design, x.values @ B
 
     def test_output_invariants(self):
-        design, ztxb = self.setup_problem()
-        Theta, _ = theta_step(ztxb, design.L, None)
+        design, F = self.setup_problem()
+        P, _ = theta_step(design.Zw.T @ F, None)
+        Theta = _scores(design.L, P)
         check_theta_invariants(Theta, design.D, np.eye(design.h)[0],
                                tol=1e-12)
-        # a maximizer of tr(Theta^T ztxb) makes Theta^T ztxb symmetric and
+        # a maximizer of tr(Theta^T Z^T F) makes Theta^T Z^T F symmetric and
         # positive definite
-        S = Theta.T @ ztxb
+        S = Theta.T @ design.Z.T @ F
         assert np.allclose(S, S.T, atol=1e-10)
         assert np.all(np.linalg.eigvalsh((S + S.T) / 2) > 0)
 
     def test_scale_invariance_in_beta(self):
-        design, ztxb = self.setup_problem()
-        t1, _ = theta_step(ztxb, design.L, None)
-        t2, _ = theta_step(10.0 * ztxb, design.L, None)
-        assert np.allclose(t1, t2, atol=1e-12)
+        design, F = self.setup_problem()
+        p1, _ = theta_step(design.Zw.T @ F, None)
+        p2, _ = theta_step(design.Zw.T @ (10.0 * F), None)
+        assert np.allclose(p1, p2, atol=1e-12)
 
     def test_matches_constrained_maximizer_oracle(self):
-        # Theta maximizes tr(Theta^T M) over D-orthonormal h x d scores
-        # D-orthogonal to q1 = e_1. Oracle: Theta = N L^-T P with N a basis
-        # of null(q1^T D), N^T D N = L L^T, and P = U V^T the polar factor
-        # of L^-1 N^T M = U S V^T
+        # Theta maximizes tr(Theta^T M), M = Z^T F, over D-orthonormal h x d
+        # scores D-orthogonal to q1 = e_1. Oracle: Theta = N L^-T P with N a
+        # basis of null(q1^T D), N^T D N = L L^T, and P = U V^T the polar
+        # factor of L^-1 N^T M = U S V^T
         rng = np.random.default_rng(11)
         for K in range(2, 7):
             design = categorical_design(K, rng)
@@ -186,35 +194,75 @@ class TestThetaStep:
             N = scipy.linalg.null_space(D[:1])
             L = np.linalg.cholesky(N.T @ D @ N)
             for d in range(1, K):
-                M = rng.standard_normal((K, d))
+                F = rng.standard_normal((design.n_samples, d))
+                M = design.Z.T @ F
                 U, _, Vt = np.linalg.svd(np.linalg.solve(L, N.T @ M),
                                          full_matrices=False)
                 oracle = N @ np.linalg.solve(L.T, U @ Vt)
-                Theta, _ = theta_step(M, design.L, None)
+                Theta = _scores(design.L, theta_step(design.Zw.T @ F,
+                                                     None)[0])
                 assert np.max(np.abs(Theta - oracle)) < 1e-10
                 assert np.trace(Theta.T @ M) >= np.trace(oracle.T @ M) - 1e-10
 
     def test_one_direction_is_normalized_w(self):
         # at d = 1 the polar factor is w / sqrt(w^T D w), with w = D^-1 m
-        # deflated against q1
+        # deflated against q1, for m = Z^T f
         rng = np.random.default_rng(12)
         for K in range(2, 7):
             design = categorical_design(K, rng)
             D = design.D
-            m = rng.standard_normal(K)
-            w = np.linalg.solve(D, m)
+            f = rng.standard_normal(design.n_samples)
+            w = np.linalg.solve(D, design.Z.T @ f)
             w -= (D[0] @ w) * np.eye(K)[0]
-            theta = theta_step(m[:, None], design.L, None)[0][:, 0]
+            P = theta_step((design.Zw.T @ f)[:, None], None)[0]
+            theta = _scores(design.L, P)[:, 0]
             assert np.max(np.abs(theta - w / np.sqrt(w @ D @ w))) < 1e-12
 
     def test_rank_deficient_returns_given_theta(self):
-        # B = 0, or B of rank 1 at d = 2: tr(Theta^T ztxb) has no unique
+        # B = 0, or B of rank 1 at d = 2: tr(P^T Zw^T X B) has no unique
         # maximizer, and the given scores come back as they are
-        design, ztxb = self.setup_problem()
-        Theta, _ = theta_step(ztxb, design.L, None)
-        rank_one = np.outer(ztxb[:, 0], [1.0, -2.0])
-        for M in (np.zeros_like(ztxb), rank_one):
-            assert theta_step(M, design.L, Theta)[0] is Theta
+        design, F = self.setup_problem()
+        zwtxb = design.Zw.T @ F
+        P, _ = theta_step(zwtxb, None)
+        rank_one = np.outer(zwtxb[:, 0], [1.0, -2.0])
+        for M in (np.zeros_like(zwtxb), rank_one):
+            assert theta_step(M, P)[0] is P
+
+
+class TestCheckThetaInvariants:
+    def valid_scores(self):
+        design = categorical_design(4, np.random.default_rng(13))
+        P = np.linalg.qr(
+            np.random.default_rng(14).standard_normal((3, 2)))[0]
+        return design.D, _scores(design.L, P)
+
+    def d_unit(self, D, t):
+        return t / np.sqrt(t @ D @ t)
+
+    def test_valid_scores_pass(self):
+        D, Theta = self.valid_scores()
+        check_theta_invariants(Theta, D, np.eye(4)[0], tol=1e-12)
+
+    def test_not_d_unit(self):
+        D, Theta = self.valid_scores()
+        Theta[:, 1] *= 1.01
+        with pytest.raises(NumericError, match="theta_1 is not D-unit"):
+            check_theta_invariants(Theta, D, np.eye(4)[0])
+
+    def test_not_deflated(self):
+        # D-unit, but with a share of the constant score
+        D, Theta = self.valid_scores()
+        Theta[:, 0] = self.d_unit(D, Theta[:, 0] + 0.1 * np.eye(4)[0])
+        with pytest.raises(NumericError, match="theta_0 not deflated"):
+            check_theta_invariants(Theta, D, np.eye(4)[0])
+
+    def test_not_d_orthogonal(self):
+        # both columns D-unit and deflated, but not D-orthogonal
+        D, Theta = self.valid_scores()
+        Theta[:, 1] = self.d_unit(D, Theta[:, 1] + 0.1 * Theta[:, 0])
+        with pytest.raises(NumericError,
+                           match="theta_1 not D-orthogonal to theta_0"):
+            check_theta_invariants(Theta, D, np.eye(4)[0])
 
 
 class TestColumnSigns:
@@ -293,17 +341,16 @@ class TestFit:
         # at d = h - 1 every start spans the same scores, so the first step
         # A is the optimum and the score step only rotates its scores: the
         # loop stops at outer iteration 1, and the final rotation gives the
-        # same B from any D-orthonormal start
+        # same B from any orthonormal start P, whose scores L^-T [0; P] are
+        # D-orthonormal and deflated
         from sparsesdr import optimal_scoring
         x, y = three_class_instance(3, n=300, p=40)
         design = build_design(y)
         cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=60.0), rho=2.0)
         fits = [fit(x, design, cfg)]
-        L = np.linalg.cholesky(design.D)
         for seed in range(3):
-            P = np.linalg.qr(
+            start = np.linalg.qr(
                 np.random.default_rng(seed).standard_normal((2, 2)))[0]
-            start = np.linalg.solve(L.T, np.vstack([np.zeros((1, 2)), P]))
             monkeypatch.setattr(optimal_scoring, "init_theta",
                                 lambda *args: start)
             fits.append(fit(x, design, cfg))

@@ -3,6 +3,7 @@ import pytest
 
 from sparsesdr.dataset import Phenotype, make_phenotype
 from sparsesdr.errors import ValidationError
+from sparsesdr.optimal_scoring import _scores, check_theta_invariants
 from sparsesdr.scoring import build_design
 
 
@@ -66,3 +67,24 @@ def test_D_positive_semidefinite():
     design = build_design(y, 3)
     vals = np.linalg.eigvalsh(design.D)
     assert vals.min() > 0  # all slices non-empty
+
+
+@pytest.mark.parametrize("h", [2, 3, 5])
+def test_whitened_basis_is_orthonormal(h):
+    # Zw = Z L^-T less its first column: Zw^T Zw = n I, and any orthonormal
+    # P gives D-orthonormal scores Theta = L^-T [0; P], deflated against
+    # the constant score e_1, with Z Theta = Zw P
+    rng = np.random.default_rng(h)
+    y = make_phenotype(rng.standard_normal(47), kind="continuous")
+    design = build_design(y, h)
+    n = design.n_samples
+    assert design.Zw.shape == (n, h - 1)
+    assert np.allclose(design.Zw.T @ design.Zw, n * np.eye(h - 1),
+                       atol=1e-12 * n)
+    for d in range(1, h):
+        P = np.linalg.qr(rng.standard_normal((h - 1, d)))[0]
+        Theta = _scores(design.L, P)
+        assert np.allclose(Theta.T @ design.D @ Theta, np.eye(d), atol=1e-12)
+        assert np.allclose(Theta.T @ design.D[:, 0], 0.0, atol=1e-12)
+        check_theta_invariants(Theta, design.D, np.eye(h)[0], tol=1e-12)
+        assert np.allclose(design.Z @ Theta, design.Zw @ P, atol=1e-12)

@@ -279,11 +279,11 @@ class TestRunPlan:
     def test_one_factorization_per_design_and_svd_per_outer_iteration(
             self, monkeypatch):
         # run_plan builds one design and factors its D once for every fit;
-        # each outer iteration's score step takes one SVD, which the fit's
-        # final rotation reuses. Four slices at d = 1 < h - 1, so some fits
-        # run more than one outer iteration
+        # each outer iteration takes one score step (one SVD), which the
+        # fit's final rotation reuses. Four slices at d = 1 < h - 1, so some
+        # fits run more than one outer iteration
         from sparsesdr import optimal_scoring
-        calls = {"cholesky": 0, "_score_svd": 0}
+        calls = {"cholesky": 0, "theta_step": 0}
 
         def counted(name, fn):
             def wrapped(*args, **kwargs):
@@ -292,8 +292,8 @@ class TestRunPlan:
             return wrapped
         monkeypatch.setattr(np.linalg, "cholesky",
                             counted("cholesky", np.linalg.cholesky))
-        monkeypatch.setattr(optimal_scoring, "_score_svd",
-                            counted("_score_svd", optimal_scoring._score_svd))
+        monkeypatch.setattr(optimal_scoring, "theta_step",
+                            counted("theta_step", optimal_scoring.theta_step))
         fits, real_fit = [], optimal_scoring.fit
         monkeypatch.setattr(optimal_scoring, "fit",
                             lambda *args: fits.append(real_fit(*args))
@@ -307,7 +307,7 @@ class TestRunPlan:
         run_plan(x, y, plan, h=4)
         assert len(fits) == 5 and calls["cholesky"] == 1
         outer = sum(ds.outer_iters for ds in fits)
-        assert outer > len(fits) and calls["_score_svd"] == outer
+        assert outer > len(fits) and calls["theta_step"] == outer
 
     def test_tsv_shape(self):
         x, y, _ = signal_instance()
