@@ -25,7 +25,6 @@ print(f"cohort: {x.n_samples} samples x {x.n_features} features, "
       f"{int(y.labels.sum())} cases")
 print(f"planted support: {sorted(truth)}")
 
-xc = center(x)
 design = build_design(y)   # binary response -> 2 slices
 
 # ------------------------------------------------------------ sparse fit
@@ -34,7 +33,7 @@ cfg = SolverConfig(
     penalty=PenaltyParams(lam=40.0, delta=1.0, r=0.0),
     rho=2.0,
 )
-directions = fit(xc, design, cfg)
+directions = fit(x, design, cfg)   # fit centers x's columns
 selected = np.flatnonzero(directions.row_norms() > 0)
 print(f"\npenalized fit converged in {directions.outer_iters} outer "
       f"iterations; {len(selected)} nonzero rows")
@@ -47,10 +46,10 @@ print(f"true positives: {len(set(selected.tolist()) & truth)} / {len(truth)}")
 # slice-mean covariance M. With two slices M is rank one, proportional to
 # m m^T for m the case-minus-control mean difference, so the top
 # eigenvector is Sigma^-1 m.
-plain = fit(xc, design, SolverConfig(d=1, penalty=PenaltyParams(lam=0.0),
-                                     rho=2.0, outer_tol=1e-8,
-                                     outer_max_iter=300))
-X = xc.values
+plain = fit(x, design, SolverConfig(d=1, penalty=PenaltyParams(lam=0.0),
+                                    rho=2.0, outer_tol=1e-8,
+                                    outer_max_iter=300))
+X, _ = center(x)   # the cells less their column means, as the fit sees them
 m = X[y.labels == 1].mean(axis=0) - X[y.labels == 0].mean(axis=0)
 v = np.linalg.solve(X.T @ X, m)
 v /= np.linalg.norm(v)

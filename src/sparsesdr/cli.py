@@ -23,7 +23,8 @@ from .errors import ParseError, SparseSdrError, ValidationError
 from .evaluation import (check_cv_settings, chi2_rank, cross_validate,
                          cv_report_to_json, cv_report_to_tsv, fit_classifier,
                          fit_model, load_model, model_to_json, predict)
-# bench/tracer.py hooks `build_design` and `fit_classifier` here by name
+# bench/tracer.py hooks `build_design`, `center` and `fit_classifier` here
+# by name
 from .scoring import build_design
 from .screening import report_summary, report_to_tsv, run_plan
 
@@ -110,7 +111,7 @@ def cmd_fit(args) -> None:
     cfg = _load_config(args)
     plan = cfg.plan()
     x, y = _load_inputs(args)
-    report, clf = fit_model(center(x), y, plan, h=cfg.h)
+    report, clf = fit_model(x, y, plan, h=cfg.h)
     ds, summary = report.final_directions, report_summary(report)
     B = np.zeros((x.n_features, ds.B.shape[1]))
     B[report.survivors] = ds.B

@@ -24,18 +24,15 @@ def _refuse_repeats(ids: list[str], message: str) -> None:
 class PredictorMatrix:
     """Dense n_samples x n_features predictor matrix with feature identity.
 
-    `raw` holds the uncentered cells: uint8 as given (`load_predictors`
-    gives uint8 for a file whose cells are all single digits, and `simulate`
-    draws uint8 dosages), any other array as float64. `center` shares `raw`
-    and stores the column means; a centered matrix's `values` are then
-    `raw - column_means` in float64, computed on each read, and `restrict`
-    copies only its own raw columns, so fitting one partition never makes a
-    float copy of the whole matrix. Arithmetic on the values of an
-    uncentered matrix must convert them to float64 first: uint8 products
-    and sums wrap around. Readers of the cells as given (`predict`,
-    `chi2_rank`, `cross_validate`) read `raw`, and the fits
-    (`optimal_scoring.fit`, `fit_classifier`, `run_plan`) center an
-    uncentered matrix themselves, so `m` and `center(m)` answer alike.
+    `raw` holds the cells as given: uint8 (`load_predictors` gives uint8
+    for a file whose cells are all single digits, and `simulate` draws
+    uint8 dosages), any other array as float64. Arithmetic on `raw` must
+    convert uint8 cells to float64 first: uint8 products and sums wrap
+    around. Readers of the cells (`predict`, `chi2_rank`, `cross_validate`)
+    read `raw`, and each fit (`optimal_scoring.fit`, `fit_classifier`)
+    centers the columns it is handed with `center`. `restrict` copies only
+    its own columns, so fitting one partition never makes a float copy of
+    the whole matrix.
 
     Instances are treated as immutable after construction; downstream code
     (partition fits, CV folds) shares them freely.
@@ -44,7 +41,6 @@ class PredictorMatrix:
     raw: np.ndarray
     feature_ids: list[str]
     sample_ids: list[str]
-    column_means: np.ndarray | None = None  # set by `center`
 
     def __post_init__(self):
         self.raw = np.asarray(self.raw)
@@ -68,18 +64,6 @@ class PredictorMatrix:
                 f"feature {self.feature_ids[j]!r}")
 
     @property
-    def centered(self) -> bool:
-        return self.column_means is not None
-
-    @property
-    def values(self) -> np.ndarray:
-        """The cells: `raw` itself, or a new float64 `raw - column_means`
-        (same memory order as `raw`) when centered."""
-        if self.column_means is None:
-            return self.raw
-        return self.raw - self.column_means
-
-    @property
     def n_samples(self) -> int:
         return self.raw.shape[0]
 
@@ -88,21 +72,16 @@ class PredictorMatrix:
         return self.raw.shape[1]
 
     def restrict(self, columns) -> "PredictorMatrix":
-        """Column-restricted copy of `raw`, with those columns' stored means.
-        Its `values` equal this matrix's `values[:, columns]` bit for bit,
-        and are Fortran-ordered like them."""
+        """Column-restricted copy of `raw`, Fortran-ordered."""
         columns = np.asarray(columns, dtype=int)
         return PredictorMatrix(
             raw=self.raw[:, columns],
             feature_ids=[self.feature_ids[j] for j in columns],
             sample_ids=list(self.sample_ids),
-            column_means=None if self.column_means is None
-            else self.column_means[columns],
         )
 
     def take_rows(self, rows) -> "PredictorMatrix":
-        """Row-restricted copy of `raw`. Centering is dropped: a row subset
-        of a centered matrix is in general no longer centered."""
+        """Row-restricted copy of `raw`."""
         rows = np.asarray(rows, dtype=int)
         return PredictorMatrix(
             raw=self.raw[rows],
@@ -356,18 +335,13 @@ def align_phenotype(x: PredictorMatrix, sample_ids: list[str],
     return np.asarray(labels)[[pos[s] for s in x.sample_ids]]
 
 
-def center(m: PredictorMatrix) -> PredictorMatrix:
-    """`m` centered: its column means are computed once from `raw` and
-    stored for later use on held-out data, and its raw cells are shared,
-    not copied, so a centered `m` gets the same means again. The means of
-    uint8 dosages are exact sums divided by n, so they equal the means of
-    the same cells held as float64, and those of any column subset."""
-    return PredictorMatrix(
-        raw=m.raw,
-        feature_ids=list(m.feature_ids),
-        sample_ids=list(m.sample_ids),
-        column_means=m.raw.mean(axis=0),
-    )
+def center(m: PredictorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(`m.raw - means`, `means`) in float64, `means` being `m.raw`'s
+    column means; the centered cells keep `raw`'s memory order. The means
+    of uint8 dosages are exact sums divided by n, so those of any column
+    subset equal the whole matrix's bit for bit."""
+    means = m.raw.mean(axis=0)
+    return m.raw - means, means
 
 
 @dataclass

@@ -31,9 +31,8 @@ class ProjectionClassifier:
 
 def fit_classifier(x_train: PredictorMatrix, y: Phenotype,
                    B_kept: np.ndarray) -> ProjectionClassifier:
-    """Project training rows onto B_kept and store per-class centroids."""
-    if not x_train.centered:
-        x_train = center(x_train)
+    """Project the centered training rows onto B_kept and store per-class
+    centroids and the training column means."""
     if B_kept.shape[0] != x_train.n_features:
         raise ValidationError("B_kept rows must match kept feature count")
     if B_kept.shape[0] < 1 or B_kept.shape[1] < 1:
@@ -42,7 +41,8 @@ def fit_classifier(x_train: PredictorMatrix, y: Phenotype,
     classes = list(y.level_codes)
     if len(classes) < 2:
         raise ValidationError("need at least two classes")
-    proj = x_train.values @ B_kept
+    X, means = center(x_train)
+    proj = X @ B_kept
     centroids, priors = [], []
     for c in classes:
         mask = labels == c
@@ -55,7 +55,7 @@ def fit_classifier(x_train: PredictorMatrix, y: Phenotype,
     return ProjectionClassifier(
         B_kept=B_kept,
         feature_ids=list(x_train.feature_ids),
-        column_means=np.asarray(x_train.column_means),
+        column_means=means,
         class_labels=classes,
         class_centroids=centroids,
         class_priors=np.array(priors),
@@ -471,7 +471,8 @@ def stratified_folds(labels, n_folds: int, seed: int):
 
 def check_cv_settings(method: str, folds: int, top_m: int | None = None,
                       knn_k: int | None = None) -> None:
-    """Refuse an unknown method, fewer than 2 folds, or top_m or knn_k < 1."""
+    """Refuse an unknown method, fewer than 2 folds, top_m or knn_k < 1, or
+    an even knn_k, which cannot break a tie between CV's two classes."""
     if method not in ("sparse_sdr", "pvalue_rank"):
         raise ValidationError(f"unknown cv method {method!r}")
     if folds < 2:
@@ -479,6 +480,8 @@ def check_cv_settings(method: str, folds: int, top_m: int | None = None,
     for name, value in (("top_m", top_m), ("knn_k", knn_k)):
         if value is not None and value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
+    if knn_k is not None and knn_k % 2 == 0:
+        raise ValidationError(f"knn_k must be odd, got {knn_k}")
 
 
 def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
@@ -522,6 +525,9 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
         counts = _genotype_counts(x.raw, 2 * assign + case, 2 * folds)
         counts = counts.reshape(folds, 2, 3, x.n_features)
         all_rows = counts.sum(axis=0)
+        # a grid size past p reads the same p columns as p itself
+        m_grid = [top_m] if top_m is not None else sorted(
+            {min(m, x.n_features) for m in (10, 25, 50)})
 
     results = []
     for fold in range(folds):
@@ -533,14 +539,13 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
             raise NumericError(f"degenerate fold {fold}: single-class test set")
 
         if method == "sparse_sdr":
-            x_train_raw = x.take_rows(train_rows)
-            _, clf = fit_model(center(x_train_raw), y_train, plan, h=h)
-            tr_labels, tr_scores = predict(clf, x_train_raw)
+            x_train = x.take_rows(train_rows)
+            _, clf = fit_model(x_train, y_train, plan, h=h)
+            tr_labels, tr_scores = predict(clf, x_train)
             te_labels, te_scores = predict(clf, x.take_rows(test_rows))
             selected_ids = clf.feature_ids
         else:
             ranked, _, _, _ = _chi2_ranking(all_rows - counts[fold])
-            m_grid = [top_m] if top_m is not None else [10, 25, 50]
             k_grid = [k for k in ([knn_k] if knn_k is not None else [1, 3, 5])
                       if k < len(train_rows)]
             if not k_grid:

@@ -239,14 +239,13 @@ def fit(x: PredictorMatrix, design: ScoringDesign,
     `kkt_violations` entry over every column at the returned Theta and B,
     read from the last step's closing pass; None otherwise. `inner_iters`
     is the sum of the ADMM iterations of every step-A solve the fit ran.
-    An uncentered `x` is centered first.
+    X is `x`'s cells centered by `center`.
     """
-    if not x.centered:
-        x = center(x)
     if x.n_samples != design.n_samples:
         raise ValidationError("design/predictor sample counts differ")
 
-    X, Zw, L = x.values, design.Zw, design.L
+    X, _ = center(x)
+    Zw, L = design.Zw, design.L
     d, pen = cfg.d, cfg.penalty
     K = Zw.T @ X
     P_next = init_theta(K, d)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimal_scoring
+# bench/tracer.py hooks `center` here by name
 from .dataset import Phenotype, PredictorMatrix, center
 from .errors import SparseSdrError, ValidationError
 from .optimal_scoring import DirectionSet, SolverConfig
@@ -104,11 +105,11 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
              h: int | None = None) -> SelectionReport:
     """Execute the staged screening plan and the final fit.
 
-    `x` is centered once up front (`center` computes the column means and
-    shares the raw cells), and each partition fit centers only its own
-    columns, in float64, with those global means: no fit holds a float copy
-    of every column unless the plan has no stages. `h` is the slice count
-    passed to `build_design` (required for a continuous response).
+    Each partition fit centers only its own columns, in float64: no fit
+    holds a float copy of every column unless the plan has no stages. A
+    dosage column's mean is an exact sum over n, so it is the same in
+    every partition. `h` is the slice count passed to `build_design`
+    (required for a continuous response).
 
     Each stage fits its partitions in index order on the calling thread. No
     fit is random, and a plan with no stages is `optimal_scoring.fit` on
@@ -123,8 +124,6 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     d = plan.final_fit.d
     if d > design.h - 1:
         raise ValidationError(f"d={d} must be <= h-1={design.h - 1}")
-    if not x.centered:
-        x = center(x)
     current = np.arange(x.n_features)
     records: list[StageRecord] = []
 

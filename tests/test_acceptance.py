@@ -41,9 +41,9 @@ def three_class_instance(seed, n=400, p=8):
     labels = np.zeros(n, dtype=int)
     labels[X[:, 0] > 0.4] = 1
     labels[X[:, 1] - 0.3 * X[:, 0] > 0.4] = 2
-    values = PredictorMatrix(X, [f"f{j}" for j in range(p)],
-                             [f"s{i}" for i in range(n)])
-    return center(values), make_phenotype(labels)
+    x = PredictorMatrix(X, [f"f{j}" for j in range(p)],
+                        [f"s{i}" for i in range(n)])
+    return x, make_phenotype(labels)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ def test_criterion_1_sir_equivalence(unpenalized_fits):
         total = 0.0
         for x, y, design, cfg, ds, elapsed in unpenalized_fits:
             total += elapsed
-            _, vecs = sir_eigen(x.values, design.slice_assignments)
+            _, vecs = sir_eigen(center(x)[0], design.slice_assignments)
             assert principal_angle(ds.B, vecs[:, :2]) < 1e-3
         assert total < 5.0
 
@@ -351,7 +351,7 @@ def write_cohort(tmp_path, x, y, cfg_text):
     xp = tmp_path / "x.tsv"
     yp = tmp_path / "y.tsv"
     lines = ["\t".join(["id"] + x.feature_ids)]
-    for sid, row in zip(x.sample_ids, x.values):
+    for sid, row in zip(x.sample_ids, x.raw):
         lines.append("\t".join([sid] + [f"{v:g}" for v in row]))
     xp.write_text("\n".join(lines) + "\n")
     yp.write_text("".join(f"{s}\t{int(v)}\n"

@@ -26,7 +26,7 @@ def write_dataset(tmp_path, seed=42, n=120, p=30, effect=2.0, support=5):
     xp = tmp_path / "x.tsv"
     yp = tmp_path / "y.tsv"
     lines = ["\t".join(["id"] + x.feature_ids)]
-    for sid, row in zip(x.sample_ids, x.values):
+    for sid, row in zip(x.sample_ids, x.raw):
         lines.append("\t".join([sid] + [f"{v:g}" for v in row]))
     xp.write_text("\n".join(lines) + "\n")
     yp.write_text("".join(f"{s}\t{int(v)}\n"
@@ -154,6 +154,23 @@ class TestConfig:
         assert main([command, "--x", str(xp), "--y", str(yp),
                      "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["pvalue_rank", "sparse_sdr"])
+    def test_even_knn_k_refused_before_the_data_is_read(
+            self, tmp_path, capsys, monkeypatch, method):
+        # cv's response is binary, where an even k can tie
+        def no_load(*args):
+            raise AssertionError("predictors read before the config")
+        monkeypatch.setattr(cli, "load_predictors", no_load)
+        xp, yp, _ = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, FIT_CFG + f"cv.method = {method}\n"
+                                              "cv.knn_k = 2\n")
+        out = tmp_path / "out"
+        assert main(["cv", "--x", str(xp), "--y", str(yp),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "sparsesdr cv: knn_k must be odd, got 2\n")
         assert not out.exists()
 
     def test_key_set_twice_refused(self, tmp_path, capsys):
@@ -878,7 +895,7 @@ class TestSimulate:
                      "--seed", "5"]) == 0
         x, _, _ = simulate(SyntheticSpec(n_samples=30, n_features=12, seed=5))
         lines = ["\t".join(["id"] + x.feature_ids)]
-        for sid, row in zip(x.sample_ids, x.values):
+        for sid, row in zip(x.sample_ids, x.raw):
             lines.append("\t".join([sid] + [f"{v:g}" for v in row]))
         path = out / "predictors.tsv"
         assert path.read_text() == "\n".join(lines) + "\n"
@@ -1112,6 +1129,13 @@ class TestStartup:
 
     def test_cli_import_loads_no_scipy(self):
         assert modules_after("scipy", "import sparsesdr.cli") == []
+
+    @pytest.mark.parametrize("package", ["numpy.random",
+                                         "concurrent.futures", "logging",
+                                         "multiprocessing"])
+    def test_cli_import_loads_no_unneeded_module(self, package):
+        # start-up is most of a short command's wall time
+        assert modules_after(package, "import sparsesdr.cli") == []
 
     @pytest.mark.parametrize("package", ["scipy", "mpmath"])
     def test_import_and_help_load_no_test_extra(self, package):

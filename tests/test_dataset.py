@@ -22,10 +22,9 @@ class TestLoadPredictors:
         p = write(tmp_path, "x.tsv",
                   "id\tf1\tf2\ns1\t0\t2\ns2\t1\t1\ns3\t2\t0\n")
         m = load_predictors(p, "tsv")
-        assert m.values.tolist() == [[0, 2], [1, 1], [2, 0]]
+        assert m.raw.tolist() == [[0, 2], [1, 1], [2, 0]]
         assert m.feature_ids == ["f1", "f2"]
         assert m.sample_ids == ["s1", "s2", "s3"]
-        assert not m.centered
 
     def test_ragged_row(self, tmp_path):
         p = write(tmp_path, "x.tsv", "id\tf1\tf2\ns1\t0\t2\ns2\t1\n")
@@ -63,8 +62,8 @@ class TestLoadPredictors:
         m = load_predictors(write(tmp_path, "x.csv", text), "csv")
         assert m.feature_ids == ["a", "b", "c"]
         assert m.sample_ids == ["s1", "s2"]
-        assert m.values.tolist() == [[float(c) for c in cells[:3]],
-                                     [float(c) for c in cells[3:]]]
+        assert m.raw.tolist() == [[float(c) for c in cells[:3]],
+                                  [float(c) for c in cells[3:]]]
 
     def test_nan_cell_names_sample_and_feature(self, tmp_path):
         p = write(tmp_path, "x.tsv", "id\tf1\tf2\ns1\t0\t1\ns2\t1\tnan\n")
@@ -81,7 +80,7 @@ class TestLoadPredictors:
         ids = [f"f{j}" for j in range(2000)]
         p = write(tmp_path, "x.tsv", "\t".join(["id"] + ids) + "\n"
                   + "\t".join(["s1"] + cells) + "\n")
-        got = load_predictors(p, "tsv").values[0]
+        got = load_predictors(p, "tsv").raw[0]
         want = np.array([float(c) for c in cells])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -98,7 +97,7 @@ class TestLoadPredictors:
 
     def test_csv(self, tmp_path):
         p = write(tmp_path, "x.csv", "id,f1\ns1,3.5\n")
-        assert load_predictors(p, "csv").values[0, 0] == 3.5
+        assert load_predictors(p, "csv").raw[0, 0] == 3.5
 
     # every character besides \n and \r that `str.splitlines` breaks at
     @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d",
@@ -117,7 +116,7 @@ class TestLoadPredictors:
         m = load_predictors(p, "tsv")
         assert m.feature_ids == ["a", "b\x0cc"]
         assert m.sample_ids == ["s\x0c1", "s\u20282"]
-        assert m.values.tolist() == [[1.0, 2.0], [0.5, 1.0]]
+        assert m.raw.tolist() == [[1.0, 2.0], [0.5, 1.0]]
 
 
 def float_oracle(text, delim):
@@ -145,9 +144,9 @@ class TestDosageRows:
         m = load_predictors(write(tmp_path, "x.tsv", text), "tsv")
         ids, want = float_oracle(text, "\t")
         assert m.sample_ids == ids
-        assert m.values.dtype == np.uint8
-        assert_same_bits(m.values.astype(np.float64), want)
-        assert np.array_equal(m.values, v)
+        assert m.raw.dtype == np.uint8
+        assert_same_bits(m.raw.astype(np.float64), want)
+        assert np.array_equal(m.raw, v)
 
     @pytest.mark.parametrize("tail, fast", [
         ("\t0\t1\t2", True),
@@ -177,8 +176,8 @@ class TestDosageRows:
                 load_predictors(p, "tsv")
             return
         m = load_predictors(p, "tsv")
-        assert (m.values.dtype == np.uint8) == fast
-        assert m.values.tolist() == [want]
+        assert (m.raw.dtype == np.uint8) == fast
+        assert m.raw.tolist() == [want]
 
     @pytest.mark.parametrize("format, delim", [("tsv", "\t"), ("csv", ",")])
     def test_mixed_rows_match_float_per_cell(self, tmp_path, format, delim):
@@ -200,7 +199,7 @@ class TestDosageRows:
         m = load_predictors(write(tmp_path, f"x.{format}", text), format)
         ids, want = float_oracle(text, delim)
         assert m.sample_ids == ids == [r[0] for r in rows]
-        assert_same_bits(m.values, want)
+        assert_same_bits(m.raw, want)
 
     @pytest.mark.parametrize("row, got", [("s2\t1\t0", 3),
                                           ("s2\t1\t0\t2\t1", 5)])
@@ -234,9 +233,9 @@ class TestDosageRows:
         m = load_predictors(out / "predictors.tsv", "tsv")
         assert m.sample_ids == x.sample_ids
         assert m.feature_ids == x.feature_ids
-        assert m.values.dtype == x.values.dtype == np.uint8
-        assert_same_bits(m.values.astype(np.float64),
-                         x.values.astype(np.float64))
+        assert m.raw.dtype == x.raw.dtype == np.uint8
+        assert_same_bits(m.raw.astype(np.float64),
+                         x.raw.astype(np.float64))
 
 
 class TestBlockReader:
@@ -261,8 +260,8 @@ class TestBlockReader:
         m = load_predictors(write(tmp_path, "x.tsv", text), "tsv")
         ids, want = float_oracle(text, "\t")
         assert m.sample_ids == ids
-        assert m.values.dtype == np.uint8
-        assert_same_bits(m.values.astype(np.float64), want)
+        assert m.raw.dtype == np.uint8
+        assert_same_bits(m.raw.astype(np.float64), want)
 
     # rows between dosage rows, and the last row
     @pytest.mark.parametrize("row", [2, 4, 5, 11])
@@ -277,8 +276,8 @@ class TestBlockReader:
         m = load_predictors(write(tmp_path, "x.tsv", text), "tsv")
         ids, want = float_oracle(text, "\t")
         assert m.sample_ids == ids
-        assert m.values.dtype == np.float64
-        assert_same_bits(m.values, want)
+        assert m.raw.dtype == np.float64
+        assert_same_bits(m.raw, want)
 
     @pytest.mark.parametrize("bad, message", [
         ("s9\t1\t0", "ragged row at line 12: expected 6 cells, got 3$"),
@@ -306,8 +305,8 @@ class TestBlockReader:
         m = load_predictors(p, "tsv")
         ids, want = float_oracle(text, "\t")
         assert m.sample_ids == ids and len(ids) == 9
-        assert m.values.dtype == np.uint8
-        assert_same_bits(m.values.astype(np.float64), want)
+        assert m.raw.dtype == np.uint8
+        assert_same_bits(m.raw.astype(np.float64), want)
         lines[7] = lines[7] + "\t1"
         p.write_bytes((end.join(lines) + end + end).encode())
         with pytest.raises(ParseError, match="ragged row at line 8:"):
@@ -354,8 +353,8 @@ def dosage_text(v, spell):
 
 class TestStorage:
     """Single-digit files are held as uint8, anything else as float64;
-    centering shares the raw cells and each restriction centers its own
-    columns with the whole matrix's means."""
+    `center` gives a float64 copy less the column means, and the means of
+    a dosage restriction are the whole matrix's at its columns."""
 
     @pytest.fixture
     def dosages(self):
@@ -370,53 +369,57 @@ class TestStorage:
             sid, *cells = lines[i + 1].split("\t")
             lines[i + 1] = "\t".join([sid] + [c + ".0" for c in cells])
         m = load_predictors(write(tmp_path, "x.tsv", "\n".join(lines)), "tsv")
-        assert m.values.dtype == dtype
-        assert np.array_equal(m.values, dosages)
+        assert m.raw.dtype == dtype
+        assert np.array_equal(m.raw, dosages)
 
-    def test_center_shares_raw_cells(self, dosages):
-        for cells in (dosages.astype(np.uint8), dosages.astype(float)):
+    def test_center_copies_raw_less_its_means(self, dosages):
+        for cells in (dosages.astype(np.uint8), dosages.astype(float),
+                      np.asfortranarray(dosages, dtype=np.uint8)):
             x = PredictorMatrix(cells, [f"f{j}" for j in range(60)],
                                 [f"s{i}" for i in range(37)])
-            c = center(x)
-            assert np.shares_memory(c.raw, x.values)
-            assert not np.shares_memory(c.values, x.values)
+            X, means = center(x)
+            want = cells.mean(axis=0)
+            assert means.dtype == X.dtype == np.float64
+            assert_same_bits(means, want)
+            assert_same_bits(X, cells - want)
+            assert X.flags.f_contiguous == cells.flags.f_contiguous
+            assert not np.shares_memory(X, x.raw)
+            assert np.array_equal(x.raw, dosages)
 
     def test_partition_means_equal_whole_means(self, dosages):
         ids = [f"f{j}" for j in range(60)], [f"s{i}" for i in range(37)]
         u8 = PredictorMatrix(dosages.astype(np.uint8), *ids)
         f64 = PredictorMatrix(dosages.astype(float), *ids)
-        whole = center(u8).column_means
-        assert_same_bits(center(f64).column_means, whole)
+        _, whole = center(u8)
+        assert_same_bits(center(f64)[1], whole)
         for cols in (np.arange(0, 20), np.arange(20, 60), [3, 17, 59]):
             for x in (u8, f64):
-                assert_same_bits(center(x.restrict(cols)).column_means,
-                                 whole[cols])
-                assert_same_bits(center(x).restrict(cols).column_means,
-                                 whole[cols])
+                assert_same_bits(center(x.restrict(cols))[1], whole[cols])
 
     def test_restricted_values_match_full_values(self, dosages):
         ids = [f"f{j}" for j in range(60)], [f"s{i}" for i in range(37)]
-        u8 = center(PredictorMatrix(dosages.astype(np.uint8), *ids))
-        f64 = center(PredictorMatrix(dosages.astype(float), *ids))
-        full = f64.values
+        u8 = PredictorMatrix(dosages.astype(np.uint8), *ids)
+        f64 = PredictorMatrix(dosages.astype(float), *ids)
+        full, _ = center(f64)
         assert full.dtype == np.float64 and full.flags.c_contiguous
-        assert_same_bits(u8.values, full)
+        assert_same_bits(center(u8)[0], full)
         cols = np.arange(10, 35)
         for x in (u8, f64):
             part = x.restrict(cols)
-            assert part.centered
             assert part.raw.dtype == x.raw.dtype
-            assert part.values.flags.f_contiguous
-            assert_same_bits(part.values, full[:, cols])
+            assert part.raw.flags.f_contiguous
+            assert_same_bits(center(part)[0], full[:, cols])
 
     def test_take_rows_copies_cells_and_drops_centering(self, dosages):
-        x = center(PredictorMatrix(dosages.astype(np.uint8),
-                                   [f"f{j}" for j in range(60)],
-                                   [f"s{i}" for i in range(37)]))
+        # a row subset is centered with its own means, not the whole's
+        x = PredictorMatrix(dosages.astype(np.uint8),
+                            [f"f{j}" for j in range(60)],
+                            [f"s{i}" for i in range(37)])
         rows = x.take_rows([0, 4, 9])
-        assert not rows.centered
-        assert rows.values.dtype == np.uint8
-        assert np.array_equal(rows.values, dosages[[0, 4, 9]])
+        assert rows.raw.dtype == np.uint8
+        assert np.array_equal(rows.raw, dosages[[0, 4, 9]])
+        assert not np.shares_memory(rows.raw, x.raw)
+        assert_same_bits(center(rows)[1], dosages[[0, 4, 9]].mean(axis=0))
 
 
 class TestPhenotypeFile:
@@ -467,46 +470,46 @@ class TestPhenotypeFile:
 class TestCenter:
     def test_simple_column(self):
         m = PredictorMatrix(np.array([[0.0], [1.0], [2.0]]), ["f"], list("abc"))
-        c = center(m)
-        assert c.values[:, 0].tolist() == [-1, 0, 1]
-        assert c.column_means[0] == 1
-        assert c.centered
+        X, means = center(m)
+        assert X[:, 0].tolist() == [-1, 0, 1]
+        assert means.tolist() == [1]
 
     def test_constant_column(self):
         m = PredictorMatrix(np.array([[3.0], [3.0], [3.0]]), ["f"], list("abc"))
-        assert center(m).values[:, 0].tolist() == [0, 0, 0]
+        assert center(m)[0][:, 0].tolist() == [0, 0, 0]
 
     def test_single_sample(self):
         m = PredictorMatrix(np.array([[5.0, -2.0]]), ["f1", "f2"], ["s"])
-        assert np.all(center(m).values == 0)
+        assert np.all(center(m)[0] == 0)
 
     def test_recenter_keeps_means(self):
-        # the means are read from the shared raw cells, so they come out
-        # the same again
+        # the means are read from the raw cells, which centering leaves as
+        # they were, so a second call gives the same bits
         x, _, _ = simulate(SyntheticSpec(40, 12, seed=3))
-        c = center(x)
-        again = center(c)
-        assert np.shares_memory(again.raw, x.raw)
-        assert_same_bits(again.column_means, c.column_means)
-        assert_same_bits(again.values, c.values)
+        raw = x.raw.copy()
+        X, means = center(x)
+        again, again_means = center(x)
+        assert np.array_equal(x.raw, raw) and x.raw.dtype == np.uint8
+        assert_same_bits(again_means, means)
+        assert_same_bits(again, X)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((10, 3))
-        m1 = center(PredictorMatrix(vals.copy(), list("abc"),
-                                    [f"s{i}" for i in range(10)]))
+        X1, _ = center(PredictorMatrix(vals.copy(), list("abc"),
+                                       [f"s{i}" for i in range(10)]))
         shifted = vals.copy()
         shifted[:, 1] += 7.25
-        m2 = center(PredictorMatrix(shifted, list("abc"),
-                                    [f"s{i}" for i in range(10)]))
-        assert np.allclose(m1.values, m2.values, atol=1e-12)
+        X2, _ = center(PredictorMatrix(shifted, list("abc"),
+                                       [f"s{i}" for i in range(10)]))
+        assert np.allclose(X1, X2, atol=1e-12)
 
     def test_means_are_zero(self):
         rng = np.random.default_rng(1)
-        m = center(PredictorMatrix(rng.standard_normal((50, 8)),
-                                   [f"f{j}" for j in range(8)],
-                                   [f"s{i}" for i in range(50)]))
-        assert np.abs(m.values.mean(axis=0)).max() < 1e-10 * 50
+        X, _ = center(PredictorMatrix(rng.standard_normal((50, 8)),
+                                      [f"f{j}" for j in range(8)],
+                                      [f"s{i}" for i in range(50)]))
+        assert np.abs(X.mean(axis=0)).max() < 1e-10 * 50
 
 
 class TestMakePhenotype:
@@ -536,21 +539,21 @@ class TestSimulate:
                              support=[(0, 1.0)])
         x1, y1, t1 = simulate(spec)
         x2, y2, t2 = simulate(spec)
-        assert np.array_equal(x1.values, x2.values)
+        assert np.array_equal(x1.raw, x2.raw)
         assert np.array_equal(y1.labels, y2.labels)
         assert t1 == t2
 
     def test_different_seeds_differ(self):
         a = simulate(SyntheticSpec(n_samples=50, n_features=10, seed=1))[0]
         b = simulate(SyntheticSpec(n_samples=50, n_features=10, seed=2))[0]
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a.raw, b.raw)
 
     def test_null_support_uncorrelated(self):
         spec = SyntheticSpec(n_samples=2000, n_features=20, seed=7,
                              support=[], link="logistic")
         x, y, truth = simulate(spec)
         assert truth == set()
-        xc = x.values - x.values.mean(axis=0)
+        xc = x.raw - x.raw.mean(axis=0)
         yc = y.labels - y.labels.mean()
         corr = xc.T @ yc / (np.linalg.norm(xc, axis=0) * np.linalg.norm(yc))
         assert np.abs(corr).max() < 0.1
@@ -560,14 +563,14 @@ class TestSimulate:
                              support=[(3, 3.0)], link="threshold")
         x, y, _ = simulate(spec)
         # thresholding oracle on the true feature
-        col = x.values[:, 3] - x.values[:, 3].mean()
+        col = x.raw[:, 3] - x.raw[:, 3].mean()
         pred = (col > 0).astype(int)
         acc = max(np.mean(pred == y.labels), np.mean(1 - pred == y.labels))
         assert acc > 0.8
 
     def test_dosages(self):
         x, _, _ = simulate(SyntheticSpec(n_samples=30, n_features=5, seed=3))
-        assert set(np.unique(x.values)) <= {0.0, 1.0, 2.0}
+        assert set(np.unique(x.raw)) <= {0.0, 1.0, 2.0}
 
     @staticmethod
     def one_shot(spec):
@@ -600,8 +603,8 @@ class TestSimulate:
                              support=[(2, 1.5), (11, -2.0)])
         x, y, truth = simulate(spec)
         ref_x, ref_y, ref_truth = self.one_shot(spec)
-        assert x.values.dtype == np.uint8
-        assert np.array_equal(x.values, ref_x.values)
+        assert x.raw.dtype == np.uint8
+        assert np.array_equal(x.raw, ref_x.raw)
         assert np.array_equal(y.labels, ref_y.labels)
         assert truth == ref_truth
 

@@ -158,9 +158,11 @@ class TestChi2Rank:
     def dosage_matrix(self, cols):
         return matrix(np.array(cols, dtype=float).T)
 
-    def test_centered_matrix_ranked_by_its_raw_cells(self):
+    def test_float_copy_ranked_as_its_dosages(self):
         x, y = uint8_cohort()
-        assert chi2_rank(center(x), y) == chi2_rank(x, y)
+        f64 = PredictorMatrix(x.raw.astype(float), x.feature_ids,
+                              x.sample_ids)
+        assert chi2_rank(f64, y) == chi2_rank(x, y)
 
     def chi2_oracle(self, col, case):
         table = np.zeros((2, 3))
@@ -181,7 +183,7 @@ class TestChi2Rank:
         """The per-feature loop, sorted by (p, index): the reference for
         `chi2_rank`."""
         case = np.asarray(y.labels) == y.level_codes[1]
-        results = [(j, *self.chi2_oracle(x.values[:, j].astype(int), case))
+        results = [(j, *self.chi2_oracle(x.raw[:, j].astype(int), case))
                    for j in range(x.n_features)]
         results.sort(key=lambda t: (t[2], t[0]))
         return results
@@ -300,7 +302,7 @@ class TestChi2Rank:
         # and chi2_rank's own p-values, df 1 and 2 present
         x, y = self.wide_cohort()
         j, stat, p, flagged = map(np.array, zip(*chi2_rank(x, y)))
-        df = np.array([len(np.unique(x.values[:, i])) - 1 for i in j])
+        df = np.array([len(np.unique(x.raw[:, i])) - 1 for i in j])
         tested = ~flagged
         assert set(df[tested].tolist()) == {1, 2}
         self.assert_near_reference(p[tested], stat[tested], df[tested])
@@ -437,33 +439,30 @@ class TestClassifier:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, 5))
         labels = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
-        return center(matrix(X)), make_phenotype(labels)
+        return matrix(X), make_phenotype(labels)
 
     def test_separates_train_and_test(self):
         x, y = self.separated_instance()
         B = np.zeros((5, 1))
         B[0, 0], B[1, 0] = 1.0, 0.5
         clf = fit_classifier(x, y, B)
-        raw = PredictorMatrix(x.values + clf.column_means,
-                              x.feature_ids, x.sample_ids)
-        labels, scores = predict(clf, raw)
+        labels, scores = predict(clf, x)
         m = metrics(y.labels, labels, scores, positive=1)
         assert m.accuracy > 0.95
         assert m.auc > 0.95
 
     def test_test_rows_centered_with_training_means(self):
         x, y = self.separated_instance(8)
-        B = np.ones((5, 1))
-        clf = fit_classifier(x, y, B)
-        shifted = PredictorMatrix(x.values + clf.column_means,
-                                  x.feature_ids, x.sample_ids)
-        a, _ = predict(clf, shifted)
-        # the same rows with an extra constant shift give different labels
-        # unless the training means are subtracted; verify equality with the
-        # exactly-reconstructed raw data
-        b, _ = predict(clf, PredictorMatrix(x.values + clf.column_means,
-                                            x.feature_ids, x.sample_ids))
-        assert np.array_equal(a, b)
+        train, test = x.take_rows(range(150)), x.take_rows(range(150, 200))
+        clf = fit_classifier(train, y.take(range(150)), np.ones((5, 1)))
+        assert np.array_equal(clf.column_means, train.raw.mean(axis=0))
+        _, scores = predict(clf, test)
+        proj = ((test.raw - clf.column_means) @ clf.B_kept)[:, 0]
+        c0, c1 = clf.class_centroids[:, 0]
+        assert np.allclose(scores, (proj - (c0 + c1) / 2) * np.sign(c1 - c0))
+        # the test rows' own means would move every score
+        own = ((test.raw - test.raw.mean(axis=0)) @ clf.B_kept)[:, 0]
+        assert not np.allclose(own, proj)
 
     def test_degenerate_projection_falls_back_to_prior(self):
         x, y = self.separated_instance(9, n=100)
@@ -471,7 +470,7 @@ class TestClassifier:
         clf = fit_classifier(x, y, B)
         assert clf.degenerate
         labels, _ = predict(clf, PredictorMatrix(
-            x.values + 1.0, x.feature_ids, x.sample_ids))
+            x.raw + 1.0, x.feature_ids, x.sample_ids))
         winner = clf.class_labels[int(np.argmax(clf.class_priors))]
         assert np.all(labels == winner)
 
@@ -480,9 +479,7 @@ class TestClassifier:
         B = np.zeros((5, 1))
         B[0, 0] = 1.0
         clf = fit_classifier(x, y, B)
-        raw = PredictorMatrix(x.values + clf.column_means,
-                              x.feature_ids, x.sample_ids)
-        _, scores = predict(clf, raw)
+        _, scores = predict(clf, x)
         # higher score should track the case class
         assert auc_mann_whitney(y.labels, scores, 1) > 0.9
 
@@ -494,10 +491,8 @@ class TestClassifier:
         B = np.zeros((5, 1))
         B[0, 0], B[1, 0] = 1.0, 0.5
         clf = fit_classifier(x, y, B)
-        raw = PredictorMatrix(x.values + clf.column_means,
-                              x.feature_ids, x.sample_ids)
-        labels, scores = predict(clf, raw)
-        proj = (x.values @ B)[:, 0]
+        labels, scores = predict(clf, x)
+        proj = (center(x)[0] @ B)[:, 0]
         c0, c1 = clf.class_centroids[:, 0]
         order = np.argsort(proj)
         assert np.all(np.diff(scores[order]) > 0)
@@ -512,31 +507,40 @@ class TestClassifier:
         x, y = self.separated_instance(17, n=100)
         clf = fit_classifier(x, y, np.zeros((5, 1)))
         clf.class_centroids[:] = 0.0
-        _, scores = predict(clf, PredictorMatrix(
-            x.values, x.feature_ids, x.sample_ids))
+        _, scores = predict(clf, x)
         assert np.array_equal(scores, np.zeros(100))
 
-    def test_uncentered_training_centered_first(self):
+    def test_centroids_of_the_centered_training_rows(self):
+        # oracle: the training means and the class means of the projected
+        # centered rows, the same bits for dosages and their float copy
         x, y = uint8_cohort(11)
         B = np.random.default_rng(11).standard_normal((x.n_features, 2))
-        raw, centered = fit_classifier(x, y, B), fit_classifier(center(x), y, B)
-        for name, value in vars(centered).items():
-            assert np.array_equal(getattr(raw, name), value), name
+        clf = fit_classifier(x, y, B)
+        means = x.raw.mean(axis=0)
+        proj = (x.raw - means) @ B
+        assert np.array_equal(clf.column_means, means)
+        assert np.array_equal(clf.class_centroids, [
+            proj[y.labels == c].mean(axis=0) for c in clf.class_labels])
+        f64 = fit_classifier(PredictorMatrix(
+            x.raw.astype(float), x.feature_ids, x.sample_ids), y, B)
+        for name, value in vars(f64).items():
+            assert np.array_equal(getattr(clf, name), value), name
 
     def test_predict_reads_raw_cells(self):
-        # a centered test matrix is centered once, with the training means
+        # dosages and their float copy are centered to the same test rows
         x, y = uint8_cohort(12)
         B = np.random.default_rng(12).standard_normal((x.n_features, 1))
-        clf = fit_classifier(center(x.take_rows(range(150))), y.take(
-            range(150)), B)
+        clf = fit_classifier(x.take_rows(range(150)), y.take(range(150)), B)
         test = x.take_rows(range(150, 200))
-        for got, want in zip(predict(clf, center(test)), predict(clf, test)):
+        f64 = PredictorMatrix(test.raw.astype(float), test.feature_ids,
+                              test.sample_ids)
+        for got, want in zip(predict(clf, f64), predict(clf, test)):
             assert np.array_equal(got, want)
 
     def test_missing_test_feature(self):
         x, y = self.separated_instance(12)
         clf = fit_classifier(x, y, np.ones((5, 1)))
-        small = PredictorMatrix(x.values[:, :4], x.feature_ids[:4],
+        small = PredictorMatrix(x.raw[:, :4], x.feature_ids[:4],
                                 x.sample_ids)
         with pytest.raises(ValidationError, match="missing"):
             predict(clf, small)
@@ -548,7 +552,7 @@ class TestClassifier:
         labels = np.zeros(150, dtype=int)
         labels[X[:, 0] > 0.4] = 1
         labels[X[:, 1] > 0.4] = 2
-        x, y = center(matrix(X)), make_phenotype(labels)
+        x, y = matrix(X), make_phenotype(labels)
         cfg = SolverConfig(d=2, penalty=PenaltyParams(lam=0.5), rho=2.0)
         ds = fit(x, build_design(y), cfg)
         clf = fit_classifier(x, y, ds.B)
@@ -568,7 +572,7 @@ class TestFitModel:
                              support=[(j, 2.0) for j in range(5)],
                              link="logistic", seed=42)
         x, y, _ = simulate(spec)
-        return center(x), y
+        return x, y
 
     def plan(self, lam):
         return ScreeningPlan(stages=[(2, 10)], final_fit=SolverConfig(
@@ -582,7 +586,7 @@ class TestFitModel:
         pos = np.searchsorted(report.survivors, report.selected_indices)
         assert np.array_equal(clf.B_kept, report.final_directions.B[pos])
         assert np.array_equal(
-            clf.column_means, x.column_means[report.selected_indices])
+            clf.column_means, center(x)[1][report.selected_indices])
 
     def test_no_selection_keeps_every_survivor(self):
         x, y = self.instance()
@@ -658,7 +662,7 @@ class TestCrossValidate:
             ranked = chi2_rank(x_tr, y.take(rows))
             best = None
             for m in (10, 25, 50):
-                tr = x_tr.values[:, [j for j, _, _, _ in ranked[:m]]]
+                tr = x_tr.raw[:, [j for j, _, _, _ in ranked[:m]]]
                 for k in (1, 3, 5):
                     hits = [knn_oracle(np.delete(tr, i, axis=0),
                                        np.delete(labels, i), tr[i:i + 1],
@@ -673,6 +677,26 @@ class TestCrossValidate:
             assert fold.train.accuracy == np.mean(resub == labels)
         # resubstitution would pick k = 1 (each row its own neighbour)
         assert chosen_k != {1}
+
+    def test_pvalue_rank_grid_builds_one_distance_matrix_per_size(
+            self, monkeypatch):
+        # at p = 20 the grid sizes 10, 25 and 50 read 10, 20 and 20
+        # columns: each fold's search builds one distance matrix for each
+        # of 10 and 20, then k-NN scores its train and test rows once each
+        import sparsesdr.evaluation as ev
+        x, y, _ = self.cv_instance(n=120, p=20)
+        shapes, sq_dists = [], ev._sq_dists
+        monkeypatch.setattr(ev, "_sq_dists", lambda a, b: shapes.append(
+            a.shape) or sq_dists(a, b))
+        rep = cross_validate(x, y, 4, "pvalue_rank", seed=1)
+        assign = stratified_folds(y.labels, 4, 1)
+        for f in rep.folds:
+            n_tr, m = int(np.sum(assign != f.fold)), f.n_selected
+            assert m in (10, 20)
+            assert shapes[:4] == [(n_tr, 10), (n_tr, 20), (n_tr, m),
+                                  (x.n_samples - n_tr, m)]
+            del shapes[:4]
+        assert shapes == []
 
     def test_pvalue_rank_fold_tables_equal_training_rows_exactly(
             self, monkeypatch):
@@ -729,7 +753,7 @@ class TestCrossValidate:
                              maf_range=(0.02, 0.08),
                              support=[(j, 2.0) for j in range(4)], seed=12)
         x, y, _ = simulate(spec)
-        d2 = _sq_dists(x.values[:, :10], x.values[:, :10])
+        d2 = _sq_dists(x.raw[:, :10], x.raw[:, :10])
         assert np.sum(d2 == 0) > 4 * 150
         got = cross_validate(x, y, 4, "pvalue_rank", seed=2, top_m=top_m,
                              knn_k=knn_k)
@@ -745,8 +769,8 @@ class TestCrossValidate:
         # top_m >= 64 columns of dosages: inner products past 255, which
         # uint8 arithmetic would wrap around
         x, y, _ = self.cv_instance(n=120, p=100)
-        assert x.values.dtype == np.uint8
-        f64 = PredictorMatrix(x.values.astype(float), x.feature_ids,
+        assert x.raw.dtype == np.uint8
+        f64 = PredictorMatrix(x.raw.astype(float), x.feature_ids,
                               x.sample_ids)
         got, want = (cross_validate(m, y, 4, "pvalue_rank", seed=1,
                                     top_m=top_m, knn_k=knn_k)
@@ -758,7 +782,7 @@ class TestCrossValidate:
                                                          row):
         import sparsesdr.evaluation as ev
         x, y, _ = self.cv_instance(n=150)
-        values = x.values.astype(float)  # simulated dosages are uint8
+        values = x.raw.astype(float)  # simulated dosages are uint8
         values[row, 3] = 0.5
         bad = PredictorMatrix(values, x.feature_ids, x.sample_ids)
 
@@ -794,18 +818,22 @@ class TestCrossValidate:
         for f in rep.folds:
             train = np.flatnonzero(assign != f.fold)
             test = np.flatnonzero(assign == f.fold)
-            _, clf = fit_model(center(x.take_rows(train)), y.take(train),
+            _, clf = fit_model(x.take_rows(train), y.take(train),
                                self.plan())
             assert f.selected_ids == clf.feature_ids
             labels, scores = predict(clf, x.take_rows(test))
             assert f.test == metrics(y.labels[test], labels, scores, 1)
 
     @pytest.mark.parametrize("method", ["sparse_sdr", "pvalue_rank"])
-    def test_centered_input_answers_alike(self, method):
+    def test_float_copy_answers_alike(self, method):
+        # each fit centers its own columns: exact dosage means, so a float
+        # copy of the cells gives the same report
         x, y, _ = self.cv_instance()
+        f64 = PredictorMatrix(x.raw.astype(float), x.feature_ids,
+                              x.sample_ids)
         plan = self.plan() if method == "sparse_sdr" else None
         reports = [cv_report_to_json(cross_validate(
-            m, y, 4, method, seed=0, plan=plan)) for m in (x, center(x))]
+            m, y, 4, method, seed=0, plan=plan)) for m in (x, f64)]
         assert reports[0] == reports[1]
 
     def test_unknown_method(self):
@@ -820,6 +848,7 @@ class TestCrossValidate:
         ({"top_m": 0}, "top_m must be >= 1, got 0"),
         ({"knn_k": 0}, "knn_k must be >= 1, got 0"),
         ({"knn_k": -1}, "knn_k must be >= 1, got -1"),
+        ({"knn_k": 2}, "knn_k must be odd, got 2"),
     ])
     def test_bad_cv_settings_refused_before_folds(self, monkeypatch, kwargs,
                                                   message):

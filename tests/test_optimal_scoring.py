@@ -27,14 +27,14 @@ def three_class_instance(seed=0, n=300, p=6):
     labels = np.zeros(n, dtype=int)
     labels[X[:, 0] > 0.4] = 1
     labels[X[:, 1] > 0.4] = 2
-    return center(matrix(X)), make_phenotype(labels)
+    return matrix(X), make_phenotype(labels)
 
 
 def genotype_instance(n, p, seed):
     x, y, _ = simulate(SyntheticSpec(
         n_samples=n, n_features=p, maf_range=(0.1, 0.4),
         support=[(j, 1.5) for j in range(6)], link="logistic", seed=seed))
-    return center(x), y
+    return x, y
 
 
 def suppressor_instance():
@@ -47,7 +47,7 @@ def suppressor_instance():
     e -= e.mean()
     e -= (e @ s) / (s @ s) * s
     X = np.column_stack([s + e, e, rng.standard_normal((200, 8))])
-    return center(matrix(X)), make_phenotype(labels)
+    return matrix(X), make_phenotype(labels)
 
 
 def record_calls(monkeypatch, *names):
@@ -98,7 +98,7 @@ def quintile_instance():
     X = rng.standard_normal((300, 20))
     score = X[:, :3] @ [1.0, 0.7, 0.5]
     labels = np.digitize(score, np.quantile(score, [0.2, 0.4, 0.6, 0.8]))
-    return center(matrix(X)), make_phenotype(labels, "categorical")
+    return matrix(X), make_phenotype(labels, "categorical")
 
 
 def paired_column_instance(seed, n=150, p=60):
@@ -111,7 +111,7 @@ def paired_column_instance(seed, n=150, p=60):
     binary = (eta + rng.standard_normal(n) > 0).astype(int)
     cont = eta + rng.standard_normal(n)
     slices = np.digitize(cont, np.quantile(cont, [0.25, 0.5, 0.75]))
-    return (center(matrix(X)), make_phenotype(binary),
+    return (matrix(X), make_phenotype(binary),
             make_phenotype(slices, "categorical"))
 
 
@@ -120,7 +120,8 @@ class TestInitTheta:
         # a predictor matrix with no signal still gets a valid start
         x, y = three_class_instance()
         design = build_design(y)
-        for X in (x.values, np.zeros_like(x.values)):
+        Xc, _ = center(x)
+        for X in (Xc, np.zeros_like(Xc)):
             for d in (1, 2):
                 P = init_theta(design.Zw.T @ X, d)
                 assert np.allclose(P.T @ P, np.eye(d), atol=1e-12)
@@ -132,7 +133,7 @@ class TestInitTheta:
         x, y = three_class_instance()
         design = build_design(y)
         with pytest.raises(ValidationError):
-            init_theta(design.Zw.T @ x.values, design.h)
+            init_theta(design.Zw.T @ center(x)[0], design.h)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_spans_top_generalized_eigenvectors(self, d):
@@ -141,9 +142,10 @@ class TestInitTheta:
         # Z^T X e_1 = 0, so they are deflated against the constant score
         x, y = quintile_instance()
         design = build_design(y)
-        XtZ = x.values.T @ design.Z
+        X, _ = center(x)
+        XtZ = X.T @ design.Z
         V = scipy.linalg.eigh(XtZ.T @ XtZ, design.D)[1][:, ::-1][:, :d]
-        Theta = _scores(design.L, init_theta(design.Zw.T @ x.values, d))
+        Theta = _scores(design.L, init_theta(design.Zw.T @ X, d))
         assert np.max(scipy.linalg.subspace_angles(Theta, V)) < 1e-10
 
 
@@ -162,7 +164,7 @@ class TestThetaStep:
         x, y = three_class_instance(seed)
         design = build_design(y)
         B = np.random.default_rng(seed + 1).standard_normal((x.n_features, 2))
-        return design, x.values @ B
+        return design, center(x)[0] @ B
 
     def test_output_invariants(self):
         design, F = self.setup_problem()
@@ -289,7 +291,7 @@ class TestFit:
                            inner_tol=1e-9, inner_max_iter=5000)
         ds = fit(x, design, cfg)
         assert ds.converged
-        _, vecs = sir_eigen(x.values, design.slice_assignments)
+        _, vecs = sir_eigen(center(x)[0], design.slice_assignments)
         assert principal_angle(ds.B, vecs[:, :2]) < 1e-3
 
     def test_huge_lambda_zero_solution(self):
@@ -308,11 +310,10 @@ class TestFit:
                              support=[(j, 1.5) for j in range(10)],
                              link="logistic", seed=21)
         x, y, truth = simulate(spec)
-        xc = center(x)
         design = build_design(y)
         cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=50.0, delta=1.0),
                            rho=2.0, outer_max_iter=50)
-        ds = fit(xc, design, cfg)
+        ds = fit(x, design, cfg)
         selected = set(np.flatnonzero(ds.row_norms() > 1e-10))
         assert len(selected & truth) >= 8
         assert len(selected - truth) <= 5
@@ -371,7 +372,7 @@ class TestFit:
             labels = np.zeros(400, dtype=int)
             labels[X[:, 0] > 0.4] = 1
             labels[X[:, 1] - 0.3 * X[:, 0] > 0.4] = 2
-            x, y = center(matrix(X)), make_phenotype(labels)
+            x, y = matrix(X), make_phenotype(labels)
             pen = PenaltyParams(lam=2.0, delta=0.9, r=0.2)
         design = build_design(y)
         ds = fit(x, design, SolverConfig(d=design.h - 1, penalty=pen,
@@ -400,11 +401,12 @@ class TestFit:
                                          inner_max_iter=inner_cap))
         assert ds.converged == (cap == 100)
         assert ds.inner_converged == (inner_cap > 2)
-        G = 2 * x.values.T @ (design.Z @ ds.Theta - x.values @ ds.B)
+        X, _ = center(x)
+        G = 2 * X.T @ (design.Z @ ds.Theta - X @ ds.B)
         want = np.max(kkt_violations(G, ds.B, pen))
         assert abs(ds.kkt_max_rel - want) <= 1e-8 * want
         assert ds.objective_history[-1] == pytest.approx(
-            step_a_objective(x.values @ ds.B, design.Z @ ds.Theta, ds.B, pen),
+            step_a_objective(X @ ds.B, design.Z @ ds.Theta, ds.B, pen),
             rel=1e-12)
 
     @pytest.mark.parametrize("d, lam, bound, rows", [
@@ -434,7 +436,7 @@ class TestFit:
             rng = np.random.default_rng(5)
             X = rng.standard_normal((300, 30))
             labels = np.digitize(X[:, :2] @ [1.0, 0.5], [-1.0, -0.3, 0.3, 1.0])
-            x, y = center(matrix(X)), make_phenotype(labels, "categorical")
+            x, y = matrix(X), make_phenotype(labels, "categorical")
         pen = PenaltyParams(lam=20.0)
         calls = record_calls(monkeypatch, "solve_step_a", "theta_step")
         ds = fit(x, build_design(y), SolverConfig(d=2, penalty=pen, rho=2.0))
@@ -451,7 +453,7 @@ class TestFit:
             n_samples=200, n_features=60, maf_range=(0.1, 0.4),
             support=[(j, 1.5) for j in range(5)], link="logistic", seed=4))
         cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=20.0), rho=2.0)
-        ds = fit(center(x), build_design(y), cfg)
+        ds = fit(x, build_design(y), cfg)
         assert ds.converged and ds.inner_converged and ds.outer_iters == 1
         names = [c[0] for c in calls]
         assert names.count("theta_step") == 1 and names[-1] == "theta_step"
@@ -471,16 +473,20 @@ class TestFit:
             k = np.argmax(np.abs(ds.Theta[:, i]))
             assert ds.Theta[k, i] > 0
 
-    def test_uncentered_input_centered_first(self):
-        # raw uint8 dosages fit exactly as their centered matrix does
+    def test_dosages_fit_as_their_float_copy(self):
+        # uint8 dosages and the same cells in float64 have the same exact
+        # column means, so the fit centers them to the same bits
         x, y, _ = simulate(SyntheticSpec(
             n_samples=150, n_features=30, maf_range=(0.1, 0.4),
             support=[(j, 1.5) for j in range(4)], seed=9))
+        f64 = PredictorMatrix(x.raw.astype(float), x.feature_ids,
+                              x.sample_ids)
         design = build_design(y)
         cfg = SolverConfig(d=1, penalty=PenaltyParams(lam=5.0), rho=2.0)
-        raw, centered = fit(x, design, cfg), fit(center(x), design, cfg)
-        for name, value in vars(centered).items():
-            assert np.array_equal(getattr(raw, name), value), name
+        u8, f64 = fit(x, design, cfg), fit(f64, design, cfg)
+        assert u8.row_norms().any()
+        for name, value in vars(f64).items():
+            assert np.array_equal(getattr(u8, name), value), name
 
     def test_theta_invariants_on_result(self):
         x, y = three_class_instance(10)
@@ -512,7 +518,7 @@ class TestWorkingSet:
         ds = fit(x, design, SolverConfig(d=d, penalty=pen, rho=2.0))
         assert ds.converged and ds.inner_converged
         assert 0 < ds.working_set_size < x.n_features
-        X, Ztheta = x.values, design.Z @ ds.Theta
+        (X, _), Ztheta = center(x), design.Z @ ds.Theta
         oracle = solve_step_a(X, Ztheta, pen, 2.0, tol=1e-10, max_iter=50000)
         assert oracle.converged
         assert np.array_equal(np.flatnonzero(ds.row_norms()),
@@ -532,7 +538,7 @@ class TestWorkingSet:
         # f0 alone, then f1 added by the pass after the first solve
         assert [c[1][0].shape[1] for c in first_outer] == [1, 2]
         assert np.flatnonzero(ds.row_norms()).tolist() == [0, 1]
-        oracle = solve_step_a(x.values, design.Z @ ds.Theta, pen, 2.0,
+        oracle = solve_step_a(center(x)[0], design.Z @ ds.Theta, pen, 2.0,
                               tol=1e-10, max_iter=50000)
         assert np.flatnonzero(
             np.linalg.norm(oracle.B, axis=1)).tolist() == [0, 1]
@@ -577,7 +583,7 @@ class TestWorkingSet:
             pen = PenaltyParams(lam=0.5, delta=0.9, r=0.5)
         else:
             x, y = three_class_instance(3, n=300, p=40)
-        n, p = x.values.shape
+        n, p = x.raw.shape
         reads = []
 
         class WideReads(np.ndarray):
@@ -590,8 +596,8 @@ class TestWorkingSet:
                           else a for a in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        X = x.values.view(WideReads)
-        monkeypatch.setattr(PredictorMatrix, "values", property(lambda m: X))
+        X = center(x)[0].view(WideReads)
+        monkeypatch.setattr(optimal_scoring, "center", lambda m: (X, None))
         passes = []
         kkt_pass = optimal_scoring._WorkingSet.kkt_pass
 
@@ -630,7 +636,7 @@ class TestWorkingSet:
             n_samples=400, n_features=500, maf_range=(0.1, 0.4),
             support=[(j, 1.8) for j in range(10)], link="logistic", seed=3))
         calls = record_calls(monkeypatch, "GramSolver")
-        ds = fit(center(x), build_design(y), SolverConfig(
+        ds = fit(x, build_design(y), SolverConfig(
             penalty=PenaltyParams(lam=70.0), rho=2.0))
         widths = [c[1][0].shape[1] for c in calls]
         assert ds.converged and ds.inner_converged
@@ -649,7 +655,7 @@ class TestWorkingSet:
         gram, solves = calls[0], calls[1:]
         assert gram[0] == "GramSolver" and len(solves) == ds.outer_iters == 4
         X = gram[1][0]
-        assert np.array_equal(X, x.values)
+        assert np.array_equal(X, center(x)[0])
         assert all(c[0] == "solve_step_a" and c[1][0] is X
                    and c[2]["gram"] is gram[3] for c in solves)
         warm = [c[2]["warm"] for c in solves]
@@ -680,7 +686,8 @@ class TestWorkingSet:
             s2 = np.linalg.svd(calls[-1][1][0], compute_uv=False) ** 2
             assert calls[-1][3].rho == pytest.approx(
                 2 * np.sqrt(s2.min() * s2.max()), rel=1e-10)
-            G = 2 * x.values.T @ (design.Z @ ds.Theta - x.values @ ds.B)
+            X, _ = center(x)
+            G = 2 * X.T @ (design.Z @ ds.Theta - X @ ds.B)
             want = np.max(kkt_violations(G, ds.B, pen))
             assert 0 < want and abs(ds.kkt_max_rel - want) <= 1e-8 * want
 

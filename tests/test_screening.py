@@ -126,20 +126,18 @@ class TestPlanValidation:
 class TestRunPlan:
     def test_single_trivial_stage_matches_direct_fit(self):
         x, y, _ = signal_instance()
-        xc = center(x)
         lam = 50.0
         plan = ScreeningPlan(stages=[(1, x.n_features)],
                              final_fit=solver(lam))
-        report = run_plan(xc, y, plan)
-        direct = fit(xc, build_design(y), solver(lam))
+        report = run_plan(x, y, plan)
+        direct = fit(x, build_design(y), solver(lam))
         assert np.array_equal(report.survivors, np.arange(x.n_features))
         assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
 
     def test_empty_plan_is_one_fit_on_every_feature(self):
         x, y, _ = signal_instance()
-        xc = center(x)
-        report = run_plan(xc, y, ScreeningPlan([], solver(50.0)))
-        direct = fit(xc, build_design(y), solver(50.0))
+        report = run_plan(x, y, ScreeningPlan([], solver(50.0)))
+        direct = fit(x, build_design(y), solver(50.0))
         assert report.stage_records == []
         assert np.array_equal(report.survivors, np.arange(x.n_features))
         assert np.allclose(report.final_directions.B, direct.B, atol=1e-12)
@@ -299,7 +297,7 @@ class TestRunPlan:
                             lambda *args: fits.append(real_fit(*args))
                             or fits[-1])
         x, _, _ = signal_instance()
-        xc = center(x).values
+        xc, _ = center(x)
         score = xc[:, 10:20].sum(axis=1)
         score += np.random.default_rng(0).standard_normal(len(score))
         y = make_phenotype(score, "continuous")

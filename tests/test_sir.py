@@ -26,35 +26,36 @@ def gaussian_instance(seed, n, p, rule):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     labels = rule(X)
-    x = center(matrix(X))
+    x = matrix(X)
     y = make_phenotype(labels)
     return x, y
 
 
 def sir(x, design):
-    return sir_eigen(x.values, design.slice_assignments)
+    return sir_eigen(center(x)[0], design.slice_assignments)
 
 
 def sample_cov(x):
-    return x.values.T @ x.values / x.n_samples
+    X, _ = center(x)
+    return X.T @ X / x.n_samples
 
 
 def sample_slice_cov(x, design):
-    return slice_mean_cov(x.values, design.slice_assignments)
+    return slice_mean_cov(center(x)[0], design.slice_assignments)
 
 
 class TestSliceMeanCov:
     def test_equal_slice_means_give_zero(self):
         # two slices with identical (zero) within-slice means
         X = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-        x = center(matrix(X))
+        x = matrix(X)
         y = Phenotype(np.array([0, 0, 1, 1]), "binary", [0, 1])
         M = sample_slice_cov(x, build_design(y, 2))
         assert np.allclose(M, 0)
 
     def test_hand_computed_scalar(self):
         X = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-        x = center(matrix(X))
+        x = matrix(X)
         y = Phenotype(np.array([0, 0, 1, 1]), "binary", [0, 1])
         M = sample_slice_cov(x, build_design(y, 2))
         assert np.allclose(M, [[1.0]])
@@ -63,13 +64,13 @@ class TestSliceMeanCov:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((20, 3))
         labels = rng.integers(0, 3, size=20)
-        x = center(matrix(X))
+        x = matrix(X)
         y = Phenotype(labels, "categorical")
         design = build_design(y, 3)
         M = sample_slice_cov(x, design)
         brute = np.zeros((3, 3))
         for s in range(3):
-            rows = x.values[design.slice_assignments == s]
+            rows = center(x)[0][design.slice_assignments == s]
             brute += (len(rows) / 20) * np.outer(rows.mean(0), rows.mean(0))
         assert np.allclose(M, brute, atol=1e-12)
 
@@ -78,7 +79,7 @@ class TestSliceMeanCov:
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((40, 4))
             y = make_phenotype(rng.integers(0, 3, size=40))
-            M = sample_slice_cov(center(matrix(X)), build_design(y, 3))
+            M = sample_slice_cov(matrix(X), build_design(y, 3))
             assert np.linalg.eigvalsh(M).min() >= -1e-8
 
 
@@ -99,7 +100,7 @@ class TestSirEigen:
 
     def test_scalar_case(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-        x = center(matrix(X))
+        x = matrix(X)
         y = Phenotype(np.array([0, 0, 1, 1]), "binary", [0, 1])
         design = build_design(y, 2)
         vals, _ = sir(x, design)
@@ -109,7 +110,7 @@ class TestSirEigen:
 
     def test_singular_covariance_error(self):
         X = np.column_stack([np.arange(6.0), 2 * np.arange(6.0)])
-        x = center(matrix(X))
+        x = matrix(X)
         y = Phenotype(np.array([0, 0, 0, 1, 1, 1]), "binary", [0, 1])
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             sir(x, build_design(y, 2))
@@ -135,8 +136,8 @@ class TestSirEigen:
         X = rng.standard_normal((500, 3))
         labels = (X[:, 0] - X[:, 2] > 0).astype(int)
         A = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-        x1 = center(matrix(X))
-        x2 = center(matrix(X @ A))
+        x1 = matrix(X)
+        x2 = matrix(X @ A)
         y = make_phenotype(labels)
         design = build_design(y, 2)
         b1 = sir(x1, design)[1][:, :1]
@@ -198,10 +199,9 @@ class TestBlockExtension:
                              support=[(0, 2.0), (1, 1.5)], link="logistic",
                              seed=17)
         x, y, _ = simulate(spec)
-        xc = center(x)
         design = build_design(y)
-        sigma = sample_cov(xc)
-        M = sample_slice_cov(xc, design)
+        sigma = sample_cov(x)
+        M = sample_slice_cov(x, design)
         resid = block_residual(M, sigma, [0, 1, 2])
         # scale reference: lambda * ||sigma beta|| for the block eigenpair
         vals, vecs = generalized_eigen(M[:3, :3], sigma[:3, :3])
@@ -214,7 +214,7 @@ class TestBlockExtension:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((200, 4))
         labels = (X[:, 0] > 0).astype(int)
-        x = center(matrix(X))
+        x = matrix(X)
         y = make_phenotype(labels)
         design = build_design(y, 2)
         M = sample_slice_cov(x, design)
