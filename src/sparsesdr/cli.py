@@ -182,7 +182,7 @@ def cmd_simulate(args) -> None:
     x, y, truth = simulate(spec)
     rows = ["\t".join(["id"] + x.feature_ids).encode()]
     cells = np.full(2 * x.n_features, ord("\t"), np.uint8)
-    for sid, dosages in zip(x.sample_ids, x.raw):
+    for sid, dosages in zip(x.sample_ids, x.dosages()):
         cells[1::2] = dosages + ord("0")   # one digit byte after each tab
         rows.append(sid.encode() + cells.tobytes())
     pheno = "".join(f"{s}\t{int(v)}\n" for s, v in zip(x.sample_ids, y.labels))

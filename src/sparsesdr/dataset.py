@@ -26,13 +26,13 @@ class PredictorMatrix:
 
     `raw` holds the cells as given: uint8 (`load_predictors` gives uint8
     for a file whose cells are all single digits, and `simulate` draws
-    uint8 dosages), any other array as float64. Arithmetic on `raw` must
-    convert uint8 cells to float64 first: uint8 products and sums wrap
-    around. Readers of the cells (`predict`, `chi2_rank`, `cross_validate`)
-    read `raw`, and each fit (`optimal_scoring.fit`, `fit_classifier`)
-    centers the columns it is handed with `center`. `restrict` copies only
-    its own columns, so fitting one partition never makes a float copy of
-    the whole matrix.
+    uint8 dosages), any other array as float64. No module but this one
+    reads `raw`: a reader asks for the cells as uint8 dosages (`dosages`,
+    for `chi2_rank`, `cross_validate`'s pvalue_rank path and the file the
+    `simulate` command writes) or centered in float64 (`center`, for each
+    fit and `predict`), so no uint8 sum or product, which would wrap
+    around, is made elsewhere. `restrict` copies only its own columns, so
+    fitting one partition never makes a float copy of the whole matrix.
 
     Instances are treated as immutable after construction; downstream code
     (partition fits, CV folds) shares them freely.
@@ -70,6 +70,22 @@ class PredictorMatrix:
     @property
     def n_features(self) -> int:
         return self.raw.shape[1]
+
+    def dosages(self) -> np.ndarray:
+        """The cells as uint8 dosages in {0, 1, 2}: `raw` itself when it is
+        uint8 (decided by its maximum), an exact uint8 copy of float cells.
+        Any other cell is refused, the first in row-major order named."""
+        values = self.raw
+        if values.dtype == np.uint8 and values.max(initial=0) <= 2:
+            return values
+        bad = ~np.isin(values, (0, 1, 2))
+        if not bad.any():
+            return values.astype(np.uint8)
+        i, j = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"chi-square ranking requires dosages in {{0, 1, 2}}, got "
+            f"{values[i, j]:g} at sample {self.sample_ids[i]!r}, feature "
+            f"{self.feature_ids[j]!r}")
 
     def restrict(self, columns) -> "PredictorMatrix":
         """Column-restricted copy of `raw`, Fortran-ordered."""
@@ -335,12 +351,13 @@ def align_phenotype(x: PredictorMatrix, sample_ids: list[str],
     return np.asarray(labels)[[pos[s] for s in x.sample_ids]]
 
 
-def center(m: PredictorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(`m.raw - means`, `means`) in float64, `means` being `m.raw`'s
-    column means; the centered cells keep `raw`'s memory order. The means
-    of uint8 dosages are exact sums divided by n, so those of any column
-    subset equal the whole matrix's bit for bit."""
-    means = m.raw.mean(axis=0)
+def center(m: PredictorMatrix, means=None) -> tuple[np.ndarray, np.ndarray]:
+    """(`m.raw - means`, `means`) in float64, `means` being `m.raw`'s own
+    column means unless given (a fit centers by its own, `predict` by the
+    training means); the centered cells keep `raw`'s memory order. The
+    means of uint8 dosages are exact sums divided by n, so those of any
+    column subset equal the whole matrix's bit for bit."""
+    means = m.raw.mean(axis=0) if means is None else means
     return m.raw - means, means
 
 

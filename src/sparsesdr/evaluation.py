@@ -94,11 +94,24 @@ def model_to_json(clf: ProjectionClassifier) -> dict:
     }
 
 
+def _numbers_only(value) -> bool:
+    """Whether `value` is a JSON number (a bool is not one) or lists nesting
+    only numbers."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            return False
+    return True
+
+
 def load_model(path) -> ProjectionClassifier:
     """Read a classifier written as `model_to_json`'s dict. A file that is
-    not JSON, has other keys or values of another type, or whose arrays do
-    not fit `feature_ids` and `class_labels` is refused with a ParseError
-    naming it."""
+    not JSON, has other keys or values of another type (a label or array
+    entry that is not a JSON number), or whose arrays do not fit
+    `feature_ids` and `class_labels` is refused with a ParseError naming it."""
     try:
         m = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:   # undecodable bytes or invalid JSON
@@ -106,13 +119,19 @@ def load_model(path) -> ProjectionClassifier:
     keys = sorted(f.name for f in fields(ProjectionClassifier))
     if not isinstance(m, dict) or sorted(m) != keys:
         raise ParseError(f"{path}: a model holds exactly the keys {keys}")
+    if not isinstance(m["class_labels"], list):
+        raise ParseError(f"{path}: class_labels must be a list")
+    for name in ("B_kept", "column_means", "class_labels", "class_centroids",
+                 "class_priors"):
+        if not _numbers_only(m[name]):
+            raise ParseError(f"{path}: {name} must hold only numbers")
     try:
         for name in ("B_kept", "column_means", "class_centroids",
                      "class_priors"):
             m[name] = np.array(m[name], dtype=float)
         m["class_labels"] = [float(c) for c in m["class_labels"]]
         p, k = len(m["feature_ids"]), len(m["class_labels"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model: {exc}") from None
     B = m["B_kept"]
     if B.ndim != 2 or B.shape[0] != p or min(B.shape) < 1:
@@ -121,8 +140,9 @@ def load_model(path) -> ProjectionClassifier:
     d = B.shape[1]
     ids = m["feature_ids"]
     for ok, what in ((isinstance(ids, list)
-                      and all(isinstance(f, str) for f in ids),
-                      "feature_ids must be a list of strings"),
+                      and all(isinstance(f, str) for f in ids)
+                      and len(set(ids)) == len(ids),
+                      "feature_ids must be a list of strings, each once"),
                      (m["column_means"].shape == (p,),
                       "column_means must have one entry per feature id"),
                      (k >= 2, "class_labels must name at least two classes"),
@@ -151,8 +171,8 @@ def predict(clf: ProjectionClassifier, x_test: PredictorMatrix):
     missing = [f for f in clf.feature_ids if f not in pos]
     if missing:
         raise ValidationError(f"test data is missing features: {missing[:10]}")
-    cols = [pos[f] for f in clf.feature_ids]
-    xt = np.subtract(x_test.raw[:, cols], clf.column_means, dtype=float)
+    xt, _ = center(x_test.restrict([pos[f] for f in clf.feature_ids]),
+                   clf.column_means)
     proj = xt @ clf.B_kept
     dists = np.linalg.norm(
         proj[:, None, :] - clf.class_centroids[None, :, :], axis=2)
@@ -274,34 +294,16 @@ def _chi2_sf(stat: np.ndarray, df: np.ndarray) -> np.ndarray:
     return p
 
 
-def _check_dosages(x: PredictorMatrix) -> None:
-    """Refuse a matrix with any cell outside {0, 1, 2}, naming the first. A
-    uint8 matrix is decided by its maximum; its cells are searched only to
-    name a bad one."""
-    values = x.raw
-    if values.dtype == np.uint8:
-        if values.max(initial=0) <= 2:
-            return
-        bad = values > 2
-    else:
-        bad = ~np.isin(values, (0.0, 1.0, 2.0))
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise ValidationError(
-            f"chi-square ranking requires dosages in {{0, 1, 2}}, got "
-            f"{values[i, j]:g} at sample {x.sample_ids[i]!r}, feature "
-            f"{x.feature_ids[j]!r}")
-
-
 def _genotype_counts(X: np.ndarray, group: np.ndarray,
                      n_groups: int) -> np.ndarray:
     """counts[r, g, j]: how many rows of group r (an integer per row of X)
-    hold dosage g in column j, as float64 holding exact integers. Sorted by
-    group, each group's rows are one slice, whose column sums n1 + 2 n2 and
-    counts of 2 give its counts (X's cells must be dosages in {0, 1, 2})."""
+    hold dosage g in column j, as float64 holding exact integers; X is uint8
+    dosages, as `PredictorMatrix.dosages` gives them. Sorted by group, each
+    group's rows are one slice, whose column sums n1 + 2 n2 and counts of 2
+    give its counts."""
     sizes = np.bincount(group, minlength=n_groups)
     ends = np.cumsum(sizes)
-    cells = X.astype(np.uint8, copy=False)[np.argsort(group)]
+    cells = X[np.argsort(group)]
     counts = np.empty((n_groups, 3, X.shape[1]))
     for r in range(n_groups):
         block = cells[ends[r] - sizes[r]:ends[r]]
@@ -338,7 +340,7 @@ def _chi2_ranking(table: np.ndarray):
 
 def chi2_rank(x: PredictorMatrix, y: Phenotype):
     """Per-feature Pearson chi-square on the 2 x 3 case/control-by-genotype
-    table of `x.raw`, empty genotype columns dropped; df = non-empty - 1.
+    table of `x.dosages()`, empty genotype columns dropped; df = non-empty - 1.
 
     All p tables are counted in one pass over X and the statistics computed
     as arrays. The statistic sums its terms in the order (control g=0..2,
@@ -358,12 +360,12 @@ def chi2_rank(x: PredictorMatrix, y: Phenotype):
     p) agree; a summation that rounds one of them an ulp apart orders them
     by that ulp.
     """
-    _check_dosages(x)
+    dosages = x.dosages()
     if y.kind != "binary":
         raise ValidationError("chi2_rank requires a binary phenotype")
     case = np.asarray(y.labels) == y.level_codes[1]
     order, stat, p, flagged = _chi2_ranking(
-        _genotype_counts(x.raw, case.astype(int), 2))
+        _genotype_counts(dosages, case.astype(int), 2))
     return list(zip(order.tolist(), stat[order].tolist(), p[order].tolist(),
                     flagged[order].tolist()))
 
@@ -471,12 +473,15 @@ def stratified_folds(labels, n_folds: int, seed: int):
 
 def check_cv_settings(method: str, folds: int, top_m: int | None = None,
                       knn_k: int | None = None) -> None:
-    """Refuse an unknown method, fewer than 2 folds, top_m or knn_k < 1, or
-    an even knn_k, which cannot break a tie between CV's two classes."""
+    """Refuse an unknown method, fewer than 2 folds and, for pvalue_rank,
+    the only method that reads them, top_m or knn_k < 1 or an even knn_k,
+    which cannot break a tie between CV's two classes."""
     if method not in ("sparse_sdr", "pvalue_rank"):
         raise ValidationError(f"unknown cv method {method!r}")
     if folds < 2:
         raise ValidationError(f"cross-validation needs folds >= 2, got {folds}")
+    if method == "sparse_sdr":
+        return
     for name, value in (("top_m", top_m), ("knn_k", knn_k)):
         if value is not None and value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
@@ -510,11 +515,11 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
             f"cross-validation needs a binary response, got a {y.kind} "
             f"one{levels}")
     slice_count(y, h)
-    if top_m is not None and top_m > x.n_features:
-        raise ValidationError(f"top_m = {top_m} exceeds the {x.n_features} "
-                              "features")
     if method == "pvalue_rank":
-        _check_dosages(x)
+        if top_m is not None and top_m > x.n_features:
+            raise ValidationError(f"top_m = {top_m} exceeds the "
+                                  f"{x.n_features} features")
+        dosages = x.dosages()
     assign = stratified_folds(y.labels, folds, seed)
     positive = y.level_codes[1]
     if method == "pvalue_rank":
@@ -522,7 +527,7 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
         # training table is all rows' counts less its own: exact integers,
         # so it equals the table of its training rows bit for bit.
         case = np.asarray(y.labels) == positive
-        counts = _genotype_counts(x.raw, 2 * assign + case, 2 * folds)
+        counts = _genotype_counts(dosages, 2 * assign + case, 2 * folds)
         counts = counts.reshape(folds, 2, 3, x.n_features)
         all_rows = counts.sum(axis=0)
         # a grid size past p reads the same p columns as p itself
@@ -552,7 +557,7 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
                 raise ValidationError("no valid (top_m, k) combination")
             best = None
             for m in m_grid:
-                tr = x.raw[np.ix_(train_rows, ranked[:m])]
+                tr = dosages[np.ix_(train_rows, ranked[:m])]
                 d2 = _sq_dists(tr, tr)
                 np.fill_diagonal(d2, np.inf)  # a row never votes on itself
                 order = _neighbour_order(d2, max(k_grid))  # serves every k
@@ -563,8 +568,8 @@ def cross_validate(x: PredictorMatrix, y: Phenotype, folds: int,
                         best = (acc, m, k)
             _, m, k = best
             cols = ranked[:m]
-            tr = x.raw[np.ix_(train_rows, cols)]
-            te = x.raw[np.ix_(test_rows, cols)]
+            tr = dosages[np.ix_(train_rows, cols)]
+            te = dosages[np.ix_(test_rows, cols)]
             tr_labels, tr_scores = knn_predict(tr, y_train.labels, tr, k)
             te_labels, te_scores = knn_predict(tr, y_train.labels, te, k)
             selected_ids = [x.feature_ids[j] for j in cols]

@@ -156,7 +156,7 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("method", ["pvalue_rank", "sparse_sdr"])
+    @pytest.mark.parametrize("method", ["pvalue_rank"])
     def test_even_knn_k_refused_before_the_data_is_read(
             self, tmp_path, capsys, monkeypatch, method):
         # cv's response is binary, where an even k can tie
@@ -172,6 +172,23 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "sparsesdr cv: knn_k must be odd, got 2\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["cv.knn_k = 2", "cv.knn_k = 0",
+                                         "cv.top_m = 31"])
+    def test_sparse_sdr_cv_ignores_pvalue_rank_settings(self, tmp_path,
+                                                        setting):
+        # top_m and knn_k are read by pvalue_rank only, so sparse_sdr
+        # neither checks them nor answers differently for them
+        xp, yp, _ = write_dataset(tmp_path)
+        reports = []
+        for name, extra in (("plain", ""), ("set", setting + "\n")):
+            cfg = write_config(tmp_path, CV_CFG + extra, name=name + ".cfg")
+            out = tmp_path / name
+            assert main(["cv", "--x", str(xp), "--y", str(yp),
+                         "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append([(out / f).read_bytes()
+                            for f in ("cv_report.tsv", "cv_report.json")])
+        assert reports[0] == reports[1]
 
     def test_key_set_twice_refused(self, tmp_path, capsys):
         xp, yp, _ = write_dataset(tmp_path)
@@ -638,8 +655,8 @@ class TestCv:
     @pytest.mark.parametrize("setting, message", [
         ("cv.method = pvalue", "unknown cv method 'pvalue'"),
         ("cv.folds = 1", "folds >= 2, got 1"),
-        ("cv.top_m = 0", "top_m must be >= 1, got 0"),
-        ("cv.knn_k = 0", "knn_k must be >= 1, got 0"),
+        ("cv.method = pvalue_rank\ncv.top_m = 0", "top_m must be >= 1, got 0"),
+        ("cv.method = pvalue_rank\ncv.knn_k = 0", "knn_k must be >= 1, got 0"),
     ], ids=["method", "folds", "top_m", "knn_k"])
     def test_bad_cv_setting_refused_before_the_data_is_read(
             self, tmp_path, capsys, monkeypatch, setting, message):
@@ -704,6 +721,29 @@ class TestCv:
 
 
 class TestAssoc:
+    @pytest.mark.parametrize("command, config, files", [
+        ("assoc", None, ["assoc.tsv"]),
+        ("cv", "cv.folds = 4\ncv.method = pvalue_rank\n",
+         ["cv_report.tsv", "cv_report.json"])])
+    def test_float_spelled_dosages_answer_alike(self, tmp_path, command,
+                                                config, files):
+        # "1.0" makes the matrix float64; chi-square ranking reads its
+        # exact uint8 copy, so the reports are the all-digit file's bytes
+        xp, yp, _ = write_dataset(tmp_path, n=150)
+        header, body = xp.read_text().split("\n", 1)
+        spelled = tmp_path / "x_float.tsv"
+        spelled.write_text(header + "\n" + body.replace("\t1", "\t1.0"))
+        assert load_predictors(spelled).raw.dtype == np.float64
+        extra = ([] if config is None
+                 else ["--config", str(write_config(tmp_path, config))])
+        reports = []
+        for name, path in (("digits", xp), ("spelled", spelled)):
+            out = tmp_path / name
+            assert main([command, "--x", str(path), "--y", str(yp),
+                         "--out", str(out)] + extra) == 0
+            reports.append([(out / f).read_bytes() for f in files])
+        assert reports[0] == reports[1]
+
     def test_matches_library_ranking(self, tmp_path):
         from sparsesdr.dataset import load_predictors, make_phenotype
         from sparsesdr.evaluation import chi2_rank
@@ -1084,11 +1124,27 @@ class TestPredict:
          "class_priors must have 2 entries"),
         (json.dumps({**TWO_FEATURE_MODEL, "feature_ids": "ab"}),
          "feature_ids must be a list of strings"),
+        (json.dumps({**TWO_FEATURE_MODEL, "feature_ids": ["f0", "f0"]}),
+         "feature_ids must be a list of strings, each once"),
         (json.dumps({**TWO_FEATURE_MODEL, "degenerate": "false"}),
          "degenerate must be true or false"),
+        (json.dumps({**TWO_FEATURE_MODEL, "class_labels": "01"}),
+         "class_labels must be a list"),
+        (json.dumps({**TWO_FEATURE_MODEL, "class_labels": [True, False]}),
+         "class_labels must hold only numbers"),
+        (json.dumps({**TWO_FEATURE_MODEL, "B_kept": [["1"], ["0.5"]]}),
+         "B_kept must hold only numbers"),
+        (json.dumps({**TWO_FEATURE_MODEL, "column_means": [True, 0.5]}),
+         "column_means must hold only numbers"),
+        (json.dumps({**TWO_FEATURE_MODEL, "class_priors": ["0.5", 0.5]}),
+         "class_priors must hold only numbers"),
+        (json.dumps({**TWO_FEATURE_MODEL, "column_means": [10 ** 400, 0.5]}),
+         "malformed model"),
     ], ids=["not_json", "missing_keys", "short_column_means", "short_B_kept",
             "one_class", "wide_centroids", "short_priors", "string_ids",
-            "string_degenerate"])
+            "repeated_ids", "string_degenerate", "string_labels", "bool_labels",
+            "string_B_kept", "bool_column_means", "string_priors",
+            "huge_column_mean"])
     def test_malformed_model_refused(self, tmp_path, capsys, model_text,
                                      message):
         rc, out = self.run_predict(tmp_path, model_text)

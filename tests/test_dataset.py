@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -422,6 +425,54 @@ class TestStorage:
         assert_same_bits(center(rows)[1], dosages[[0, 4, 9]].mean(axis=0))
 
 
+class TestDosages:
+    """`dosages` gives uint8 cells as they are and float cells as an exact
+    uint8 copy, and names the first cell outside {0, 1, 2} it meets."""
+
+    @staticmethod
+    def matrix(cells):
+        n, p = cells.shape
+        return PredictorMatrix(cells, [f"f{j}" for j in range(p)],
+                               [f"s{i}" for i in range(n)])
+
+    def test_uint8_cells_returned_as_they_are(self):
+        cells = np.random.default_rng(3).binomial(2, 0.3, (20, 15))
+        x = self.matrix(cells.astype(np.uint8))
+        assert np.shares_memory(x.dosages(), x.raw)
+
+    def test_float_cells_copied_exactly(self):
+        cells = np.random.default_rng(4).binomial(2, 0.3, (20, 15))
+        x = self.matrix(cells.astype(float))
+        got = x.dosages()
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, x.raw)
+        assert not np.shares_memory(got, x.raw)
+
+    @pytest.mark.parametrize("dtype, value, text", [
+        (np.uint8, 3, "3"), (float, 0.5, "0.5"), (float, -1, "-1")])
+    def test_first_bad_cell_named(self, dtype, value, text):
+        # (1, 4) comes first in row-major order, (3, 0) in column-major
+        cells = np.ones((4, 5), dtype=dtype)
+        cells[3, 0] = cells[1, 4] = value
+        with pytest.raises(ValidationError) as exc:
+            self.matrix(cells).dosages()
+        assert str(exc.value).endswith(
+            f"requires dosages in {{0, 1, 2}}, got {text} at sample 's1', "
+            "feature 'f4'")
+
+
+def test_only_dataset_reads_the_cells():
+    # a matrix's cell format is known to dataset.py alone: every other
+    # module asks it for dosages or centered cells, never for `raw`
+    modules = sorted(Path(sparsesdr.dataset.__file__).parent.glob("*.py"))
+    assert "evaluation.py" in [m.name for m in modules]
+    readers = [f"{m.name}:{node.lineno}"
+               for m in modules if m.name != "dataset.py"
+               for node in ast.walk(ast.parse(m.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "raw"]
+    assert readers == []
+
+
 class TestPhenotypeFile:
     def test_roundtrip(self, tmp_path):
         p = write(tmp_path, "y.tsv", "s1\t0\ns2\t1\n")
@@ -492,6 +543,14 @@ class TestCenter:
         assert np.array_equal(x.raw, raw) and x.raw.dtype == np.uint8
         assert_same_bits(again_means, means)
         assert_same_bits(again, X)
+
+    def test_given_means_subtracted(self):
+        # `predict` centers test rows by the training means, not their own
+        x, _, _ = simulate(SyntheticSpec(40, 12, seed=3))
+        means = np.linspace(0.0, 2.0, 12)
+        X, got = center(x, means)
+        assert got is means
+        assert_same_bits(X, x.raw - means)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
