@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .admm import PenaltyParams
-from .dataset import _decode, _file_lines
+from .dataset import _file_lines
 from .errors import ValidationError
 from .optimal_scoring import SolverConfig
 from .screening import ScreeningPlan, Stage
@@ -115,12 +115,11 @@ def _take(raw: dict, section: str) -> dict:
 
 
 def load_run_config(path) -> RunConfig:
-    """The settings of the config file at `path`, whose lines end as a data
-    file's do (`dataset._file_lines`). A line that is not UTF-8 is refused
-    with its number."""
-    with open(path, "rb") as fh:
-        raw = parse_config_text("\n".join(
-            _decode(path, lineno, line) for lineno, line in _file_lines(fh)))
+    """The settings of the config file at `path`, read as every input file
+    is (`dataset._file_lines`): its lines end as a data file's do, a
+    leading byte-order mark is dropped, and a line that is not UTF-8 is
+    refused with its number."""
+    raw = parse_config_text("\n".join(line for _, line in _file_lines(path)))
     solver = SolverConfig(penalty=PenaltyParams(**_take(raw, "penalty")),
                           **_take(raw, "solver"))
     cfg = RunConfig(solver=solver, **_take(raw, "run"))

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import codecs
-import itertools
 import math
+import re
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,36 +169,21 @@ def _split_line(line: str, delim: str) -> list[str]:
     return [c.strip() for c in line.split(delim)]
 
 
-_READ_BYTES = 1 << 20   # bytes per read of an input file
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")   # a non-UTF-8 byte, escaped
 
 
-def _file_lines(fh):
-    """(line number, bytes) for each line of the binary file `fh`, without
-    its line end. Lines end at b"\n", b"\r\n" or a lone b"\r", as in text
-    mode, and are numbered from 1, blank ones included; every input file is
-    split here, so no other character ends a line. The file is read
-    `_READ_BYTES` at a time; only a line that spans reads is carried over.
-    A UTF-8 byte-order mark at the start of the file is dropped."""
-    lineno, rest = 0, b""
-    chunks = iter(lambda: fh.read(_READ_BYTES), b"")
-    first = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
-    for chunk in itertools.chain([first], chunks):
-        if b"\r" in chunk or rest.endswith(b"\r"):
-            # each line end as b"\n", but a last b"\r", which may be the
-            # first half of a b"\r\n", is carried over as it is
-            chunk, rest = rest + chunk, b""
-            last = chunk.endswith(b"\r")
-            chunk = (chunk[:len(chunk) - last].replace(b"\r\n", b"\n")
-                     .replace(b"\r", b"\n") + b"\r" * last)
-        # `find` scans with memchr; `split` tests byte by byte, 25x slower
-        start, end = 0, chunk.find(b"\n")
-        while end >= 0:
-            lineno += 1
-            yield lineno, rest + chunk[start:end]
-            rest, start, end = b"", end + 1, chunk.find(b"\n", end + 1)
-        rest += chunk[start:]
-    if rest:
-        yield lineno + 1, rest.rstrip(b"\r")
+def _file_lines(path):
+    """(line number, text) for each line of the UTF-8 file at `path`,
+    without its line end. Text mode ends lines at "\n", "\r\n" or a lone
+    "\r" and nowhere else, and "utf-8-sig" drops a byte-order mark at the
+    start of the file; lines are numbered from 1, blank ones included.
+    Every input file is read here, and a line holding a byte sequence that
+    is not UTF-8 is refused with its number."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and _ESCAPED_BYTE.search(line):
+                raise ParseError(f"{path}: invalid UTF-8 at line {lineno}")
+            yield lineno, line.removesuffix("\n")
 
 
 def _refuse_tab(path, lineno: int, kind: str, ids) -> None:
@@ -208,18 +193,10 @@ def _refuse_tab(path, lineno: int, kind: str, ids) -> None:
                          "holds a tab")
 
 
-def _decode(path, lineno: int, raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: invalid UTF-8 at line {lineno}") from None
-
-
-def _text_row(path, lineno: int, raw: bytes, delim: str, header: list[str]):
-    """One line below the header read as text: None if it holds only
-    whitespace, else (sample id, float64 row) with the cells converted by
-    numpy's string-to-float cast."""
-    line = _decode(path, lineno, raw)
+def _text_row(path, lineno: int, line: str, delim: str, header: list[str]):
+    """One line below the header: None if it holds only whitespace, else
+    (sample id, float64 row) with the cells converted by numpy's
+    string-to-float cast."""
     if line.strip() == "":
         return None
     cells = line.split(delim)
@@ -243,29 +220,27 @@ def _text_row(path, lineno: int, raw: bytes, delim: str, header: list[str]):
 def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
     """Load a predictor file: header row of feature ids, first column sample id.
 
-    The file is read in binary, a line at a time, and each line is checked
-    once, as it is read. Lines end where `_file_lines` ends them, and no
-    other character ends one. The header is the first line that holds more
-    than whitespace, and each later such line is one row. A line whose
-    bytes from the first delimiter on are 2p long may be a dosage row: as
-    big-endian uint16, each (delimiter, cell) byte pair less (delimiter,
-    '0') is at most 9 exactly when the cell is one ASCII digit, and if all
-    are, the row is those values as uint8. Any other line is decoded as
-    UTF-8 and converted by numpy's string-to-float cast, which accepts and
-    rejects the same cells (surrounding whitespace included) as `float()`.
-    The matrix is uint8 when every row is a dosage row, else float64.
-    Single digits are exact, so both give the values `float()` gives. Line
-    numbers in errors count every line of the file from 1, blank lines
-    included, and a line that is not UTF-8 or has an id holding a tab
-    (a CSV can) is refused with its number.
+    The file is read a line at a time, so it is never held whole as text,
+    and each line is checked once, as it is read. Lines end where
+    `_file_lines` ends them, and no other character ends one. The header is
+    the first line that holds more than whitespace, and each later such
+    line is one row. A line whose text from the first delimiter on is 2p
+    ASCII characters may be a dosage row: as big-endian uint16, each
+    (delimiter, cell) byte pair less (delimiter, '0') is at most 9 exactly
+    when the cell is one ASCII digit, and if all are, the row is those
+    values as uint8. Any other line is converted by numpy's string-to-float
+    cast, which accepts and rejects the same cells (surrounding whitespace
+    included) as `float()`. The matrix is uint8 when every row is a dosage
+    row, else float64. Single digits are exact, so both give the values
+    `float()` gives. Line numbers in errors count every line of the file
+    from 1, blank lines included, and a line that is not UTF-8 or has an
+    id holding a tab (a CSV can) is refused with its number.
     """
     if format not in ("tsv", "csv"):
         raise ValidationError(f"unknown format {format!r}")
     delim = "\t" if format == "tsv" else ","
-    with open(path, "rb") as fh:
-        lines = _file_lines(fh)
-        for lineno, raw in lines:
-            line = _decode(path, lineno, raw)
+    with closing(_file_lines(path)) as lines:
+        for lineno, line in lines:
             if line.strip() != "":
                 break
         else:
@@ -275,18 +250,18 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
             raise ParseError(
                 f"{path}: header needs a sample-id column plus features")
         _refuse_tab(path, lineno, "feature", header[1:])
-        sep, width = delim.encode(), 2 * (len(header) - 1)
+        width = 2 * (len(header) - 1)
         base = np.uint16(ord(delim) << 8 | ord("0"))
         sample_ids, rows = [], []   # uint8 dosage and float64 rows
-        for lineno, raw in lines:
-            cut, row = raw.find(sep), None
-            if 0 <= cut == len(raw) - width:
-                cells = np.frombuffer(raw, ">u2", offset=cut) - base
+        for lineno, line in lines:
+            cut, row = line.find(delim), None
+            tail = line[cut:]
+            if 0 <= cut and len(tail) == width and tail.isascii():
+                cells = np.frombuffer(tail.encode(), ">u2") - base
                 if cells.max() <= 9:
-                    row = (_decode(path, lineno, raw[:cut]).strip(),
-                           cells.astype(np.uint8))
+                    row = line[:cut].strip(), cells.astype(np.uint8)
             if row is None:
-                row = _text_row(path, lineno, raw, delim, header)
+                row = _text_row(path, lineno, line, delim, header)
             if row is not None:
                 _refuse_tab(path, lineno, "sample", row[:1])
                 sample_ids.append(row[0])
@@ -301,9 +276,8 @@ def load_phenotype(path) -> tuple[list[str], np.ndarray]:
     A label that `float()` rejects or gives as nan or +-inf is refused with
     its line number, and so is a line that is not UTF-8."""
     sample_ids, labels = [], []
-    with open(path, "rb") as fh:
-        for lineno, raw in _file_lines(fh):
-            line = _decode(path, lineno, raw)
+    with closing(_file_lines(path)) as lines:
+        for lineno, line in lines:
             if line.strip() == "":
                 continue
             cells = _split_line(line, "\t")

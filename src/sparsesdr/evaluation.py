@@ -6,11 +6,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import Phenotype, PredictorMatrix, center
+from .dataset import Phenotype, PredictorMatrix, _file_lines, center
 from .errors import NumericError, ParseError, ValidationError
 from .scoring import slice_count
 from .screening import ScreeningPlan, SelectionReport, run_plan
@@ -95,26 +94,30 @@ def model_to_json(clf: ProjectionClassifier) -> dict:
 
 
 def _numbers_only(value) -> bool:
-    """Whether `value` is a JSON number (a bool is not one) or lists nesting
-    only numbers."""
+    """Whether `value` is a finite JSON number or lists nesting only such
+    numbers. A bool is not one, nor are NaN and +-Infinity, which Python's
+    json reads as floats (as it reads 1e400, as inf)."""
     stack = [value]
     while stack:
         v = stack.pop()
         if isinstance(v, list):
             stack.extend(v)
-        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+        elif (isinstance(v, bool) or not isinstance(v, (int, float))
+              or isinstance(v, float) and not math.isfinite(v)):
             return False
     return True
 
 
 def load_model(path) -> ProjectionClassifier:
-    """Read a classifier written as `model_to_json`'s dict. A file that is
-    not JSON, has other keys or values of another type (a label or array
-    entry that is not a JSON number), or whose arrays do not fit
-    `feature_ids` and `class_labels` is refused with a ParseError naming it."""
+    """Read a classifier written as `model_to_json`'s dict, from a file read
+    as every input file is (`dataset._file_lines`, so a leading byte-order
+    mark is dropped). A file that is not UTF-8 or not JSON, has other keys
+    or values of another type (a label or array entry that is not a finite
+    JSON number), or whose arrays do not fit `feature_ids` and
+    `class_labels` is refused with a ParseError naming it."""
     try:
-        m = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:   # undecodable bytes or invalid JSON
+        m = json.loads("\n".join(line for _, line in _file_lines(path)))
+    except ValueError as exc:   # invalid JSON
         raise ParseError(f"{path}: not a JSON model: {exc}") from None
     keys = sorted(f.name for f in fields(ProjectionClassifier))
     if not isinstance(m, dict) or sorted(m) != keys:
@@ -124,7 +127,8 @@ def load_model(path) -> ProjectionClassifier:
     for name in ("B_kept", "column_means", "class_labels", "class_centroids",
                  "class_priors"):
         if not _numbers_only(m[name]):
-            raise ParseError(f"{path}: {name} must hold only numbers")
+            raise ParseError(
+                f"{path}: {name} must hold only numbers, all finite")
     try:
         for name in ("B_kept", "column_means", "class_centroids",
                      "class_priors"):

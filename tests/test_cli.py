@@ -858,6 +858,24 @@ class TestByteOrderMark:
     """A UTF-8 byte-order mark at the start of an input file is dropped:
     the run writes the same outputs as without it."""
 
+    def test_same_predictions_from_marked_model(self, tmp_path):
+        xp, yp, _ = write_dataset(tmp_path, n=60)
+        fit = tmp_path / "fit"
+        assert main(["fit", "--x", str(xp), "--y", str(yp), "--config",
+                     str(write_config(tmp_path, FIT_CFG)),
+                     "--out", str(fit)]) == 0
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        (marked / "model.json").write_bytes(
+            b"\xef\xbb\xbf" + (fit / "model.json").read_bytes())
+        runs = []
+        for model in (fit, marked):
+            out = tmp_path / f"out_{model.name}"
+            assert main(["predict", "--x", str(xp), "--model", str(model),
+                         "--out", str(out)]) == 0
+            runs.append((out / "predictions.tsv").read_bytes())
+        assert runs[0] and runs[0] == runs[1]
+
     def outputs(self, out, files):
         assert main(["screen", "--x", str(files["x"]), "--y", str(files["y"]),
                      "--config", str(files["config"]), "--out", str(out)]) == 0
@@ -1140,11 +1158,27 @@ class TestPredict:
          "class_priors must hold only numbers"),
         (json.dumps({**TWO_FEATURE_MODEL, "column_means": [10 ** 400, 0.5]}),
          "malformed model"),
+        # Python's json reads NaN, Infinity and an overflowing float as floats
+        (json.dumps({**TWO_FEATURE_MODEL, "column_means": [np.nan, 0.5]}),
+         "column_means must hold only numbers, all finite"),
+        (json.dumps({**TWO_FEATURE_MODEL, "B_kept": [[np.inf], [0.0]]}),
+         "B_kept must hold only numbers, all finite"),
+        (json.dumps({**TWO_FEATURE_MODEL,
+                     "class_centroids": [[-np.inf], [1.0]]}),
+         "class_centroids must hold only numbers, all finite"),
+        (json.dumps({**TWO_FEATURE_MODEL, "class_priors": [np.nan, 0.5]}),
+         "class_priors must hold only numbers, all finite"),
+        (json.dumps({**TWO_FEATURE_MODEL, "class_labels": [0.0, np.inf]}),
+         "class_labels must hold only numbers, all finite"),
+        (json.dumps(TWO_FEATURE_MODEL).replace("0.25", "1e400"),
+         "column_means must hold only numbers, all finite"),
     ], ids=["not_json", "missing_keys", "short_column_means", "short_B_kept",
             "one_class", "wide_centroids", "short_priors", "string_ids",
             "repeated_ids", "string_degenerate", "string_labels", "bool_labels",
             "string_B_kept", "bool_column_means", "string_priors",
-            "huge_column_mean"])
+            "huge_column_mean", "nan_column_mean", "infinite_B_kept",
+            "minus_infinite_centroid", "nan_prior", "infinite_label",
+            "overflowing_column_mean"])
     def test_malformed_model_refused(self, tmp_path, capsys, model_text,
                                      message):
         rc, out = self.run_predict(tmp_path, model_text)

@@ -1,4 +1,5 @@
 import ast
+import io
 from pathlib import Path
 
 import numpy as np
@@ -242,23 +243,19 @@ class TestDosageRows:
 
 
 class TestBlockReader:
-    """Each line is checked once, as it is read: a dosage row as bytes, and
-    a row that fails that check, or any other line, as text, so rows and
-    errors come in line order. (The class keeps the name it had when
-    dosage rows were checked a block at a time, so its test ids stay.)"""
+    """Each line is checked once, as it is read: a dosage row by its bytes,
+    and a row that fails that check, or any other line, by `float()`, so
+    rows and errors come in line order. (The class keeps the name it had
+    when dosage rows were checked a block at a time, so its test ids
+    stay.)"""
 
     P = 5
-
-    @pytest.fixture
-    def small_reads(self, monkeypatch):
-        # reads of 7 bytes, so lines span reads
-        monkeypatch.setattr(sparsesdr.dataset, "_READ_BYTES", 7)
 
     def lines(self, n_rows, seed=0):
         v = np.random.default_rng(seed).binomial(2, 0.4, size=(n_rows, self.P))
         return dosage_text(v, str).splitlines()
 
-    def test_dosage_rows_past_one_block(self, tmp_path, small_reads):
+    def test_dosage_rows_past_one_block(self, tmp_path):
         text = "\n".join(self.lines(11)) + "\n"
         m = load_predictors(write(tmp_path, "x.tsv", text), "tsv")
         ids, want = float_oracle(text, "\t")
@@ -270,8 +267,8 @@ class TestBlockReader:
     @pytest.mark.parametrize("row", [2, 4, 5, 11])
     @pytest.mark.parametrize("spell", [lambda c: f" {c}", lambda c: f"{c}.0"],
                              ids=["padded", "decimal"])
-    def test_other_row_inside_or_at_edge_of_block(self, tmp_path,
-                                                  small_reads, row, spell):
+    def test_other_row_inside_or_at_edge_of_block(self, tmp_path, row,
+                                                  spell):
         lines = self.lines(11)
         sid, *cells = lines[row].split("\t")
         lines[row] = "\t".join([sid] + [spell(c) for c in cells])
@@ -287,8 +284,7 @@ class TestBlockReader:
         ("s9\t1\t0\tx\t2\t1", "non-numeric cell 'x' at line 12, column 'f2'$"),
         ("s9\t1\t0\t/\t2\t1", "non-numeric cell '/' at line 12, column 'f2'$"),
     ], ids=["ragged", "non_numeric", "digit_width"])
-    def test_bad_row_after_first_block(self, tmp_path, small_reads, bad,
-                                       message):
+    def test_bad_row_after_first_block(self, tmp_path, bad, message):
         # two blank lines before the bad row, which is the 9th data row; a
         # bad row after it must not be the one named
         lines = self.lines(12)
@@ -300,7 +296,7 @@ class TestBlockReader:
             load_predictors(p, "tsv")
 
     @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["lone_cr", "crlf"])
-    def test_line_ends(self, tmp_path, small_reads, end):
+    def test_line_ends(self, tmp_path, end):
         lines = self.lines(9)
         text = end.join(lines) + end
         p = tmp_path / "x.tsv"
@@ -328,22 +324,75 @@ class TestBlockReader:
                            match=f"x.tsv: invalid UTF-8 at line {at}$"):
             load_predictors(p, "tsv")
 
+    # io.TextIOWrapper decodes a file this many bytes at a time (8192)
+    TEXT_READ = io.TextIOWrapper(io.BytesIO())._CHUNK_SIZE
+
+    @pytest.mark.parametrize("end, at", [("\r\n", 1), ("\r", 1),
+                                         ("\n", 7)],
+                             ids=["crlf", "lone_cr", "dosage_row"])
+    def test_lines_across_text_reads(self, tmp_path, end, at):
+        # one line end is padded to start `at` bytes before the end of the
+        # first read: a "\r\n" or a lone "\r" as its last byte, or a line
+        # end 7 bytes before it, so the next dosage row straddles the read
+        lines = self.lines(1200)
+        stop = self.TEXT_READ - at
+        ends = np.cumsum([len(ln) + len(end) for ln in lines]) - len(end)
+        i = int(np.searchsorted(ends, stop, side="right")) - 1
+        sid, rest = lines[i].split("\t", 1)
+        lines[i] = sid + "_" * (stop - int(ends[i])) + "\t" + rest
+        text = end.join(lines) + end
+        assert text.index(end, stop - len(lines[i])) == stop
+        p = tmp_path / "x.tsv"
+        p.write_bytes(text.encode())
+        m = load_predictors(p, "tsv")
+        ids, want = float_oracle(text, "\t")
+        assert m.sample_ids == ids and len(ids) == 1200
+        assert m.raw.dtype == np.uint8
+        assert_same_bits(m.raw.astype(np.float64), want)
+        lines[i + 1] += "\t1"
+        p.write_bytes((end.join(lines) + end).encode())
+        with pytest.raises(ParseError,
+                           match=f"ragged row at line {i + 2}:"):
+            load_predictors(p, "tsv")
+
 
 @pytest.mark.parametrize("data, lines", [
-    (b"\xef\xbb\xbfid\ta\n", [b"id\ta"]),
-    (b"\xef\xbb\xbf\r\nid\n", [b"", b"id"]),
+    (b"\xef\xbb\xbfid\ta\n", ["id\ta"]),
+    (b"\xef\xbb\xbf\r\nid\n", ["", "id"]),
     (b"\xef\xbb\xbf", []),
     # only a mark at the start of the file is dropped
-    (b"id\xef\xbb\xbf\n", [b"id\xef\xbb\xbf"]),
-    (b"\n\xef\xbb\xbfid\n", [b"", b"\xef\xbb\xbfid"]),
+    (b"id\xef\xbb\xbf\n", ["id\ufeff"]),
+    (b"\n\xef\xbb\xbfid\n", ["", "\ufeffid"]),
 ])
-def test_file_lines_drop_a_leading_byte_order_mark(tmp_path, monkeypatch,
-                                                    data, lines):
-    monkeypatch.setattr(sparsesdr.dataset, "_READ_BYTES", 4)
+def test_file_lines_drop_a_leading_byte_order_mark(tmp_path, data, lines):
     p = tmp_path / "x.tsv"
     p.write_bytes(data)
-    with open(p, "rb") as fh:
-        assert [raw for _, raw in sparsesdr.dataset._file_lines(fh)] == lines
+    assert [line for _, line in sparsesdr.dataset._file_lines(p)] == lines
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_predictors, "id\ta\ns1\t0\ns2\t0\t1\ns3\t1\n",
+     "ragged row at line 3"),
+    (load_predictors, "id\ns1\ns2\n", "header needs a sample-id column"),
+    (load_phenotype, "s1\t0\ns2\tx\ns3\t1\n", "non-numeric label 'x'"),
+], ids=["ragged_row", "one_column_header", "non_numeric_label"])
+def test_loader_that_stops_early_closes_its_file(tmp_path, monkeypatch, load,
+                                                 text, message):
+    # the file is closed as the loader raises, while `excinfo`'s traceback
+    # still holds the loader's frame and so its reader: a generator closes
+    # its file when collected, so no ResourceWarning would show a reader
+    # left open until then
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sparsesdr.dataset, "open", recording_open,
+                        raising=False)
+    with pytest.raises(ParseError, match=message) as excinfo:
+        load(write(tmp_path, "x.tsv", text))
+    assert excinfo.traceback and [fh.closed for fh in opened] == [True]
 
 
 def dosage_text(v, spell):
@@ -471,6 +520,36 @@ def test_only_dataset_reads_the_cells():
                for node in ast.walk(ast.parse(m.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr == "raw"]
     assert readers == []
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """Whether `call` is `read_text`, `read_bytes` or an `open` (builtin or
+    `Path.open`) whose mode is not a constant holding "w", "a" or "x"."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    args = call.args[isinstance(func, ast.Name):]   # builtin: path first
+    mode = args[0] if args else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) & set("wax"))
+
+
+def test_only_dataset_reads_input_files():
+    # every parsed input is read by dataset._file_lines, so one line rule
+    # (line ends, byte-order mark, UTF-8) holds for all of them; the
+    # manifest's digest alone reads a file's bytes as they are
+    modules = sorted(Path(sparsesdr.dataset.__file__).parent.glob("*.py"))
+    readers = [(m.name, getattr(top, "name", None))
+               for m in modules if m.name != "dataset.py"
+               for top in ast.parse(m.read_text(encoding="utf-8")).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and _reads_a_file(node)]
+    assert readers == [("cli.py", "_sha256")]
 
 
 class TestPhenotypeFile:
