@@ -13,11 +13,11 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 
-def _refuse_repeats(ids: list[str], message: str) -> None:
+def _refuse_repeats(ids: list[str], message: str, where: str = "") -> None:
     """Refuse `ids` if some id occurs twice, naming the first such id."""
     if len(set(ids)) != len(ids):
         dup = next(i for i, c in Counter(ids).items() if c > 1)
-        raise ValidationError(f"{message}: {dup!r}")
+        raise ValidationError(f"{message}: {dup!r}{where}")
 
 
 @dataclass
@@ -233,8 +233,9 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
     included) as `float()`. The matrix is uint8 when every row is a dosage
     row, else float64. Single digits are exact, so both give the values
     `float()` gives. Line numbers in errors count every line of the file
-    from 1, blank lines included, and a line that is not UTF-8 or has an
-    id holding a tab (a CSV can) is refused with its number.
+    from 1, blank lines included, and a line that is not UTF-8, has an id
+    holding a tab (a CSV can) or repeats an id is refused with its number,
+    as it is read.
     """
     if format not in ("tsv", "csv"):
         raise ValidationError(f"unknown format {format!r}")
@@ -250,9 +251,11 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
             raise ParseError(
                 f"{path}: header needs a sample-id column plus features")
         _refuse_tab(path, lineno, "feature", header[1:])
+        _refuse_repeats(header[1:], f"{path}: duplicate feature id",
+                        f" at line {lineno}")
         width = 2 * (len(header) - 1)
         base = np.uint16(ord(delim) << 8 | ord("0"))
-        sample_ids, rows = [], []   # uint8 dosage and float64 rows
+        rows, first_line = [], {}   # uint8/float64 rows; sample id -> line
         for lineno, line in lines:
             cut, row = line.find(delim), None
             tail = line[cut:]
@@ -263,12 +266,17 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
             if row is None:
                 row = _text_row(path, lineno, line, delim, header)
             if row is not None:
-                _refuse_tab(path, lineno, "sample", row[:1])
-                sample_ids.append(row[0])
-                rows.append(row[1])
+                sid, values = row
+                _refuse_tab(path, lineno, "sample", [sid])
+                if sid in first_line:
+                    raise ValidationError(
+                        f"{path}: duplicate sample id: {sid!r} at line "
+                        f"{lineno} (first at line {first_line[sid]})")
+                first_line[sid] = lineno
+                rows.append(values)
     if not rows:
         raise ValidationError(f"{path}: zero samples (header only)")
-    return PredictorMatrix(np.stack(rows), header[1:], sample_ids)
+    return PredictorMatrix(np.stack(rows), header[1:], list(first_line))
 
 
 def load_phenotype(path) -> tuple[list[str], np.ndarray]:

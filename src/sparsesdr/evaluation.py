@@ -320,8 +320,8 @@ def _genotype_counts(X: np.ndarray, group: np.ndarray,
 def _chi2_ranking(table: np.ndarray):
     """`chi2_rank` on table[r, g, j], the samples of row r (0 control,
     1 case) with dosage g in feature j. Returns (order, stat, p, flagged):
-    the features sorted by p ascending (ties by index), and the three arrays
-    in feature order."""
+    the features in a stable sort by p (ties by index), and the three
+    arrays in feature order."""
     n_features = table.shape[2]
     genotype_totals = table.sum(axis=0)
     nonempty = genotype_totals > 0
@@ -338,8 +338,7 @@ def _chi2_ranking(table: np.ndarray):
     flagged = df == 0  # its one non-empty column gives terms of exactly 0
     p = np.ones(n_features)
     p[~flagged] = _chi2_sf(stat[~flagged], df[~flagged])
-    order = np.lexsort((np.arange(n_features), p))
-    return order, stat, p, flagged
+    return np.argsort(p, kind="stable"), stat, p, flagged
 
 
 def chi2_rank(x: PredictorMatrix, y: Phenotype):

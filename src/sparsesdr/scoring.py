@@ -29,21 +29,6 @@ class ScoringDesign:
         return self.Z.shape[0]
 
 
-def _assign_continuous_slices(y: np.ndarray, h: int) -> np.ndarray:
-    """Near-equal slices at empirical quantiles i/h, ties broken by sample
-    order (stable sort), so the assignment is deterministic."""
-    n = len(y)
-    order = np.argsort(y, kind="stable")
-    sizes = np.full(h, n // h)
-    sizes[: n % h] += 1
-    assign = np.empty(n, dtype=int)
-    start = 0
-    for s, size in enumerate(sizes):
-        assign[order[start:start + size]] = s
-        start += size
-    return assign
-
-
 def slice_count(y: Phenotype, h: int | None = None) -> int:
     """The slice count of `y`'s design: a binary or categorical response's
     level count, which `h` must equal when given; a continuous response's
@@ -63,15 +48,18 @@ def slice_count(y: Phenotype, h: int | None = None) -> int:
 
 def build_design(y: Phenotype, h: int | None = None) -> ScoringDesign:
     """Slice the response into `slice_count(y, h)` slices and build Z
-    (n x h), D = Z^T Z / n, L and Zw. No slice is empty: each level of a
-    `Phenotype` has a sample, and each of h quantile slices of n >= h
-    samples holds at least n // h."""
+    (n x h), D = Z^T Z / n, L and Zw. Slice s is the s-th level, or for a
+    continuous response the s-th of h consecutive runs of its stable sort
+    (ties in sample order), sizes differing by at most one, larger first.
+    No slice is empty: a level has a sample, a run at least n // h >= 1."""
     n = len(y.labels)
     h = slice_count(y, h)
+    assign = np.empty(n, dtype=int)
     if y.kind == "continuous":
-        assign = _assign_continuous_slices(y.labels, h)
+        for s, rows in enumerate(
+                np.array_split(np.argsort(y.labels, kind="stable"), h)):
+            assign[rows] = s
     else:
-        assign = np.empty(n, dtype=int)
         for s, code in enumerate(y.level_codes):
             assign[np.asarray(y.labels) == code] = s
     Z = np.zeros((n, h))

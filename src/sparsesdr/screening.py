@@ -73,31 +73,13 @@ class SelectionReport:
         return [self.feature_ids[j] for j in self.selected_indices]
 
 
-def partition_features(p: int, k: int) -> list[tuple[int, int]]:
-    """Contiguous, disjoint, covering index ranges with sizes differing by
-    at most one (larger ranges first)."""
-    if k < 1:
-        raise ValidationError("partition count must be >= 1")
-    if k > p:
-        raise ValidationError(f"cannot split {p} features into {k} partitions")
-    base, extra = divmod(p, k)
-    ranges = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
 def rank_and_keep(ds: DirectionSet, k: int):
-    """Top-k row positions by coefficient row norm, ties broken by index
-    ascending. Returns (positions, norms)."""
+    """Top-k row positions by coefficient row norm, ties by index (a stable
+    sort of the negated norms). Returns (positions, norms)."""
     norms = ds.row_norms()
     if k > len(norms):
         raise ValidationError(f"keep={k} exceeds {len(norms)} features")
-    order = np.lexsort((np.arange(len(norms)), -norms))
-    kept = order[:k]
+    kept = np.argsort(-norms, kind="stable")[:k]
     return kept, norms[kept]
 
 
@@ -111,12 +93,14 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     every partition. `h` is the slice count passed to `build_design`
     (required for a continuous response).
 
-    Each stage fits its partitions in index order on the calling thread. No
-    fit is random, and a plan with no stages is `optimal_scoring.fit` on
-    every feature. Every fit uses OpenBLAS's thread count as found
-    (`OPENBLAS_NUM_THREADS` respected); the last bits of a wide fit can
-    depend on that count. A first stage that `x` cannot feed is refused
-    before any fit, and so is a direction count d above h - 1.
+    Each stage cuts the sorted survivors into consecutive partitions whose
+    sizes differ by at most one, larger first, and fits them in that order
+    on the calling thread. No fit is random, and a plan with no stages is
+    `optimal_scoring.fit` on every feature. Every fit uses OpenBLAS's
+    thread count as found (`OPENBLAS_NUM_THREADS` respected); the last bits
+    of a wide fit can depend on that count. A first stage that `x` cannot
+    feed is refused before any fit, and so is a direction count d above
+    h - 1.
     """
     if plan.stages:   # later stages were checked when `plan` was made
         _check_stage(1, plan.stages[0], x.n_features)
@@ -128,10 +112,9 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
     records: list[StageRecord] = []
 
     for stage_no, stage in enumerate(plan.stages, start=1):
-        merged: list[int] = []
-        for part_no, (lo, hi) in enumerate(
-                partition_features(len(current), stage.n_partitions)):
-            cols = current[lo:hi]
+        merged = []
+        for part_no, cols in enumerate(
+                np.array_split(current, stage.n_partitions)):
             try:
                 ds = optimal_scoring.fit(x.restrict(cols), design,
                                          plan.final_fit)
@@ -143,8 +126,8 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
             records.append(StageRecord(stage_no, part_no, kept, norms,
                                        ds.converged and ds.inner_converged,
                                        ds.inner_converged))
-            merged.extend(int(j) for j in kept)
-        current = np.array(sorted(merged))
+            merged.append(kept)
+        current = np.sort(np.concatenate(merged))
 
     final_x = x.restrict(current) if plan.stages else x
     final_ds = optimal_scoring.fit(final_x, design, plan.final_fit)
@@ -165,11 +148,10 @@ def report_to_tsv(report: SelectionReport) -> str:
         for j, norm in zip(rec.kept_indices, rec.kept_norms):
             lines.append(f"{report.feature_ids[j]}\t{norm:.12g}\t"
                          f"{rec.stage}\t{rec.partition}")
-    final_norms = report.final_directions.row_norms()
-    pos = {int(j): i for i, j in enumerate(report.survivors)}
-    for j in report.selected_indices:
-        lines.append(f"{report.feature_ids[j]}\t{final_norms[pos[int(j)]]:.12g}"
-                     f"\tfinal\t0")
+    final_norms = report.final_directions.row_norms()[
+        np.searchsorted(report.survivors, report.selected_indices)]
+    for j, norm in zip(report.selected_indices, final_norms):
+        lines.append(f"{report.feature_ids[j]}\t{norm:.12g}\tfinal\t0")
     return "\n".join(lines) + "\n"
 
 

@@ -99,6 +99,21 @@ class TestLoadPredictors:
                            match="duplicate sample id: 's1'"):
             load_predictors(p, "tsv")
 
+    def test_repeated_feature_id_refused_at_the_header(self, tmp_path):
+        # refused before any row is read, so line 3's ragged row is not met
+        p = write(tmp_path, "x.tsv", "id\ta\ta\ns1\t0\t1\ns2\t0\n")
+        with pytest.raises(ValidationError,
+                           match=r"x\.tsv: duplicate feature id: 'a' at "
+                                 r"line 1$"):
+            load_predictors(p, "tsv")
+
+    def test_repeated_sample_id_refused_at_its_line(self, tmp_path):
+        p = write(tmp_path, "x.tsv", "id\ta\ns1\t0\n\ns3\t0.5\ns1\t2\n")
+        with pytest.raises(ValidationError,
+                           match=r"x\.tsv: duplicate sample id: 's1' at "
+                                 r"line 5 \(first at line 2\)$"):
+            load_predictors(p, "tsv")
+
     def test_csv(self, tmp_path):
         p = write(tmp_path, "x.csv", "id,f1\ns1,3.5\n")
         assert load_predictors(p, "csv").raw[0, 0] == 3.5

@@ -1,6 +1,8 @@
-"""Each script under demos/ runs to exit 0 with warnings as errors."""
+"""Each script under demos/, and the README's library example, runs to
+exit 0 with warnings as errors."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,15 @@ def test_demo_runs(demo, tmp_path):
                          cwd=tmp_path, env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_python_example_runs(tmp_path):
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-W", "error", "-c", blocks[0]],
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip()

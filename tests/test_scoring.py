@@ -38,6 +38,22 @@ def test_continuous_quartiles():
     assert np.allclose(design.D, design.Z.T @ design.Z / 100, atol=1e-12)
 
 
+def test_continuous_uneven_slices_with_ties():
+    # n % h != 0: the first n % h slices hold one sample more; tied labels
+    # fill the slices in sample order
+    y = make_phenotype([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0], kind="continuous")
+    assert build_design(y, 3).slice_assignments.tolist() == [
+        1, 0, 1, 0, 2, 0, 2]
+    n, h = 103, 7
+    labels = np.random.default_rng(5).integers(0, 5, n).astype(float)
+    assign = build_design(make_phenotype(labels, kind="continuous"),
+                          h).slice_assignments
+    sizes = np.bincount(assign, minlength=h)
+    assert sizes.tolist() == [n // h + 1] * (n % h) + [n // h] * (h - n % h)
+    # by label, then by sample within a label, the slices never go back
+    assert np.all(np.diff(assign[np.lexsort((np.arange(n), labels))]) >= 0)
+
+
 def test_first_column_is_ones_and_column_sums():
     y = make_phenotype(np.random.default_rng(0).standard_normal(37),
                        kind="continuous")

@@ -6,14 +6,13 @@ import pytest
 from sparsesdr import blas, screening
 from sparsesdr.cli import main
 from sparsesdr.admm import PenaltyParams
-from sparsesdr.dataset import (SyntheticSpec, center, make_phenotype,
-                               simulate)
+from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
+                               make_phenotype, simulate)
 from sparsesdr.errors import ValidationError
-from sparsesdr.optimal_scoring import SolverConfig, fit
+from sparsesdr.optimal_scoring import DirectionSet, SolverConfig, fit
 from sparsesdr.scoring import build_design
-from sparsesdr.screening import (ScreeningPlan, Stage, partition_features,
-                                 rank_and_keep, report_summary,
-                                 report_to_tsv, run_plan)
+from sparsesdr.screening import (ScreeningPlan, Stage, rank_and_keep,
+                                 report_summary, report_to_tsv, run_plan)
 
 
 def solver(lam, **kw):
@@ -28,27 +27,65 @@ def signal_instance(seed=13, n=400, p=100):
     return simulate(spec)
 
 
-class TestPartitionFeatures:
-    def test_uneven_sizes(self):
-        assert partition_features(10, 3) == [(0, 4), (4, 7), (7, 10)]
+class TestPartitionSplit:
+    """run_plan's split, seen through the columns each fit is handed: a
+    stage's partitions are consecutive runs of the sorted survivors that
+    cover them, with sizes differing by at most one, larger first."""
 
-    def test_even_sizes(self):
-        assert partition_features(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    def stage_partitions(self, monkeypatch, p, stages, norms=np.zeros):
+        # every fit returns a DirectionSet whose row norms are norms(width);
+        # feature j is named str(j), so each fit's ids are its indices
+        fits = []
 
-    def test_large_case_sizes(self):
-        ranges = partition_features(393473, 20)
-        sizes = {hi - lo for lo, hi in ranges}
-        assert sizes <= {19673, 19674}
-        assert ranges[0][0] == 0 and ranges[-1][1] == 393473
-        for (a, b), (c, d) in zip(ranges, ranges[1:]):
-            assert b == c
+        def spy(m, design, config):
+            fits.append(np.array(m.feature_ids, dtype=int))
+            return DirectionSet(B=norms(len(fits[-1]))[:, None],
+                                Theta=np.zeros((2, 1)), converged=True,
+                                outer_iters=1)
+        monkeypatch.setattr(screening.optimal_scoring, "fit", spy)
+        x = PredictorMatrix(np.zeros((2, p), dtype=np.uint8),
+                            [str(j) for j in range(p)], ["s0", "s1"])
+        report = run_plan(x, make_phenotype([0, 1]),
+                          ScreeningPlan(stages, solver(1.0)))
+        survivors, out = np.arange(p), []
+        for stage_no, (n_partitions, _) in enumerate(stages, start=1):
+            parts, fits = fits[:n_partitions], fits[n_partitions:]
+            assert np.array_equal(np.concatenate(parts), survivors)
+            sizes = [len(c) for c in parts]
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes[0] - sizes[-1] <= 1
+            survivors = np.sort(np.concatenate(
+                [r.kept_indices for r in report.stage_records
+                 if r.stage == stage_no]))
+            out.append([c.tolist() for c in parts])
+        assert np.array_equal(survivors, report.survivors)
+        assert len(fits) == 1 and np.array_equal(fits[0], survivors)
+        return out
 
-    def test_single_partition(self):
-        assert partition_features(7, 1) == [(0, 7)]
+    def test_uneven_sizes(self, monkeypatch):
+        assert self.stage_partitions(monkeypatch, 10, [(3, 1)]) == [
+            [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]]
 
-    def test_too_many_partitions(self):
-        with pytest.raises(ValidationError):
-            partition_features(3, 4)
+    def test_even_sizes(self, monkeypatch):
+        assert self.stage_partitions(monkeypatch, 8, [(4, 1)]) == [
+            [[0, 1], [2, 3], [4, 5], [6, 7]]]
+
+    def test_single_partition(self, monkeypatch):
+        assert self.stage_partitions(monkeypatch, 7, [(1, 1)]) == [
+            [list(range(7))]]
+
+    def test_large_case_sizes(self, monkeypatch):
+        [parts] = self.stage_partitions(monkeypatch, 393473, [(20, 1)])
+        assert [len(c) for c in parts] == [19674] * 13 + [19673] * 7
+
+    def test_later_stage_splits_sorted_survivors(self, monkeypatch):
+        # norms rising with position keep each partition's last rows,
+        # largest first; the next stage splits them in index order
+        assert self.stage_partitions(
+            monkeypatch, 10, [(3, 2), (2, 2)],
+            norms=lambda w: np.arange(w, dtype=float)) == [
+            [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]],
+            [[2, 3, 5], [6, 8, 9]]]
 
 
 class TestRankAndKeep:
@@ -263,12 +300,10 @@ class TestRunPlan:
         x, y, _ = signal_instance()
         plan = ScreeningPlan(stages=[(4, 10)], final_fit=solver(30.0))
         report = run_plan(x, y, plan)
-        ranges = partition_features(x.n_features, 4)
         assert [(r.stage, r.partition) for r in report.stage_records] == [
             (1, k) for k in range(4)]
-        for rec in report.stage_records:
-            lo, hi = ranges[rec.partition]
-            assert np.all((lo <= rec.kept_indices) & (rec.kept_indices < hi))
+        for rec in report.stage_records:   # 100 features in 4 partitions
+            assert np.all(rec.kept_indices // 25 == rec.partition)
         kept = np.concatenate([r.kept_indices for r in report.stage_records])
         assert np.array_equal(np.sort(kept), report.survivors)
         assert len(report.selected_indices) > 0
