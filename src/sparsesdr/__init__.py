@@ -12,4 +12,4 @@ from .optimal_scoring import (DirectionSet, SolverConfig, fit,  # noqa: F401
                               init_theta, theta_step)
 from .scoring import ScoringDesign, build_design  # noqa: F401
 from .screening import (ScreeningPlan, SelectionReport, Stage,  # noqa: F401
-                        rank_and_keep, run_plan)
+                        run_plan)

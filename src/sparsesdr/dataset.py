@@ -282,8 +282,9 @@ def load_predictors(path, format: str = "tsv") -> PredictorMatrix:
 def load_phenotype(path) -> tuple[list[str], np.ndarray]:
     """Load a two-column (sample id, label) tab-separated file, no header.
     A label that `float()` rejects or gives as nan or +-inf is refused with
-    its line number, and so is a line that is not UTF-8."""
-    sample_ids, labels = [], []
+    its line number, and so are a line that is not UTF-8 and the second use
+    of a sample id."""
+    labels, first_line = [], {}   # sample id -> line
     with closing(_file_lines(path)) as lines:
         for lineno, line in lines:
             if line.strip() == "":
@@ -293,7 +294,12 @@ def load_phenotype(path) -> tuple[list[str], np.ndarray]:
                 raise ParseError(
                     f"{path}: expected 2 columns at line {lineno}, "
                     f"got {len(cells)}")
-            sample_ids.append(cells[0])
+            sid = cells[0]
+            if sid in first_line:
+                raise ValidationError(
+                    f"{path}: phenotype repeats sample id: {sid!r} at line "
+                    f"{lineno} (first at line {first_line[sid]})")
+            first_line[sid] = lineno
             try:
                 label = float(cells[1])
             except ValueError:
@@ -304,7 +310,7 @@ def load_phenotype(path) -> tuple[list[str], np.ndarray]:
                 raise ParseError(
                     f"{path}: non-finite label {cells[1]!r} at line {lineno}")
             labels.append(label)
-    if not sample_ids:
+    if not labels:
         raise ValidationError(f"{path}: zero samples")
     labels_arr = np.array(labels)
     # whole labels within int64 become ints; the range test keeps the cast
@@ -312,7 +318,7 @@ def load_phenotype(path) -> tuple[list[str], np.ndarray]:
     if np.all((labels_arr == np.floor(labels_arr))
               & (np.abs(labels_arr) < 2.0 ** 63)):
         labels_arr = labels_arr.astype(int)
-    return sample_ids, labels_arr
+    return list(first_line), labels_arr
 
 
 def align_phenotype(x: PredictorMatrix, sample_ids: list[str],

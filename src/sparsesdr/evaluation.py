@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -81,16 +81,12 @@ def fit_model(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
 
 
 def model_to_json(clf: ProjectionClassifier) -> dict:
-    """The classifier as a JSON-ready dict; `load_model` reads it back."""
-    return {
-        "feature_ids": clf.feature_ids,
-        "column_means": clf.column_means.tolist(),
-        "B_kept": clf.B_kept.tolist(),
-        "class_labels": [float(c) for c in clf.class_labels],
-        "class_centroids": clf.class_centroids.tolist(),
-        "class_priors": clf.class_priors.tolist(),
-        "degenerate": clf.degenerate,
-    }
+    """The classifier as a JSON-ready dict keyed by its fields; `load_model`
+    reads it back. The file holds each class label as a float."""
+    out = {k: v.tolist() if isinstance(v, np.ndarray) else v
+           for k, v in asdict(clf).items()}
+    out["class_labels"] = [float(c) for c in clf.class_labels]
+    return out
 
 
 def _numbers_only(value) -> bool:
@@ -113,8 +109,9 @@ def load_model(path) -> ProjectionClassifier:
     as every input file is (`dataset._file_lines`, so a leading byte-order
     mark is dropped). A file that is not UTF-8 or not JSON, has other keys
     or values of another type (a label or array entry that is not a finite
-    JSON number), or whose arrays do not fit `feature_ids` and
-    `class_labels` is refused with a ParseError naming it."""
+    JSON number), repeats a class label, or whose arrays do not fit
+    `feature_ids` and `class_labels` is refused with a ParseError naming
+    it."""
     try:
         m = json.loads("\n".join(line for _, line in _file_lines(path)))
     except ValueError as exc:   # invalid JSON
@@ -149,7 +146,8 @@ def load_model(path) -> ProjectionClassifier:
                       "feature_ids must be a list of strings, each once"),
                      (m["column_means"].shape == (p,),
                       "column_means must have one entry per feature id"),
-                     (k >= 2, "class_labels must name at least two classes"),
+                     (k >= 2 and len(set(m["class_labels"])) == k,
+                      "class_labels must name at least two classes, each once"),
                      (m["class_centroids"].shape == (k, d),
                       f"class_centroids must be {k} x {d}"),
                      (m["class_priors"].shape == (k,),
@@ -611,18 +609,6 @@ def cv_report_to_tsv(report: CvReport) -> str:
 
 
 def cv_report_to_json(report: CvReport) -> dict:
-    avg = report.averages()
-    return {
-        "method": report.method,
-        "folds": [
-            {
-                "fold": f.fold,
-                "train": vars(f.train),
-                "test": vars(f.test),
-                "n_selected": f.n_selected,
-                "selected_ids": f.selected_ids,
-            }
-            for f in report.folds
-        ],
-        "averages": avg,
-    }
+    """The report as a JSON-ready dict keyed by its fields, each fold's
+    `MetricBundle`s nested, plus `averages`."""
+    return {**asdict(report), "averages": report.averages()}

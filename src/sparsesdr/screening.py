@@ -73,16 +73,6 @@ class SelectionReport:
         return [self.feature_ids[j] for j in self.selected_indices]
 
 
-def rank_and_keep(ds: DirectionSet, k: int):
-    """Top-k row positions by coefficient row norm, ties by index (a stable
-    sort of the negated norms). Returns (positions, norms)."""
-    norms = ds.row_norms()
-    if k > len(norms):
-        raise ValidationError(f"keep={k} exceeds {len(norms)} features")
-    kept = np.argsort(-norms, kind="stable")[:k]
-    return kept, norms[kept]
-
-
 def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
              h: int | None = None) -> SelectionReport:
     """Execute the staged screening plan and the final fit.
@@ -121,9 +111,11 @@ def run_plan(x: PredictorMatrix, y: Phenotype, plan: ScreeningPlan,
             except SparseSdrError as exc:
                 raise type(exc)(
                     f"stage {stage_no}, partition {part_no}: {exc}") from exc
-            kept_pos, norms = rank_and_keep(ds, stage.keep_per_partition)
-            kept = cols[kept_pos]
-            records.append(StageRecord(stage_no, part_no, kept, norms,
+            # the top rows by norm, ties by index
+            norms = ds.row_norms()
+            top = np.argsort(-norms, kind="stable")[:stage.keep_per_partition]
+            kept = cols[top]
+            records.append(StageRecord(stage_no, part_no, kept, norms[top],
                                        ds.converged and ds.inner_converged,
                                        ds.inner_converged))
             merged.append(kept)

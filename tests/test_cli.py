@@ -1135,6 +1135,8 @@ class TestPredict:
         (json.dumps({**TWO_FEATURE_MODEL, "class_labels": [1.0],
                      "class_centroids": [[1.0]], "class_priors": [1.0]}),
          "class_labels must name at least two classes"),
+        (json.dumps({**TWO_FEATURE_MODEL, "class_labels": [0, 0]}),
+         "class_labels must name at least two classes, each once"),
         (json.dumps({**TWO_FEATURE_MODEL, "class_centroids": [[-1.0, 0.0],
                                                              [1.0, 0.0]]}),
          "class_centroids must be 2 x 1"),
@@ -1173,8 +1175,9 @@ class TestPredict:
         (json.dumps(TWO_FEATURE_MODEL).replace("0.25", "1e400"),
          "column_means must hold only numbers, all finite"),
     ], ids=["not_json", "missing_keys", "short_column_means", "short_B_kept",
-            "one_class", "wide_centroids", "short_priors", "string_ids",
-            "repeated_ids", "string_degenerate", "string_labels", "bool_labels",
+            "one_class", "repeated_label", "wide_centroids", "short_priors",
+            "string_ids", "repeated_ids", "string_degenerate", "string_labels",
+            "bool_labels",
             "string_B_kept", "bool_column_means", "string_priors",
             "huge_column_mean", "nan_column_mean", "infinite_B_kept",
             "minus_infinite_centroid", "nan_prior", "infinite_label",
@@ -1357,3 +1360,40 @@ class TestLauncher:
         assert main(["fit", "--x", str(xp), "--y", str(yp), "--config",
                      str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
+def _json_keys(value) -> set:
+    """Every key of `value`'s dicts, at any depth. The keys of
+    `input_digests` (input paths) and of `stage_kept` (stage numbers) are
+    data, not names, so they are not descended into."""
+    if isinstance(value, dict):
+        return set(value).union(*(
+            _json_keys(item) for key, item in value.items()
+            if key not in ("input_digests", "stage_kept")))
+    if isinstance(value, list):
+        return set().union(*map(_json_keys, value))
+    return set()
+
+
+def test_every_json_key_is_named_in_readme(tmp_path):
+    # each command's JSON outputs, fold and metric keys included
+    sim = tmp_path / "simulate"
+    cfg = write_config(tmp_path, CV_CFG + "simulate.n = 90\n"
+                       "simulate.p = 20\nsimulate.support = 3\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    x = ["--x", str(sim / "predictors.tsv")]
+    y = ["--y", str(sim / "phenotype.tsv")]
+    config = ["--config", str(cfg)]
+    for command, argv in (("fit", [*x, *y, *config]),
+                          ("screen", [*x, *y, *config]),
+                          ("cv", [*x, *y, *config]),
+                          ("assoc", [*x, *y]),
+                          ("predict", [*x, "--model", str(tmp_path / "fit")])):
+        out = ["--out", str(tmp_path / command)]
+        assert main([command, *argv, *out]) == 0, command
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    missing = sorted({(path.name, key)
+                      for path in tmp_path.glob("*/*.json")
+                      for key in _json_keys(json.loads(path.read_text()))
+                      if f"`{key}`" not in readme})
+    assert missing == []

@@ -574,6 +574,13 @@ class TestPhenotypeFile:
         assert ids == ["s1", "s2"]
         assert labels.tolist() == [0, 1]
 
+    def test_repeated_id_refused_at_its_line(self, tmp_path):
+        p = write(tmp_path, "y.tsv", "s1\t0\ns3\t1\n\ns3\t0\ns2\tx\n")
+        with pytest.raises(ValidationError,
+                           match=r"y\.tsv: phenotype repeats sample id: 's3' "
+                                 r"at line 4 \(first at line 2\)$"):
+            load_phenotype(p)
+
     def test_align_refuses_repeated_id(self):
         x = PredictorMatrix(np.zeros((2, 1)), ["a"], ["s1", "s2"])
         with pytest.raises(ValidationError,

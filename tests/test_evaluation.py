@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -10,7 +11,8 @@ from sparsesdr.admm import PenaltyParams
 from sparsesdr.dataset import (PredictorMatrix, Phenotype, SyntheticSpec,
                                center, make_phenotype, simulate)
 from sparsesdr.errors import NumericError, ValidationError
-from sparsesdr.evaluation import (CvReport, MetricBundle, _average_ranks,
+from sparsesdr.evaluation import (CvReport, FoldResult, MetricBundle,
+                                  _average_ranks,
                                   _chi2_sf, _neighbour_order, _sq_dists,
                                   auc_mann_whitney,
                                   chi2_rank, cross_validate,
@@ -558,11 +560,20 @@ class TestClassifier:
         clf = fit_classifier(x, y, ds.B)
         raw = matrix(rng.standard_normal((40, 6)))
         (tmp_path / "model.json").write_text(json.dumps(model_to_json(clf)))
+        loaded = load_model(tmp_path / "model.json")
         before = predict(clf, raw)
-        after = predict(load_model(tmp_path / "model.json"), raw)
+        after = predict(loaded, raw)
         assert np.array_equal(before[0], after[0])
         assert np.array_equal(before[1], after[1])
         assert len(set(before[0].tolist())) == 3
+        # the file's keys are the record's fields, each read back as it was
+        assert set(model_to_json(clf)) == {f.name for f in fields(clf)}
+        for f in fields(clf):
+            want, got = getattr(clf, f.name), getattr(loaded, f.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
 
 
 class TestFitModel:
@@ -835,6 +846,21 @@ class TestCrossValidate:
         reports = [cv_report_to_json(cross_validate(
             m, y, 4, method, seed=0, plan=plan)) for m in (x, f64)]
         assert reports[0] == reports[1]
+
+    def test_json_keys_are_the_records_fields(self):
+        # a field added to a record shows in cv_report.json
+        x, y, _ = self.cv_instance()
+        out = cv_report_to_json(cross_validate(x, y, 4, "pvalue_rank",
+                                               seed=0))
+        assert json.loads(json.dumps(out)) == out
+
+        def names(record):
+            return {f.name for f in fields(record)}
+        assert set(out) == names(CvReport) | {"averages"}
+        for fold in out["folds"]:
+            assert set(fold) == names(FoldResult)
+            assert set(fold["train"]) == names(MetricBundle)
+            assert set(fold["test"]) == names(MetricBundle)
 
     def test_unknown_method(self):
         x, y, _ = self.cv_instance()

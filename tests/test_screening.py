@@ -11,8 +11,8 @@ from sparsesdr.dataset import (PredictorMatrix, SyntheticSpec, center,
 from sparsesdr.errors import ValidationError
 from sparsesdr.optimal_scoring import DirectionSet, SolverConfig, fit
 from sparsesdr.scoring import build_design
-from sparsesdr.screening import (ScreeningPlan, Stage, rank_and_keep,
-                                 report_summary, report_to_tsv, run_plan)
+from sparsesdr.screening import (ScreeningPlan, Stage, report_summary,
+                                 report_to_tsv, run_plan)
 
 
 def solver(lam, **kw):
@@ -30,7 +30,8 @@ def signal_instance(seed=13, n=400, p=100):
 class TestPartitionSplit:
     """run_plan's split, seen through the columns each fit is handed: a
     stage's partitions are consecutive runs of the sorted survivors that
-    cover them, with sizes differing by at most one, larger first."""
+    cover them, with sizes differing by at most one, larger first. Each
+    partition keeps its top rows by norm, ties by index."""
 
     def stage_partitions(self, monkeypatch, p, stages, norms=np.zeros):
         # every fit returns a DirectionSet whose row norms are norms(width);
@@ -60,6 +61,7 @@ class TestPartitionSplit:
             out.append([c.tolist() for c in parts])
         assert np.array_equal(survivors, report.survivors)
         assert len(fits) == 1 and np.array_equal(fits[0], survivors)
+        self.records = report.stage_records
         return out
 
     def test_uneven_sizes(self, monkeypatch):
@@ -87,30 +89,25 @@ class TestPartitionSplit:
             [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]],
             [[2, 3, 5], [6, 8, 9]]]
 
+    def test_top_k_order(self, monkeypatch):
+        # each partition of 4 ranks its rows 1, 3, 2, 0 by norm
+        self.stage_partitions(
+            monkeypatch, 8, [(2, 2)],
+            norms=lambda w: np.array([0.1, 0.9, 0.5, 0.7])[:w])
+        assert [r.kept_indices.tolist() for r in self.records] == [
+            [1, 3], [5, 7]]
+        assert [r.kept_norms.tolist() for r in self.records] == [
+            [0.9, 0.7], [0.9, 0.7]]
 
-class TestRankAndKeep:
-    def make_ds(self, norms):
-        from sparsesdr.optimal_scoring import DirectionSet
-        B = np.asarray(norms, dtype=float)[:, None]
-        K = 2
-        return DirectionSet(B=B, Theta=np.zeros((K, 1)), converged=True,
-                            outer_iters=1)
-
-    def test_top_k_order(self):
-        kept, norms = rank_and_keep(self.make_ds([0.1, 0.9, 0.5, 0.7]), 2)
-        assert kept.tolist() == [1, 3]
-        assert norms.tolist() == [0.9, 0.7]
-
-    def test_tie_break_by_index(self):
-        kept, _ = rank_and_keep(self.make_ds([0.5, 0.5, 0.5]), 2)
-        assert kept.tolist() == [0, 1]
+    def test_tie_break_by_index(self, monkeypatch):
+        self.stage_partitions(monkeypatch, 3, [(1, 2)],
+                              norms=lambda w: np.full(w, 0.5))
+        assert self.records[0].kept_indices.tolist() == [0, 1]
         # all-zero rows (no signal) tie the same way
-        kept, norms = rank_and_keep(self.make_ds([0.0, 0.0, 0.0]), 2)
-        assert kept.tolist() == [0, 1] and norms.tolist() == [0.0, 0.0]
-
-    def test_keep_too_many(self):
-        with pytest.raises(ValidationError):
-            rank_and_keep(self.make_ds([1.0]), 2)
+        self.stage_partitions(monkeypatch, 3, [(1, 2)])
+        [rec] = self.records
+        assert rec.kept_indices.tolist() == [0, 1]
+        assert rec.kept_norms.tolist() == [0.0, 0.0]
 
 
 class TestPlanValidation:
